@@ -254,9 +254,7 @@ def run_stage(
     truth = _truth_map(eval_side.labels_a, eval_side.labels_b)
     outcome = StageOutcome(truth=truth)
 
-    train_cfg = TrainConfig(
-        lam=config.lam, max_iters=config.max_iters, neg_ratio=config.neg_ratio
-    )
+    train_cfg = TrainConfig(lam=config.lam, max_iters=config.max_iters)
     for rep_idx, rep_id in enumerate(config.representations):
         rep = config.representation(rep_id)
         keys = rep.block_keys()
@@ -405,7 +403,7 @@ def run_single_rep(
             pairs,
             rep,
             config.gamma,
-            TrainConfig(lam=config.lam, max_iters=config.max_iters, neg_ratio=config.neg_ratio),
+            TrainConfig(lam=config.lam, max_iters=config.max_iters),
         )
     probe_bank = _sub_bank(reduced, keys, eval_side.rows_a)
     gallery_bank = _sub_bank(reduced, keys, eval_side.rows_b)

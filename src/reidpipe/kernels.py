@@ -6,7 +6,9 @@ Every kernel exists in two equivalent implementations: a pure-numpy version
 is unavailable or the ``REIDPIPE_NO_NUMBA`` environment variable is set to
 ``1``/``true``/``yes`` at import time; ``USE_NUMBA`` records the choice.
 
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+The ``images`` workload of ``perfbench/run.py --trace 1`` times the selected
+path on fixed shapes (``kernels.fixed.*_us``) and checks the compiled path
+against the numpy one.
 """
 
 from __future__ import annotations

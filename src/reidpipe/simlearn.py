@@ -4,8 +4,13 @@ A similarity model holds one symmetric Mahalanobis weight matrix and one
 symmetric bilinear weight matrix per (cue, region) block plus per-cue global
 blocks. The pair score is the sum of local block scores plus gamma times the
 global block sum. Training minimizes a logistic pair loss with Frobenius
-regularization by full-batch gradient descent with backtracking line search;
-the score is linear in the weights so the problem is convex.
+regularization by full-batch gradient descent with backtracking line search.
+The score is linear in the weights, so the problem is convex and a trial
+step ``W - tG`` scores as ``s(W) - t*s(G)``: each iteration scores the
+gradient direction once, prices every line-search trial in O(n_pairs) and
+computes block gradients only at the accepted point. The gradients are
+symmetric by construction, so the weights stay symmetric without a
+projection.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ SCOPES = ("G", "L", "GL")
 # "G" or "r0".."r{R-1}". Banks are the resolved per-image descriptors.
 BlockKey = tuple[str, str]
 FeatureBank = dict[BlockKey, np.ndarray]
+# Weight blocks: (cue, scope) -> (W_M, W_B), or a gradient of the same shape.
+Blocks = dict[BlockKey, tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,9 @@ class SimilarityModel:
     gamma: float
     bias: float
     blocks: dict[BlockKey, tuple[np.ndarray, np.ndarray]]
+    # How training ended; not persisted. See train_model.
+    iterations: int = 0
+    stop_reason: str = ""
 
     def block_keys(self) -> list[BlockKey]:
         return sorted(self.blocks)
@@ -213,7 +223,6 @@ class TrainConfig:
     max_iters: int = 500
     rel_tol: float = 1e-6
     armijo: float = 1e-4
-    neg_ratio: int = 10
 
 
 def sample_pairs(
@@ -262,6 +271,17 @@ class _PairData:
 
     def __init__(self, bank_a: FeatureBank, bank_b: FeatureBank,
                  pairs: np.ndarray, keys: list[BlockKey]):
+        pairs = np.asarray(pairs)
+        if (
+            pairs.ndim != 2
+            or pairs.shape[1] != 3
+            or not np.issubdtype(pairs.dtype, np.integer)
+            or not np.isin(pairs[:, 2], (-1, 1)).all()
+        ):
+            raise DataError(
+                f"pairs must be an (n, 3) integer array with labels +1/-1, "
+                f"got {pairs.dtype} {pairs.shape}"
+            )
         idx_a = pairs[:, 0]
         idx_b = pairs[:, 1]
         self.y = pairs[:, 2].astype(np.float64)
@@ -281,52 +301,57 @@ class _PairData:
             self.diff[key] = self.a[key] - self.b[key]
 
 
-def _pair_scores(
-    data: _PairData,
-    blocks: dict[BlockKey, tuple[np.ndarray, np.ndarray]],
-    gamma: float,
-) -> np.ndarray:
+def _pair_scores(data: _PairData, blocks: Blocks, gamma: float) -> np.ndarray:
+    """Score of every pair. Linear in ``blocks``, so it also scores a step
+    direction; the bilinear term is one product with ``W_B + W_B^T``."""
     s = np.zeros(len(data.y))
     for key in data.keys:
         w_m, w_b = blocks[key]
         a, b, diff = data.a[key], data.b[key], data.diff[key]
         term = np.einsum("ij,ij->i", diff @ w_m, diff)
-        term += np.einsum("ij,ij->i", a @ w_b, b) + np.einsum("ij,ij->i", b @ w_b, a)
+        term += np.einsum("ij,ij->i", a @ (w_b + w_b.T), b)
         s += gamma * term if key[1] == GLOBAL_SCOPE else term
     return s
 
 
+def _gradient(
+    data: _PairData, blocks: Blocks, coef: np.ndarray, gamma: float, lam: float
+) -> Blocks:
+    """Block gradients of the penalized loss, given the per-pair loss slopes
+    ``coef``. Both are symmetric by construction, so symmetric weights stay
+    symmetric under gradient steps."""
+    grads: Blocks = {}
+    for key in data.keys:
+        w_m, w_b = blocks[key]
+        c = (gamma * coef if key[1] == GLOBAL_SCOPE else coef)[:, None]
+        diff = data.diff[key]
+        m = (diff * c).T @ diff
+        x = (data.a[key] * c).T @ data.b[key]
+        grads[key] = (0.5 * (m + m.T) + 2.0 * lam * w_m, x + x.T + 2.0 * lam * w_b)
+    return grads
+
+
+def _inner(x: Blocks, y: Blocks) -> float:
+    """Frobenius inner product summed over blocks."""
+    return sum(float(np.vdot(x[k][0], y[k][0]) + np.vdot(x[k][1], y[k][1])) for k in x)
+
+
+def _loss(margins: np.ndarray, sq_norm: float, lam: float) -> float:
+    return float(np.logaddexp(0.0, margins).sum()) + lam * sq_norm
+
+
 def loss_and_gradient(
     data: _PairData,
-    blocks: dict[BlockKey, tuple[np.ndarray, np.ndarray]],
+    blocks: Blocks,
     bias: float,
     gamma: float,
     lam: float,
-) -> tuple[float, dict[BlockKey, tuple[np.ndarray, np.ndarray]], float]:
+) -> tuple[float, Blocks, float]:
     """Logistic pair loss with Frobenius penalty, plus analytic gradients."""
-    z = _pair_scores(data, blocks, gamma) - bias
-    margins = -data.y * z
-    loss = float(np.logaddexp(0.0, margins).sum())
+    margins = -data.y * (_pair_scores(data, blocks, gamma) - bias)
     coef = -data.y * _sigmoid(margins)
-    grad_bias = float(-coef.sum())
-    grads: dict[BlockKey, tuple[np.ndarray, np.ndarray]] = {}
-    for key in data.keys:
-        w_m, w_b = blocks[key]
-        scale = gamma if key[1] == GLOBAL_SCOPE else 1.0
-        c = coef * scale
-        a, b, diff = data.a[key], data.b[key], data.diff[key]
-        cd = diff * c[:, None]
-        g_m = cd.T @ diff + 2.0 * lam * w_m
-        ca = a * c[:, None]
-        g_b = ca.T @ b + (b * c[:, None]).T @ a + 2.0 * lam * w_b
-        grads[key] = (g_m, g_b)
-        loss += lam * (float(np.sum(w_m * w_m)) + float(np.sum(w_b * w_b)))
-    return loss, grads, grad_bias
-
-
-def _symmetrize(blocks: dict[BlockKey, tuple[np.ndarray, np.ndarray]]) -> None:
-    for key, (w_m, w_b) in blocks.items():
-        blocks[key] = (0.5 * (w_m + w_m.T), 0.5 * (w_b + w_b.T))
+    loss = _loss(margins, _inner(blocks, blocks), lam)
+    return loss, _gradient(data, blocks, coef, gamma, lam), float(-coef.sum())
 
 
 def train_model(
@@ -340,15 +365,18 @@ def train_model(
     """Fit weight blocks by full-batch gradient descent with line search.
 
     ``pairs`` rows are (index_a, index_b, +1/-1); both classes must be
-    present. Weights start at zero (the loss is convex in them) and every
-    accepted step is symmetrized.
+    present. Weights start at zero (the loss is convex in them) and stay
+    symmetric because every gradient is. Line-search trials are priced by
+    linearity in O(n_pairs) (see the module docstring). The model records
+    the accepted steps in ``iterations`` and why training stopped in
+    ``stop_reason``: ``converged``, ``max_iters``, ``line_search`` (no trial
+    step met the Armijo test) or ``zero_gradient``.
     """
-    pairs = np.asarray(pairs)
-    labels = set(np.unique(pairs[:, 2]).tolist())
-    if not labels.issuperset({-1, 1}) or len(pairs) == 0:
-        raise DataError("training pairs must contain both classes")
     keys = rep.block_keys()
     data = _PairData(bank_a, bank_b, pairs, keys)
+    if not ((data.y > 0).any() and (data.y < 0).any()):
+        raise DataError("training pairs must contain both classes")
+    lam = config.lam
     blocks = {
         key: (
             np.zeros((data.a[key].shape[1],) * 2),
@@ -357,42 +385,51 @@ def train_model(
         for key in keys
     }
     bias = 0.0
-    loss, grads, grad_bias = loss_and_gradient(data, blocks, bias, gamma, config.lam)
+    z = _pair_scores(data, blocks, gamma) - bias
+    margins = -data.y * z
+    loss = _loss(margins, 0.0, lam)
     if not np.isfinite(loss):
         raise NumericError("initial loss is not finite")
     step = 1.0
-    for _ in range(config.max_iters):
-        grad_sq = grad_bias**2
-        for g_m, g_b in grads.values():
-            grad_sq += float(np.sum(g_m * g_m)) + float(np.sum(g_b * g_b))
+    iterations = 0
+    stop = "max_iters"
+    while iterations < config.max_iters:
+        coef = -data.y * _sigmoid(margins)
+        grad_bias = float(-coef.sum())
+        grads = _gradient(data, blocks, coef, gamma, lam)
+        w_sq, w_dot_g, g_sq = _inner(blocks, blocks), _inner(blocks, grads), _inner(grads, grads)
+        grad_sq = grad_bias**2 + g_sq
         if grad_sq == 0.0:
+            stop = "zero_gradient"
             break
-        accepted = False
+        # z(W - tG, bias - t*grad_bias) = z - t*dz
+        dz = _pair_scores(data, grads, gamma) - grad_bias
         t = step
         for _ in range(60):
-            trial = {
-                key: (blocks[key][0] - t * grads[key][0], blocks[key][1] - t * grads[key][1])
-                for key in keys
-            }
-            trial_bias = bias - t * grad_bias
-            trial_loss, trial_grads, trial_gb = loss_and_gradient(
-                data, trial, trial_bias, gamma, config.lam
-            )
+            trial_margins = -data.y * (z - t * dz)
+            trial_loss = _loss(trial_margins, w_sq - 2.0 * t * w_dot_g + t * t * g_sq, lam)
             if np.isfinite(trial_loss) and trial_loss <= loss - config.armijo * t * grad_sq:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
+            stop = "line_search"
             break
-        _symmetrize(trial)
-        blocks, bias = trial, trial_bias
-        prev_loss, loss, grads, grad_bias = loss, trial_loss, trial_grads, trial_gb
-        if not np.isfinite(loss):
-            raise NumericError("training loss became non-finite")
+        blocks = {
+            key: (w_m - t * grads[key][0], w_b - t * grads[key][1])
+            for key, (w_m, w_b) in blocks.items()
+        }
+        bias -= t * grad_bias
+        z, margins = z - t * dz, trial_margins
+        prev_loss, loss = loss, trial_loss
+        iterations += 1
         step = t * 2.0
         if abs(prev_loss - loss) <= config.rel_tol * max(1.0, abs(prev_loss)):
+            stop = "converged"
             break
-    return SimilarityModel(rep_id=rep.rep_id, gamma=gamma, bias=bias, blocks=blocks)
+    return SimilarityModel(
+        rep_id=rep.rep_id, gamma=gamma, bias=bias, blocks=blocks,
+        iterations=iterations, stop_reason=stop,
+    )
 
 
 def pair_accuracy(

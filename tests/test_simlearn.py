@@ -340,6 +340,102 @@ def test_training_deterministic():
         np.testing.assert_array_equal(m1.blocks[key][1], m2.blocks[key][1])
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [],
+        np.zeros((0, 2), dtype=np.int64),
+        np.array([[0, 0, 1], [1, 2, -1]], dtype=np.float64),
+        np.array([[0, 0, 1], [1, 2, 0]]),
+        np.array([0, 1, 1]),
+    ],
+)
+def test_training_malformed_pairs_rejected(pairs):
+    rep, bank_a, bank_b, _ = make_separable()
+    with pytest.raises(DataError):
+        train_model(bank_a, bank_b, pairs, rep, gamma=1.1)
+
+
+def test_training_stop_reasons():
+    rep, bank_a, bank_b, pairs = make_separable()
+
+    def stop(bank_a=bank_a, bank_b=bank_b, pairs=pairs, **config):
+        model = train_model(bank_a, bank_b, pairs, rep, gamma=1.1, config=TrainConfig(**config))
+        return model.stop_reason, model.iterations
+
+    reason, iterations = stop()
+    assert reason == "converged" and 1 < iterations < 500
+    assert stop(max_iters=3) == ("max_iters", 3)
+    assert stop(lam=1e12) == ("converged", 1)
+    # The penalty outgrows every step the 60 halvings can reach.
+    assert stop(lam=1e30) == ("line_search", 0)
+    # Zero features and balanced classes: the gradient at the start is exactly 0.
+    zeros = {("X", "G"): np.zeros((2, 6))}
+    balanced = np.array([[0, 0, 1], [0, 1, -1]])
+    assert stop(bank_a=zeros, bank_b=zeros, pairs=balanced) == ("zero_gradient", 0)
+
+
+def reference_train(bank_a, bank_b, pairs, rep, gamma, config=TrainConfig()):
+    """Gradient descent with a full loss-and-gradient pass per line-search
+    trial and every accepted step symmetrized: the algorithm train_model
+    must reproduce."""
+    data = _PairData(bank_a, bank_b, pairs, rep.block_keys())
+    blocks = {k: (np.zeros((m.shape[1],) * 2),) * 2 for k, m in data.a.items()}
+    bias, step, iterations = 0.0, 1.0, 0
+    loss, grads, grad_bias = loss_and_gradient(data, blocks, bias, gamma, config.lam)
+    for _ in range(config.max_iters):
+        grad_sq = grad_bias**2 + sum(np.sum(m * m) + np.sum(b * b) for m, b in grads.values())
+        if grad_sq == 0.0:
+            break
+        t = step
+        for _ in range(60):
+            trial = {k: (m - t * grads[k][0], b - t * grads[k][1]) for k, (m, b) in blocks.items()}
+            trial_loss, trial_grads, trial_gb = loss_and_gradient(
+                data, trial, bias - t * grad_bias, gamma, config.lam
+            )
+            if np.isfinite(trial_loss) and trial_loss <= loss - config.armijo * t * grad_sq:
+                break
+            t *= 0.5
+        else:
+            break
+        blocks = {k: (0.5 * (m + m.T), 0.5 * (b + b.T)) for k, (m, b) in trial.items()}
+        bias -= t * grad_bias
+        prev_loss, loss, grads, grad_bias = loss, trial_loss, trial_grads, trial_gb
+        iterations += 1
+        step = 2.0 * t
+        if abs(prev_loss - loss) <= config.rel_tol * max(1.0, abs(prev_loss)):
+            break
+    return blocks, bias, iterations
+
+
+@pytest.mark.parametrize(
+    "scopes, n_ids, d, gamma",
+    [
+        # 6 blocks, 330 pairs > sum d^2 = 96; runs all 500 iterations
+        ({"C1": "GL", "C2": "GL"}, 30, 4, 1.1),
+        # one wide block, d^2 = 1600 > 132 pairs; converges
+        ({"X": "G"}, 12, 40, 1.0),
+    ],
+)
+def test_training_matches_reference_loop(scopes, n_ids, d, gamma):
+    r = np.random.default_rng(17)
+    rep = Representation("toy", scopes, n_regions=2)
+    bank_a, bank_b = {}, {}
+    for key in rep.block_keys():
+        centers = r.standard_normal((n_ids, d))
+        bank_a[key] = centers + 1.5 * r.standard_normal((n_ids, d))
+        bank_b[key] = centers + 1.5 * r.standard_normal((n_ids, d))
+    labels = np.arange(n_ids)
+    pairs = sample_pairs(labels, labels, r, neg_ratio=10)
+    ref_blocks, ref_bias, ref_iterations = reference_train(bank_a, bank_b, pairs, rep, gamma)
+    model = train_model(bank_a, bank_b, pairs, rep, gamma=gamma)
+    assert model.iterations == ref_iterations
+    assert abs(model.bias - ref_bias) <= 1e-9 * max(1.0, abs(ref_bias))
+    for key, ref in ref_blocks.items():
+        for got, want in zip(model.blocks[key], ref):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 def gradient_check(rep, bank_a, bank_b, pairs, gamma=1.1, lam=1e-3, eps=1e-5):
     """Central finite differences against the analytic gradient, per block."""
     r = np.random.default_rng(3)
