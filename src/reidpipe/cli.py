@@ -38,37 +38,43 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
+def _single_rep(args, postrank: bool):
+    """One representation's final stage; the outcome and its per-rep part."""
     config = load_config(args.config)
-    run = run_single_rep(config, args.rep, args.seed, do_postrank=False)
+    if not postrank:
+        config.postrank_enabled = False
+    model = load_model(args.model, rep_id=args.rep) if getattr(args, "model", None) else None
+    outcome = run_single_rep(config, args.rep, args.seed, model)
+    return outcome, outcome.per_rep[args.rep]
+
+
+def _cmd_train(args) -> int:
+    _, run = _single_rep(args, postrank=False)
     save_model(run.model, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_rank(args) -> int:
-    config = load_config(args.config)
-    model = load_model(args.model, rep_id=args.rep) if args.model else None
-    run = run_single_rep(config, args.rep, args.seed, model=model, do_postrank=False)
-    save_rankings_csv(run.initial, args.out, run.probe_ids, run.gallery_ids)
+    stage, run = _single_rep(args, postrank=False)
+    save_rankings_csv(run.initial, args.out, stage.probe_ids, stage.gallery_ids)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_postrank(args) -> int:
-    config = load_config(args.config)
-    model = load_model(args.model, rep_id=args.rep) if args.model else None
-    run = run_single_rep(config, args.rep, args.seed, model=model, do_postrank=True)
+    stage, run = _single_rep(args, postrank=True)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     before = out_dir / f"{args.rep}_initial.csv"
     after = out_dir / f"{args.rep}_postranked.csv"
     content = out_dir / f"{args.rep}_content.csv"
     truth = out_dir / f"{args.rep}_truth.csv"
-    save_rankings_csv(run.initial, before, run.probe_ids, run.gallery_ids)
-    save_rankings_csv(run.postranked, after, run.probe_ids, run.gallery_ids)
-    save_content_csv(run.contents, content, run.probe_ids, run.gallery_ids)
-    save_truth_csv(run.truth, truth, run.probe_ids, run.gallery_ids)
+    ids = (stage.probe_ids, stage.gallery_ids)
+    save_rankings_csv(run.initial, before, *ids)
+    save_rankings_csv(run.postranked, after, *ids)
+    save_content_csv(run.contents, content, *ids)
+    save_truth_csv(stage.truth, truth, *ids)
     for path in (before, after, content, truth):
         print(f"wrote {path}")
     return 0

@@ -150,6 +150,20 @@ def summarize_postrank_stats(runs: list[PostrankStats]) -> PostrankStats:
 RANKING_HEADER = ("probe_id", "rank", "gallery_id", "score")
 
 
+def _field(convert, text: str, what: str, path, reader):
+    """``convert(text)``; a bad value raises DataError naming file and line."""
+    try:
+        return convert(text)
+    except (KeyError, ValueError):
+        raise DataError(f"{path}: line {reader.line_num}: bad {what} {text!r}") from None
+
+
+def _row(row: list[str], width: int, path, reader) -> list[str]:
+    if len(row) != width:
+        raise DataError(f"{path}: line {reader.line_num}: malformed row {row!r}")
+    return row
+
+
 def save_rankings_csv(
     rankings: list[Ranking],
     path: str | Path,
@@ -200,9 +214,11 @@ def load_content_csv(
         header = next(reader, None)
         if header is None or tuple(header) != CONTENT_HEADER:
             raise DataError(f"{path}: expected header {','.join(CONTENT_HEADER)}")
-        for probe, gallery, threshold in reader:
-            members.setdefault(probe, []).append(gallery_index[gallery])
-            thresholds[probe] = float(threshold)
+        for row in reader:
+            probe, gallery, threshold = _row(row, 3, path, reader)
+            g = _field(gallery_index.__getitem__, gallery, "gallery id", path, reader)
+            members.setdefault(probe, []).append(g)
+            thresholds[probe] = _field(float, threshold, "threshold", path, reader)
     out = []
     for probe, p in sorted(probe_index.items(), key=lambda kv: kv[1]):
         out.append(
@@ -241,9 +257,12 @@ def load_truth_csv(
         header = next(reader, None)
         if header is None or tuple(header) != TRUTH_HEADER:
             raise DataError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
-        for probe, gallery in reader:
+        for row in reader:
+            probe, gallery = _row(row, 2, path, reader)
             if probe in probe_index:
-                truth[probe_index[probe]] = gallery_index[gallery]
+                truth[probe_index[probe]] = _field(
+                    gallery_index.__getitem__, gallery, "gallery id", path, reader
+                )
     return truth
 
 
@@ -257,13 +276,15 @@ def load_rankings_csv(path: str | Path) -> tuple[list[RankingList], list[str], l
         if header is None or tuple(header) != RANKING_HEADER:
             raise DataError(f"{path}: expected header {','.join(RANKING_HEADER)}")
         for row in reader:
-            if len(row) != 4:
-                raise DataError(f"{path}: malformed row {row!r}")
-            probe, rank, gallery, score = row
+            probe, rank, gallery, score = _row(row, 4, path, reader)
             if probe not in rows:
                 rows[probe] = []
                 probe_order.append(probe)
-            rows[probe].append((int(rank), gallery, float(score)))
+            rows[probe].append((
+                _field(int, rank, "rank", path, reader),
+                gallery,
+                _field(float, score, "score", path, reader),
+            ))
     gallery_ids = sorted({g for entries in rows.values() for _, g, _ in entries})
     gallery_index = {g: i for i, g in enumerate(gallery_ids)}
     rankings: list[RankingList] = []

@@ -3,7 +3,7 @@ aggregation and report generation for the repeated-split CMC protocol."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +38,9 @@ from .simlearn import (
     Representation,
     SimilarityModel,
     TrainConfig,
-    bank_row,
     rank_gallery,
     sample_pairs,
+    score_gallery,
     train_model,
 )
 
@@ -197,6 +197,10 @@ def _stage_sides(ids: frozenset[int], split, row_index, require_both: bool) -> S
     return StageSides(rows_a=rows_a, labels_a=labels_a, rows_b=rows_b, labels_b=labels_b)
 
 
+def _stage_rows(sides: StageSides) -> np.ndarray:
+    return np.unique(np.concatenate([sides.rows_a, sides.rows_b]))
+
+
 def _truth_map(labels_a: np.ndarray, labels_b: np.ndarray) -> dict[int, int]:
     gallery_of = {int(label): g for g, label in enumerate(labels_b)}
     return {p: gallery_of[int(label)] for p, label in enumerate(labels_a)}
@@ -225,6 +229,7 @@ def _sub_bank(bank: FeatureBank, keys, rows: np.ndarray) -> FeatureBank:
 
 @dataclass
 class RepStageOutcome:
+    model: SimilarityModel
     initial: list[RankingList]
     postranked: list[RankingList]
     contents: list
@@ -234,54 +239,75 @@ class RepStageOutcome:
 @dataclass
 class StageOutcome:
     truth: dict[int, int]
+    probe_ids: list[str]
+    gallery_ids: list[str]
     per_rep: dict[str, RepStageOutcome] = field(default_factory=dict)
 
 
 def run_stage(
     dataset: Dataset,
-    reduced: FeatureBank,
     split,
     fit_ids: frozenset[int],
     eval_ids: frozenset[int],
     config: ExperimentConfig,
     seed: int,
     stage: int,
+    models: dict[str, SimilarityModel] | None = None,
 ) -> StageOutcome:
-    """Train per-representation models on ``fit_ids`` and rank ``eval_ids``."""
+    """Fit PCA and per-representation models on ``fit_ids``, rank ``eval_ids``
+    and post-rank them.
+
+    A representation found in ``models`` uses that frozen model instead of
+    training one; representation ``i`` trains on the random stream
+    ``[seed, stage, i]``.
+    """
     row_index = dataset.row_index
     fit = _stage_sides(fit_ids, split, row_index, require_both=True)
     eval_side = _stage_sides(eval_ids, split, row_index, require_both=True)
-    truth = _truth_map(eval_side.labels_a, eval_side.labels_b)
-    outcome = StageOutcome(truth=truth)
+    reduced = reduce_bank(dataset.raw_bank, _stage_rows(fit), config.pca_dim)
+    records = dataset.records
+    outcome = StageOutcome(
+        truth=_truth_map(eval_side.labels_a, eval_side.labels_b),
+        probe_ids=[records[r].image_id for r in eval_side.rows_a],
+        gallery_ids=[records[r].image_id for r in eval_side.rows_b],
+    )
 
     train_cfg = TrainConfig(lam=config.lam, max_iters=config.max_iters)
     for rep_idx, rep_id in enumerate(config.representations):
         rep = config.representation(rep_id)
         keys = rep.block_keys()
-        bank_a = _sub_bank(reduced, keys, fit.rows_a)
-        bank_b = _sub_bank(reduced, keys, fit.rows_b)
-        rng = np.random.default_rng([seed, stage, rep_idx])
-        pairs = sample_pairs(fit.labels_a, fit.labels_b, rng, config.neg_ratio)
-        model = train_model(bank_a, bank_b, pairs, rep, config.gamma, train_cfg)
+        model = (models or {}).get(rep_id)
+        if model is None:
+            bank_a = _sub_bank(reduced, keys, fit.rows_a)
+            bank_b = _sub_bank(reduced, keys, fit.rows_b)
+            rng = np.random.default_rng([seed, stage, rep_idx])
+            pairs = sample_pairs(fit.labels_a, fit.labels_b, rng, config.neg_ratio)
+            model = train_model(bank_a, bank_b, pairs, rep, config.gamma, train_cfg)
 
-        probe_bank = _sub_bank(reduced, keys, eval_side.rows_a)
-        gallery_bank = _sub_bank(reduced, keys, eval_side.rows_b)
-        initial = [
-            rank_gallery(model, bank_row(probe_bank, p), gallery_bank, probe_index=p)
-            for p in range(len(eval_side.rows_a))
-        ]
+        initial = rank_gallery(
+            model,
+            _sub_bank(reduced, keys, eval_side.rows_a),
+            _sub_bank(reduced, keys, eval_side.rows_b),
+        )
         if config.postrank_enabled:
-            rep_out = _postrank_stage(
-                model, rep, reduced, fit, eval_side, initial, config
-            )
+            rep_out = _postrank_stage(model, rep, reduced, fit, eval_side, initial, config)
         else:
-            contents = [content_set(r, config.window) for r in initial]
-            rep_out = RepStageOutcome(
-                initial=initial, postranked=initial, contents=contents,
-                postrank_trained=False,
-            )
+            rep_out = _initial_only(model, initial, config)
         outcome.per_rep[rep_id] = rep_out
     return outcome
+
+
+def _initial_only(
+    model: SimilarityModel, initial: list[RankingList], config: ExperimentConfig
+) -> RepStageOutcome:
+    """The outcome without post-ranking: the initial lists stand."""
+    return RepStageOutcome(
+        model=model,
+        initial=initial,
+        postranked=initial,
+        contents=[content_set(r, config.window) for r in initial],
+        postrank_trained=False,
+    )
 
 
 def _dcia_all(
@@ -292,18 +318,18 @@ def _dcia_all(
     model: SimilarityModel,
     config: ExperimentConfig,
 ) -> list[DciaResult]:
-    cache: dict[int, tuple[int, ...]] = {}
+    """DCIA for every ranking; the neighbor windows of all of them come from
+    one gallery x gallery score matrix."""
+    gallery_scores = score_gallery(model, gallery_bank, gallery_bank)
     return [
         apply_dcia(
             ranking,
             probe_vectors[ranking.probe_index],
             gallery_vectors,
-            gallery_bank,
-            model,
+            gallery_scores,
             energy=config.energy,
             k=config.k_common,
             window=config.window,
-            neighbor_cache=cache,
         )
         for ranking in rankings
     ]
@@ -327,55 +353,36 @@ def _postrank_stage(
     keys = rep.block_keys()
     train_cfg = TrainConfig(lam=config.lam, max_iters=config.max_iters)
 
-    fit_probe_bank = _sub_bank(reduced, keys, fit.rows_a)
     fit_gallery_bank = _sub_bank(reduced, keys, fit.rows_b)
-    fit_probe_vecs = concat_rep_features(reduced, rep, fit.rows_a)
-    fit_gallery_vecs = concat_rep_features(reduced, rep, fit.rows_b)
-    fit_rankings = [
-        rank_gallery(model, bank_row(fit_probe_bank, p), fit_gallery_bank, probe_index=p)
-        for p in range(len(fit.rows_a))
-    ]
+    fit_rankings = rank_gallery(model, _sub_bank(reduced, keys, fit.rows_a), fit_gallery_bank)
     fit_results = _dcia_all(
-        fit_rankings, fit_probe_vecs, fit_gallery_vecs, fit_gallery_bank, model, config
+        fit_rankings,
+        concat_rep_features(reduced, rep, fit.rows_a),
+        concat_rep_features(reduced, rep, fit.rows_b),
+        fit_gallery_bank,
+        model,
+        config,
     )
     try:
         prm = train_postrank_model(fit_results, fit.labels_a, fit.labels_b, train_cfg)
     except DataError:
-        prm = None
-    if prm is None:
-        contents = [content_set(r, config.window) for r in initial]
-        return RepStageOutcome(
-            initial=initial, postranked=initial, contents=contents, postrank_trained=False
-        )
+        return _initial_only(model, initial, config)
 
-    eval_gallery_bank = _sub_bank(reduced, keys, eval_side.rows_b)
-    eval_probe_vecs = concat_rep_features(reduced, rep, eval_side.rows_a)
-    eval_gallery_vecs = concat_rep_features(reduced, rep, eval_side.rows_b)
     eval_results = _dcia_all(
-        initial, eval_probe_vecs, eval_gallery_vecs, eval_gallery_bank, model, config
+        initial,
+        concat_rep_features(reduced, rep, eval_side.rows_a),
+        concat_rep_features(reduced, rep, eval_side.rows_b),
+        _sub_bank(reduced, keys, eval_side.rows_b),
+        model,
+        config,
     )
-    contents = [res.content for res in eval_results]
-    postranked = [
-        postrank(res.ranking, res.content, res.block, prm) for res in eval_results
-    ]
     return RepStageOutcome(
-        initial=initial, postranked=postranked, contents=contents, postrank_trained=True
+        model=model,
+        initial=initial,
+        postranked=[postrank(r.ranking, r.content, r.block, prm) for r in eval_results],
+        contents=[r.content for r in eval_results],
+        postrank_trained=True,
     )
-
-
-# ---------------------------------------------------------------------------
-# Single-representation runs (used by the train/rank/postrank commands)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SingleRepRun:
-    model: SimilarityModel
-    initial: list[RankingList]
-    postranked: list[RankingList]
-    contents: list
-    truth: dict[int, int]
-    probe_ids: list[str]
-    gallery_ids: list[str]
 
 
 def run_single_rep(
@@ -383,52 +390,24 @@ def run_single_rep(
     rep_id: str,
     seed: int,
     model: SimilarityModel | None = None,
-    do_postrank: bool = True,
-) -> SingleRepRun:
-    """Train (unless given), rank the test split and optionally post-rank."""
+) -> StageOutcome:
+    """The final stage of ``seed`` for one representation (the train, rank
+    and postrank commands).
+
+    It is trained as the first representation of ``eval`` would be, unless a
+    frozen ``model`` is given; post-ranking follows ``config.postrank_enabled``.
+    """
     dataset = load_dataset(config)
     split = make_split(dataset.records, seed)
-    row_index = dataset.row_index
-    fit = _stage_sides(split.train_ids, split, row_index, require_both=True)
-    eval_side = _stage_sides(split.test_ids, split, row_index, require_both=True)
-    reduced = reduce_bank(dataset.raw_bank, _stage_rows(fit), config.pca_dim)
-    rep = config.representation(rep_id)
-    keys = rep.block_keys()
-    if model is None:
-        rng = np.random.default_rng([seed, _STAGE_FINAL, 0])
-        pairs = sample_pairs(fit.labels_a, fit.labels_b, rng, config.neg_ratio)
-        model = train_model(
-            _sub_bank(reduced, keys, fit.rows_a),
-            _sub_bank(reduced, keys, fit.rows_b),
-            pairs,
-            rep,
-            config.gamma,
-            TrainConfig(lam=config.lam, max_iters=config.max_iters),
-        )
-    probe_bank = _sub_bank(reduced, keys, eval_side.rows_a)
-    gallery_bank = _sub_bank(reduced, keys, eval_side.rows_b)
-    initial = [
-        rank_gallery(model, bank_row(probe_bank, p), gallery_bank, probe_index=p)
-        for p in range(len(eval_side.rows_a))
-    ]
-    if do_postrank and config.postrank_enabled:
-        out = _postrank_stage(model, rep, reduced, fit, eval_side, initial, config)
-    else:
-        out = RepStageOutcome(
-            initial=initial,
-            postranked=initial,
-            contents=[content_set(r, config.window) for r in initial],
-            postrank_trained=False,
-        )
-    records = dataset.records
-    return SingleRepRun(
-        model=model,
-        initial=out.initial,
-        postranked=out.postranked,
-        contents=out.contents,
-        truth=_truth_map(eval_side.labels_a, eval_side.labels_b),
-        probe_ids=[records[r].image_id for r in eval_side.rows_a],
-        gallery_ids=[records[r].image_id for r in eval_side.rows_b],
+    return run_stage(
+        dataset,
+        split,
+        split.train_ids,
+        split.test_ids,
+        replace(config, representations=(rep_id,)),
+        seed,
+        _STAGE_FINAL,
+        models={rep_id: model} if model is not None else None,
     )
 
 
@@ -471,16 +450,13 @@ def _sub_split(train_ids: frozenset[int], seed: int) -> tuple[frozenset[int], fr
 
 def run_seed(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedResult:
     split = make_split(dataset.records, seed)
-    row_index = dataset.row_index
 
     chosen_reps: tuple[str, ...] | None = None
     chosen_n: int | None = None
     if config.best_n_enabled and len(config.representations) >= 2:
         fit_ids, val_ids = _sub_split(split.train_ids, seed)
-        val_fit = _stage_sides(fit_ids, split, row_index, require_both=True)
-        val_reduced = reduce_bank(dataset.raw_bank, _stage_rows(val_fit), config.pca_dim)
         val_outcome = run_stage(
-            dataset, val_reduced, split, fit_ids, val_ids, config, seed, _STAGE_VALIDATION
+            dataset, split, fit_ids, val_ids, config, seed, _STAGE_VALIDATION
         )
         val_top1 = {
             rep_id: cmc_curve(out.postranked, val_outcome.truth).top_k(1)
@@ -496,10 +472,8 @@ def run_seed(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedResul
         chosen_reps = tuple(config.representations)
         chosen_n = len(chosen_reps)
 
-    final_fit = _stage_sides(split.train_ids, split, row_index, require_both=True)
-    reduced = reduce_bank(dataset.raw_bank, _stage_rows(final_fit), config.pca_dim)
     outcome = run_stage(
-        dataset, reduced, split, split.train_ids, split.test_ids, config, seed, _STAGE_FINAL
+        dataset, split, split.train_ids, split.test_ids, config, seed, _STAGE_FINAL
     )
 
     aggregated = None
@@ -514,10 +488,6 @@ def run_seed(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedResul
         seed=seed, outcome=outcome, aggregated=aggregated,
         chosen_n=chosen_n, ordering=ordering,
     )
-
-
-def _stage_rows(sides: StageSides) -> np.ndarray:
-    return np.unique(np.concatenate([sides.rows_a, sides.rows_b]))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -16,13 +16,10 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .simlearn import (
-    FeatureBank,
     RankingList,
     Representation,
     SimilarityModel,
     TrainConfig,
-    bank_row,
-    rank_gallery,
     score_gallery,
     train_model,
 )
@@ -113,37 +110,23 @@ def content_set(initial_ranking: RankingList, window: int = WINDOW) -> ContentSe
     return ContentSet(probe_index=initial_ranking.probe_index, members=members, threshold=th)
 
 
-def _member_window(
-    g: int,
-    gallery: FeatureBank,
-    model: SimilarityModel,
-    window: int,
-    cache: dict[int, tuple[int, ...]] | None,
-) -> tuple[int, ...]:
-    """Knee-limited top set of gallery image ``g`` ranked against the rest."""
-    if cache is not None and g in cache:
-        return cache[g]
-    scores = score_gallery(model, bank_row(gallery, g), gallery)
+def _member_window(g: int, gallery_scores: np.ndarray, window: int) -> tuple[int, ...]:
+    """Knee-limited top set of gallery image ``g`` ranked against the rest,
+    read from row ``g`` of the gallery x gallery score matrix."""
+    scores = gallery_scores[g]
     order = np.argsort(-scores, kind="stable")
     order = order[order != g]
     if order.size == 0:
-        result: tuple[int, ...] = ()
-    else:
-        m_g, _ = knee_point(-scores[order], window)
-        result = tuple(int(i) for i in order[:m_g])
-    if cache is not None:
-        cache[g] = result
-    return result
+        return ()
+    m_g, _ = knee_point(-scores[order], window)
+    return tuple(int(i) for i in order[:m_g])
 
 
 def context_set(
     initial_ranking: RankingList,
     content: ContentSet,
-    gallery: FeatureBank,
-    model: SimilarityModel,
+    windows: dict[int, tuple[int, ...]],
     k: int = K_COMMON,
-    window: int = WINDOW,
-    neighbor_cache: dict[int, tuple[int, ...]] | None = None,
 ) -> ContextSet:
     """Common-neighbor context of each correlated match.
 
@@ -152,16 +135,12 @@ def context_set(
     descending co-occurrence count; a flat count histogram (and any tie) is
     broken by higher candidate-to-probe similarity, then by index. At most
     ``k`` candidates are kept per match; the merged union excludes content
-    members.
+    members. ``windows`` maps each content member to its neighbor window.
     """
     probe_window = set(content.members)
-    windows = {
-        g: _member_window(g, gallery, model, window, neighbor_cache)
-        for g in content.members
-    }
     counts: Counter[int] = Counter()
-    for members in windows.values():
-        counts.update(members)
+    for g in content.members:
+        counts.update(windows[g])
     counts.update(probe_window)
 
     per_match: dict[int, tuple[int, ...]] = {}
@@ -220,24 +199,22 @@ def apply_dcia(
     initial_ranking: RankingList,
     probe_vector: np.ndarray,
     gallery_vectors: np.ndarray,
-    gallery_bank: FeatureBank,
-    model: SimilarityModel,
+    gallery_scores: np.ndarray,
     *,
     energy: float = ENERGY,
     k: int = K_COMMON,
     window: int = WINDOW,
-    neighbor_cache: dict[int, tuple[int, ...]] | None = None,
 ) -> DciaResult:
     """Content/context extraction plus discriminant removal for one probe.
 
     ``probe_vector`` and ``gallery_vectors`` are the concatenated feature
-    vectors DCIA operates on; ``gallery_bank`` feeds the model when ranking
-    gallery members against each other for the context windows.
+    vectors DCIA operates on; ``gallery_scores`` is the model's gallery x
+    gallery score matrix, whose rows give the content members' neighbor
+    windows.
     """
     content = content_set(initial_ranking, window)
-    context = context_set(
-        initial_ranking, content, gallery_bank, model, k, window, neighbor_cache
-    )
+    windows = {g: _member_window(g, gallery_scores, window) for g in content.members}
+    context = context_set(initial_ranking, content, windows, k)
     stack = np.vstack(
         [probe_vector]
         + [gallery_vectors[g] for g in content.members]
@@ -296,7 +273,8 @@ def postrank(
         return initial_ranking
     members = np.asarray(content.members, dtype=np.int64)
     member_bank = {_DCIA_KEY: block.d_p_star[:, 1 : 1 + m].T}
-    new_scores = score_gallery(postrank_model, {_DCIA_KEY: block.probe_star}, member_bank)
+    probe_bank = {_DCIA_KEY: block.probe_star[None, :]}
+    new_scores = score_gallery(postrank_model, probe_bank, member_bank)[0]
     prefix_perm = np.lexsort((members, -new_scores))
     new_order = np.concatenate([members[prefix_perm], initial_ranking.order[m:]])
     scores = initial_ranking.scores.copy()
@@ -304,16 +282,3 @@ def postrank(
     return RankingList(
         probe_index=initial_ranking.probe_index, order=new_order, scores=scores
     )
-
-
-def rank_all(
-    model: SimilarityModel,
-    probe_bank: FeatureBank,
-    gallery_bank: FeatureBank,
-    n_probes: int,
-) -> list[RankingList]:
-    """Initial rankings for every probe index."""
-    return [
-        rank_gallery(model, bank_row(probe_bank, p), gallery_bank, probe_index=p)
-        for p in range(n_probes)
-    ]

@@ -165,28 +165,33 @@ def score_pair(
 
 def score_gallery(
     model: SimilarityModel,
-    probe_feats: dict[BlockKey, np.ndarray],
+    probes: FeatureBank,
     gallery: FeatureBank,
 ) -> np.ndarray:
-    """Vectorized :func:`score_pair` of one probe against every gallery row."""
+    """:func:`score_pair` of every probe row against every gallery row.
+
+    Returns the (P, G) score matrix. Per block, ``(a-b)^T M (a-b) + a^T W_B b
+    + b^T W_B a = a^T M a + b^T M b + a^T (W_B + W_B^T - M - M^T) b``, so each
+    block costs one probe x gallery product; global blocks are scaled by
+    gamma.
+    """
     scores: np.ndarray | None = None
     for key in model.block_keys():
         w_m, w_b = model.blocks[key]
         try:
-            x_a = probe_feats[key]
-            mat_b = gallery[key]
+            mat_a, mat_b = probes[key], gallery[key]
         except KeyError:
             raise ConfigError(f"missing descriptor for block {key}") from None
-        if mat_b.shape[1] != x_a.shape[0]:
+        d = mat_a.shape[1]
+        if mat_b.shape[1] != d or w_m.shape != (d, d):
             raise DimError(
-                f"block {key}: probe has d={x_a.shape[0]}, gallery d={mat_b.shape[1]}"
+                f"block {key}: probes d={d}, gallery d={mat_b.shape[1]}, W {w_m.shape}"
             )
-        diff = mat_b - x_a
-        m_term = np.einsum("ij,ij->i", diff @ w_m, diff)
-        b_term = mat_b @ ((w_b + w_b.T) @ x_a)
-        contrib = m_term + b_term
+        contrib = (mat_a @ (w_b + w_b.T - w_m - w_m.T)) @ mat_b.T
+        contrib += np.einsum("ij,ij->i", mat_a @ w_m, mat_a)[:, None]
+        contrib += np.einsum("ij,ij->i", mat_b @ w_m, mat_b)[None, :]
         if key[1] == GLOBAL_SCOPE:
-            contrib = model.gamma * contrib
+            contrib *= model.gamma
         scores = contrib if scores is None else scores + contrib
     if scores is None:
         raise ConfigError("model has no weight blocks")
@@ -195,22 +200,22 @@ def score_gallery(
 
 def rank_gallery(
     model: SimilarityModel,
-    probe_feats: dict[BlockKey, np.ndarray],
+    probes: FeatureBank,
     gallery: FeatureBank,
-    probe_index: int = 0,
-) -> RankingList:
-    """Sort the gallery by descending similarity (ascending dissimilarity)."""
+) -> list[RankingList]:
+    """Every probe row's gallery order by descending similarity.
+
+    Ranking ``p`` is probe row ``p``; ties keep the lower gallery index first.
+    """
     n = next(iter(gallery.values())).shape[0] if gallery else 0
     if n == 0:
         raise DataError("gallery is empty")
-    scores = score_gallery(model, probe_feats, gallery)
-    order = np.argsort(-scores, kind="stable")
-    return RankingList(probe_index=probe_index, order=order, scores=scores)
-
-
-def bank_row(bank: FeatureBank, index: int) -> dict[BlockKey, np.ndarray]:
-    """Extract one image's per-block feature vectors from a bank."""
-    return {key: mat[index] for key, mat in bank.items()}
+    scores = score_gallery(model, probes, gallery)
+    orders = np.argsort(-scores, axis=1, kind="stable")
+    return [
+        RankingList(probe_index=p, order=orders[p], scores=scores[p])
+        for p in range(len(scores))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -473,28 +478,34 @@ def save_model(model: SimilarityModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path, rep_id: str = "") -> SimilarityModel:
+    """Read a SIMW file; a truncated or malformed file raises DataError."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != SIMW_MAGIC:
         raise DataError(f"{path}: bad magic {raw[:4]!r}")
-    version, gamma, bias = struct.unpack("<Iff", raw[4:16])
+    pos = 4
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise DataError(f"{path}: truncated: {n} bytes needed at offset {pos}")
+        pos += n
+        return raw[pos - n : pos]
+
+    version, gamma, bias = struct.unpack("<Iff", take(12))
     if version != SIMW_VERSION:
         raise DataError(f"{path}: unsupported SIMW version {version}")
-    (count,) = struct.unpack("<I", raw[16:20])
-    pos = 20
+    (count,) = struct.unpack("<I", take(4))
     blocks: dict[BlockKey, tuple[np.ndarray, np.ndarray]] = {}
     for _ in range(count):
-        region, cue_len = struct.unpack("<II", raw[pos : pos + 8])
-        pos += 8
-        cue = raw[pos : pos + cue_len].decode("utf-8")
-        pos += cue_len
-        (d,) = struct.unpack("<I", raw[pos : pos + 4])
-        pos += 4
-        n_bytes = d * d * 4
-        w_m = np.frombuffer(raw, dtype="<f4", count=d * d, offset=pos).reshape(d, d)
-        pos += n_bytes
-        w_b = np.frombuffer(raw, dtype="<f4", count=d * d, offset=pos).reshape(d, d)
-        pos += n_bytes
+        region, cue_len = struct.unpack("<II", take(8))
+        try:
+            cue = take(cue_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: cue name is not UTF-8") from None
+        (d,) = struct.unpack("<I", take(4))
+        w_m = np.frombuffer(take(d * d * 4), dtype="<f4").reshape(d, d)
+        w_b = np.frombuffer(take(d * d * 4), dtype="<f4").reshape(d, d)
         scope = GLOBAL_SCOPE if region == _GLOBAL_TAG else f"r{region}"
         blocks[(cue, scope)] = (w_m.astype(np.float64), w_b.astype(np.float64))
     if pos != len(raw):

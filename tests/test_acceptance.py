@@ -21,6 +21,8 @@ from reidpipe.features import (
     assemble_cue,
 )
 from reidpipe.postrank import (
+    WINDOW,
+    _member_window,
     content_set,
     context_set,
     discriminant_removal,
@@ -32,6 +34,7 @@ from reidpipe.simlearn import (
     Representation,
     SimilarityModel,
     sample_pairs,
+    score_gallery,
     score_pair,
     train_model,
     pair_accuracy,
@@ -114,7 +117,9 @@ def test_criterion_3_dcia_invariants():
             probe_index=0, order=np.argsort(-scores, kind="stable"), scores=scores
         )
         content = content_set(ranking)
-        context = context_set(ranking, content, {key: gallery_vecs}, model)
+        gallery_scores = score_gallery(model, {key: gallery_vecs}, {key: gallery_vecs})
+        windows = {g: _member_window(g, gallery_scores, WINDOW) for g in content.members}
+        context = context_set(ranking, content, windows)
         assert set(context.merged).isdisjoint(set(content.members))
 
         stack = np.vstack(

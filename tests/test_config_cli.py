@@ -116,6 +116,69 @@ def test_cli_data_error_is_exit_3(tmp_path, capsys):
     assert main(["eval", "-c", str(config_path)]) == 3
 
 
+def test_cli_truncated_model_is_exit_3(tmp_path, capsys):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=10, pca_dim=4)
+    model_path = tmp_path / "r1.simw"
+    assert main(["train", "-c", str(config_path), "--rep", "R1", "--out", str(model_path)]) == 0
+    model_path.write_bytes(model_path.read_bytes()[:30])
+    code = main([
+        "rank", "-c", str(config_path), "--rep", "R1",
+        "--model", str(model_path), "--out", str(tmp_path / "r1.csv"),
+    ])
+    assert code == 3
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_cli_model_width_mismatch_is_exit_3(tmp_path, capsys):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=10, pca_dim=4)
+    model_path = tmp_path / "r1.simw"
+    assert main(["train", "-c", str(config_path), "--rep", "R1", "--out", str(model_path)]) == 0
+    narrow = Path(config_path).with_name("narrow.ini")
+    narrow.write_text(Path(config_path).read_text().replace("pca_dim = 4", "pca_dim = 3"))
+    code = main([
+        "rank", "-c", str(narrow), "--rep", "R1",
+        "--model", str(model_path), "--out", str(tmp_path / "r1.csv"),
+    ])
+    assert code == 3
+    assert "W (4, 4)" in capsys.readouterr().err
+
+
+RANKING = ("probe_id", "rank", "gallery_id", "score")
+CONTENT = ("probe_id", "gallery_id", "threshold")
+TRUTH = ("probe_id", "gallery_id")
+
+
+def _write_csv(path, header, rows):
+    path.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    return str(path)
+
+
+def test_cli_aggregate_non_integer_rank_is_exit_3(tmp_path, capsys):
+    good = _write_csv(tmp_path / "a.csv", RANKING, [("p0", "1", "g0", "1"), ("p0", "2", "g1", "0")])
+    bad = _write_csv(tmp_path / "b.csv", RANKING, [("p0", "one", "g0", "1"), ("p0", "2", "g1", "0")])
+    assert main(["aggregate", good, bad, "--out", str(tmp_path / "agg.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "b.csv" in err and "line 2" in err
+
+
+def test_cli_stats_unknown_gallery_id_is_exit_3(tmp_path, capsys):
+    rows = [("p0", "1", "g0", "1"), ("p0", "2", "g1", "0")]
+    ranking = _write_csv(tmp_path / "r.csv", RANKING, rows)
+    content = _write_csv(tmp_path / "c.csv", CONTENT, [("p0", "g0", "0.5")])
+    truth = _write_csv(tmp_path / "t.csv", TRUTH, [("p0", "g0")])
+    unknown_content = _write_csv(tmp_path / "c2.csv", CONTENT, [("p0", "g9", "0.5")])
+    unknown_truth = _write_csv(tmp_path / "t2.csv", TRUTH, [("p0", "g9")])
+    args = ["stats", "--before", ranking, "--after", ranking]
+    assert main([*args, "--content", content, "--truth", truth]) == 0
+    assert main([*args, "--content", unknown_content, "--truth", truth]) == 3
+    assert "c2.csv" in capsys.readouterr().err
+    assert main([*args, "--content", content, "--truth", unknown_truth]) == 3
+    assert "t2.csv" in capsys.readouterr().err
+    short_row = _write_csv(tmp_path / "c3.csv", CONTENT, [("p0", "g0")])
+    assert main([*args, "--content", short_row, "--truth", truth]) == 3
+    assert "c3.csv" in capsys.readouterr().err
+
+
 def test_cli_train_rank_postrank_aggregate_stats(tmp_path, capsys):
     config_path = build_synthetic_dataset(
         tmp_path / "d", seeds=(0,), n_ids=14, n_cues=2, best_n=False, pca_dim=8

@@ -7,7 +7,13 @@ import pytest
 from conftest import build_synthetic_dataset
 from reidpipe.config import load_config
 from reidpipe.errors import ConfigError, DataError
-from reidpipe.experiment import load_dataset, run_experiment, run_single_rep, write_report
+from reidpipe.experiment import (
+    load_dataset,
+    run_experiment,
+    run_seed,
+    run_single_rep,
+    write_report,
+)
 
 
 def test_run_experiment_report_shape(synthetic_config):
@@ -62,25 +68,44 @@ def test_cmc_identical_beyond_content_window(tmp_path):
         tmp_path / "d", noise=0.45, seeds=(0,), best_n=False, n_cues=1
     )
     config = load_config(config_path)
-    run = run_single_rep(config, "R1", seed=0)
+    stage = run_single_rep(config, "R1", seed=0)
+    run = stage.per_rep["R1"]
     max_m = max(c.m for c in run.contents)
-    m_gallery = len(run.gallery_ids)
+    m_gallery = len(stage.gallery_ids)
     assert max_m < m_gallery
     from reidpipe.evaluation import cmc_curve
 
-    before = cmc_curve(run.initial, run.truth).rates
-    after = cmc_curve(run.postranked, run.truth).rates
+    before = cmc_curve(run.initial, stage.truth).rates
+    after = cmc_curve(run.postranked, stage.truth).rates
     np.testing.assert_allclose(before[max_m:], after[max_m:], atol=1e-12)
 
 
 def test_run_single_rep_outputs_aligned(synthetic_config):
     config = load_config(synthetic_config)
-    run = run_single_rep(config, "R1", seed=0)
-    n_probes = len(run.probe_ids)
+    stage = run_single_rep(config, "R1", seed=0)
+    assert list(stage.per_rep) == ["R1"]
+    run = stage.per_rep["R1"]
+    n_probes = len(stage.probe_ids)
     assert len(run.initial) == len(run.postranked) == len(run.contents) == n_probes
-    assert set(run.truth) == set(range(n_probes))
+    assert set(stage.truth) == set(range(n_probes))
     for ranking in run.initial:
-        assert sorted(ranking.order.tolist()) == list(range(len(run.gallery_ids)))
+        assert sorted(ranking.order.tolist()) == list(range(len(stage.gallery_ids)))
+
+
+def test_single_rep_matches_eval_final_stage(tmp_path):
+    # the first representation trains on the same stream [seed, 0, 0] and the
+    # same PCA rows in both runs, so its lists must agree exactly
+    config_path = build_synthetic_dataset(tmp_path / "d", noise=0.45, seeds=(3,), n_cues=2)
+    config = load_config(config_path)
+    rep = config.representations[0]
+    single = run_single_rep(config, rep, seed=3).per_rep[rep]
+    full = run_seed(load_dataset(config), config, 3).outcome.per_rep[rep]
+    assert single.postrank_trained and full.postrank_trained
+    for mine, theirs in ((single.initial, full.initial), (single.postranked, full.postranked)):
+        assert len(mine) == len(theirs)
+        for a, b in zip(mine, theirs):
+            np.testing.assert_array_equal(a.order, b.order)
+            np.testing.assert_array_equal(a.scores, b.scores)
 
 
 def test_load_dataset_requires_cues(tmp_path):

@@ -3,10 +3,12 @@ import pytest
 
 from reidpipe.errors import ContractError, DataError
 from reidpipe.postrank import (
+    WINDOW,
     ContentSet,
     ContextSet,
     DciaResult,
     DiscriminantBlock,
+    _member_window,
     apply_dcia,
     content_set,
     context_set,
@@ -15,7 +17,7 @@ from reidpipe.postrank import (
     postrank,
     train_postrank_model,
 )
-from reidpipe.simlearn import RankingList, SimilarityModel, pair_accuracy
+from reidpipe.simlearn import RankingList, SimilarityModel, pair_accuracy, score_gallery
 
 rng = np.random.default_rng(71)
 
@@ -138,14 +140,10 @@ def test_content_threshold_excludes_next_rank():
 # ---------------------------------------------------------------------------
 
 def fixed_window_context(scores, members, windows, k=13):
-    """Drive context_set with pre-seeded neighbor windows."""
+    """Drive context_set with fixed neighbor windows."""
     ranking = ranking_from_scores(scores)
     content = ContentSet(probe_index=0, members=members, threshold=0.0)
-    model = neg_distance_model(2)
-    gallery = {KEY: np.zeros((len(scores), 2))}
-    return context_set(
-        ranking, content, gallery, model, k=k, neighbor_cache=dict(windows)
-    )
+    return context_set(ranking, content, dict(windows), k=k)
 
 
 def test_context_disjoint_windows_empty():
@@ -206,7 +204,9 @@ def test_context_geometric_integration():
     scores = -((pts - probe) ** 2).sum(axis=1)
     ranking = ranking_from_scores(scores)
     content = content_set(ranking)
-    ctx = context_set(ranking, content, gallery, model)
+    gallery_scores = score_gallery(model, gallery, gallery)
+    windows = {g: _member_window(g, gallery_scores, WINDOW) for g in content.members}
+    ctx = context_set(ranking, content, windows)
     assert set(ctx.merged).isdisjoint(set(content.members))
     for members in ctx.per_match.values():
         assert len(members) <= 13
@@ -348,17 +348,12 @@ def run_dcia_on_world(probes, probe_labels, gallery, gallery_labels):
     d = probes.shape[1]
     model = neg_distance_model(d)
     gallery_bank = {KEY: gallery}
-    cache = {}
+    gallery_scores = score_gallery(model, gallery_bank, gallery_bank)
     results = []
     for p in range(len(probes)):
         scores = -((gallery - probes[p]) ** 2).sum(axis=1)
         ranking = ranking_from_scores(scores, probe_index=p)
-        results.append(
-            apply_dcia(
-                ranking, probes[p], gallery, gallery_bank, model,
-                neighbor_cache=cache,
-            )
-        )
+        results.append(apply_dcia(ranking, probes[p], gallery, gallery_scores))
     return results
 
 

@@ -8,7 +8,6 @@ from reidpipe.simlearn import (
     SimilarityModel,
     TrainConfig,
     _PairData,
-    bank_row,
     load_model,
     loss_and_gradient,
     pair_accuracy,
@@ -39,6 +38,16 @@ def random_model(rep, d, gamma=1.1, r=None):
 def random_feats(rep, d, r=None):
     r = r or rng
     return {key: r.standard_normal(d) for key in rep.block_keys()}
+
+
+def bank_row(bank, index):
+    """One image's per-block feature vectors."""
+    return {key: mat[index] for key, mat in bank.items()}
+
+
+def one_row(feats):
+    """A one-probe bank from per-block feature vectors."""
+    return {key: vec[None, :] for key, vec in feats.items()}
 
 
 TWO_REGION_REP = Representation("toy", {"C1": "GL"}, n_regions=2)
@@ -200,16 +209,38 @@ def test_table1_unused_cues_never_affect_scores():
         assert score_pair(model, fa2, fb) == base
 
 
+def asymmetric_model(rep, d, gamma=1.1):
+    """Any matrices a SIMW file may hold; training only produces symmetric ones."""
+    blocks = {
+        key: (rng.standard_normal((d, d)), rng.standard_normal((d, d)))
+        for key in rep.block_keys()
+    }
+    return SimilarityModel(rep_id=rep.rep_id, gamma=gamma, bias=0.0, blocks=blocks)
+
+
 def test_score_gallery_matches_score_pair():
     rep = TWO_REGION_REP
-    model = random_model(rep, 4)
-    probe = random_feats(rep, 4)
+    probes = {k: rng.standard_normal((5, 4)) for k in rep.block_keys()}
     gallery = {k: rng.standard_normal((7, 4)) for k in rep.block_keys()}
-    scores = score_gallery(model, probe, gallery)
-    for g in range(7):
-        assert scores[g] == pytest.approx(
-            score_pair(model, probe, bank_row(gallery, g)), abs=1e-9
-        )
+    for model in (random_model(rep, 4), asymmetric_model(rep, 4)):
+        scores = score_gallery(model, probes, gallery)
+        assert scores.shape == (5, 7)
+        for p in range(5):
+            for g in range(7):
+                assert scores[p, g] == pytest.approx(
+                    score_pair(model, bank_row(probes, p), bank_row(gallery, g)), abs=1e-9
+                )
+
+
+def test_score_gallery_dimension_mismatch():
+    rep = TWO_REGION_REP
+    model = random_model(rep, 4)
+    probes = {k: rng.standard_normal((2, 4)) for k in rep.block_keys()}
+    gallery = {k: rng.standard_normal((3, 5)) for k in rep.block_keys()}
+    with pytest.raises(DimError):
+        score_gallery(model, probes, gallery)
+    with pytest.raises(DimError):
+        score_gallery(random_model(rep, 3), probes, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +257,7 @@ def test_rank_gallery_duplicate_first():
     probe_vec = rng.standard_normal(d)
     noise = rng.standard_normal(d)
     gallery = {("X", "G"): np.vstack([noise, probe_vec])}
-    ranking = rank_gallery(model, {("X", "G"): probe_vec}, gallery)
+    (ranking,) = rank_gallery(model, {("X", "G"): probe_vec[None, :]}, gallery)
     assert ranking.order[0] == 1
 
 
@@ -234,7 +265,7 @@ def test_rank_gallery_zero_model_tie_break():
     rep = Representation("toy", {"X": "G"}, n_regions=0)
     model = SimilarityModel("toy", 1.0, 0.0, {("X", "G"): (np.zeros((3, 3)),) * 2})
     gallery = {("X", "G"): rng.standard_normal((6, 3))}
-    ranking = rank_gallery(model, {("X", "G"): rng.standard_normal(3)}, gallery)
+    (ranking,) = rank_gallery(model, {("X", "G"): rng.standard_normal((1, 3))}, gallery)
     np.testing.assert_array_equal(ranking.order, np.arange(6))
 
 
@@ -243,18 +274,32 @@ def test_rank_gallery_matches_sort_oracle():
     model = random_model(rep, 4)
     probe = random_feats(rep, 4)
     gallery = {k: rng.standard_normal((10, 4)) for k in rep.block_keys()}
-    ranking = rank_gallery(model, probe, gallery)
+    (ranking,) = rank_gallery(model, one_row(probe), gallery)
     pairwise = [score_pair(model, probe, bank_row(gallery, g)) for g in range(10)]
     oracle = sorted(range(10), key=lambda g: (-pairwise[g], g))
     np.testing.assert_array_equal(ranking.order, oracle)
     assert np.all(np.diff(ranking.scores[ranking.order]) <= 0)
 
 
+def test_rank_gallery_every_probe_row():
+    # one call ranks every probe row; each list matches its own one-row call
+    rep = TWO_REGION_REP
+    model = random_model(rep, 4)
+    probes = {k: rng.standard_normal((6, 4)) for k in rep.block_keys()}
+    gallery = {k: rng.standard_normal((8, 4)) for k in rep.block_keys()}
+    rankings = rank_gallery(model, probes, gallery)
+    assert [r.probe_index for r in rankings] == list(range(6))
+    for p, ranking in enumerate(rankings):
+        (alone,) = rank_gallery(model, one_row(bank_row(probes, p)), gallery)
+        np.testing.assert_array_equal(ranking.order, alone.order)
+        np.testing.assert_allclose(ranking.scores, alone.scores, rtol=0, atol=1e-9)
+
+
 def test_rank_gallery_empty():
     rep = Representation("toy", {"X": "G"}, n_regions=0)
     model = SimilarityModel("toy", 1.0, 0.0, {("X", "G"): (np.eye(2),) * 2})
     with pytest.raises(DataError):
-        rank_gallery(model, {("X", "G"): np.zeros(2)}, {("X", "G"): np.zeros((0, 2))})
+        rank_gallery(model, {("X", "G"): np.zeros((1, 2))}, {("X", "G"): np.zeros((0, 2))})
 
 
 def test_ranking_invariant_under_monotone_transform():
@@ -262,7 +307,7 @@ def test_ranking_invariant_under_monotone_transform():
     model = random_model(rep, 4)
     probe = random_feats(rep, 4)
     gallery = {k: rng.standard_normal((9, 4)) for k in rep.block_keys()}
-    ranking = rank_gallery(model, probe, gallery)
+    (ranking,) = rank_gallery(model, one_row(probe), gallery)
     for transform in (lambda s: 2.0 * s + 1.0, np.arcsinh, lambda s: s + np.arcsinh(s)):
         mapped = transform(ranking.scores)
         order = np.argsort(-mapped, kind="stable")
@@ -510,3 +555,24 @@ def test_simw_round_trip(tmp_path):
     for key in model.blocks:
         np.testing.assert_allclose(loaded.blocks[key][0], model.blocks[key][0], atol=1e-6)
         np.testing.assert_allclose(loaded.blocks[key][1], model.blocks[key][1], atol=1e-6)
+
+
+def test_simw_every_truncation_is_data_error(tmp_path):
+    path = tmp_path / "model.simw"
+    save_model(random_model(TWO_REGION_REP, 4), path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.simw"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(DataError):
+            load_model(cut)
+
+
+def test_simw_non_utf8_cue_is_data_error(tmp_path):
+    path = tmp_path / "model.simw"
+    save_model(random_model(Representation("toy", {"X": "G"}, n_regions=0), 2), path)
+    raw = bytearray(path.read_bytes())
+    raw[28] = 0xFF  # the one-byte cue name follows the region tag and its length
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError):
+        load_model(path)
