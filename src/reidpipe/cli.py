@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from .config import load_config
-from .errors import ConfigError, ContractError, DataError, DimError, FormatError, NumericError
+from .errors import ConfigError, ContractError, DataError, DimError, NumericError
 from .evaluation import (
     load_content_csv,
     load_rankings_csv,
@@ -64,6 +64,12 @@ def _cmd_rank(args) -> int:
 
 def _cmd_postrank(args) -> int:
     stage, run = _single_rep(args, postrank=True)
+    if not run.postrank_trained:
+        print(
+            f"{args.rep}: post-ranking model not trainable on the training split;"
+            " post-ranked lists equal the initial ones",
+            file=sys.stderr,
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     before = out_dir / f"{args.rep}_initial.csv"
@@ -193,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FormatError, DimError, ContractError) as exc:
+    except (DataError, DimError, ContractError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -1,7 +1,8 @@
 """Dataset structures and on-disk formats.
 
-Owns the FEAT binary descriptor format, the identities CSV, binary PGM/PPM
-image reading, foreground masks and identity-disjoint train/test splits.
+Owns the bounds-checked binary reader, the FEAT binary descriptor format,
+the identities CSV, binary PGM/PPM image reading, foreground masks and
+identity-disjoint train/test splits.
 All structures are immutable after construction and safe to share across
 concurrent readers.
 """
@@ -9,6 +10,7 @@ concurrent readers.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,6 +96,48 @@ class Split:
 
 
 # ---------------------------------------------------------------------------
+# Bounds-checked binary reader (FEAT and SIMW)
+# ---------------------------------------------------------------------------
+
+class BinaryReader:
+    """Little-endian reader over one file's bytes that never reads past them.
+
+    Structural faults (bad magic, truncation, trailing bytes) raise
+    :class:`FormatError`; non-finite floats raise :class:`DataError`. Both
+    name the file.
+    """
+
+    def __init__(self, path: str | Path, magic: bytes):
+        self.path = Path(path)
+        self.raw = self.path.read_bytes()
+        if self.raw[: len(magic)] != magic:
+            raise FormatError(f"{self.path}: bad magic {self.raw[: len(magic)]!r}")
+        self.pos = len(magic)
+
+    def take(self, n: int) -> bytes:
+        if n > len(self.raw) - self.pos:
+            raise FormatError(f"{self.path}: truncated: {n} bytes needed at offset {self.pos}")
+        self.pos += n
+        return self.raw[self.pos - n : self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def floats(self, *shape: int) -> np.ndarray:
+        """A read-only little-endian f32 array of ``shape``; all values finite."""
+        offset = self.pos
+        # Python ints: a fuzzed 2**32-ish dimension must not wrap around
+        values = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{self.path}: non-finite values at offset {offset}")
+        return values
+
+    def finish(self) -> None:
+        if self.pos != len(self.raw):
+            raise FormatError(f"{self.path}: {len(self.raw) - self.pos} trailing bytes")
+
+
+# ---------------------------------------------------------------------------
 # FEAT binary descriptor files
 # ---------------------------------------------------------------------------
 
@@ -113,24 +157,13 @@ def save_feature_matrix(matrix: FeatureMatrix | np.ndarray, path: str | Path) ->
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     """Read a FEAT file written by :func:`save_feature_matrix`."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 16:
-        raise FormatError(f"{path}: truncated FEAT header")
-    if raw[:4] != FEAT_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, rows, cols = struct.unpack("<III", raw[4:16])
+    reader = BinaryReader(path, FEAT_MAGIC)
+    version, rows, cols = reader.unpack("<III")
     if version != FEAT_VERSION:
-        raise FormatError(f"{path}: unsupported FEAT version {version}")
-    expected = rows * cols * 4
-    if len(raw) - 16 != expected:
-        raise FormatError(
-            f"{path}: payload is {len(raw) - 16} bytes, expected {expected}"
-        )
-    values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(rows, cols).copy()
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{path}: non-finite values in payload")
-    return FeatureMatrix(values=values, descriptor_name=path.stem)
+        raise FormatError(f"{reader.path}: unsupported FEAT version {version}")
+    values = reader.floats(rows, cols).copy()
+    reader.finish()
+    return FeatureMatrix(values=values, descriptor_name=reader.path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +276,8 @@ def _load_pnm(path: str | Path, magic: bytes, channels: int) -> np.ndarray:
     (width, height, maxval), offset = _read_pnm_tokens(raw, 3, path)
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
+    if width == 0 or height == 0:
+        raise FormatError(f"{path}: empty {width}x{height} image")
     expected = width * height * channels
     payload = raw[offset : offset + expected]
     if len(payload) != expected:

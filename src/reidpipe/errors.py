@@ -5,12 +5,12 @@ class ReidError(Exception):
     """Base class for all reidpipe errors."""
 
 
-class FormatError(ReidError):
-    """A file does not conform to its declared on-disk format."""
-
-
 class DataError(ReidError):
-    """Input data is structurally valid but semantically unusable."""
+    """Input data is unusable: malformed, non-finite or inconsistent."""
+
+
+class FormatError(DataError):
+    """A file does not conform to its declared on-disk format."""
 
 
 class ConfigError(ReidError):

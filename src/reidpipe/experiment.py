@@ -128,9 +128,10 @@ def load_ingested_bank(
         for scope in _scope_keys(scopes, config.n_regions):
             path = Path(config.features_dir) / f"{cue}_{scope_filename(scope)}.feat"
             matrix = load_feature_matrix(path)
-            if matrix.rows != len(records):
+            if matrix.rows != len(records) or matrix.cols == 0:
                 raise DataError(
-                    f"{path}: {matrix.rows} rows but {len(records)} identity records"
+                    f"{path}: {matrix.rows}x{matrix.cols} matrix for"
+                    f" {len(records)} identity records"
                 )
             bank[(cue, scope)] = matrix.values.astype(np.float64)
     return bank
@@ -277,6 +278,9 @@ def run_stage(
         rep = config.representation(rep_id)
         keys = rep.block_keys()
         model = (models or {}).get(rep_id)
+        if model is not None and model.block_keys() != sorted(keys):
+            odd = sorted(set(model.blocks) ^ set(keys))
+            raise DataError(f"model {model.rep_id}: blocks {odd} do not match {rep_id}")
         if model is None:
             bank_a = _sub_bank(reduced, keys, fit.rows_a)
             bank_b = _sub_bank(reduced, keys, fit.rows_b)

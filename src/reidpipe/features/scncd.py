@@ -110,8 +110,3 @@ def scncd_descriptor(
         blocks.append(_l1_normalize(np.concatenate([names] + hists)))
     return np.concatenate(blocks)
 
-
-def scncd_dim(palette: ColorNamePalette | None = None, hist_bins: int = SCNCD_HIST_BINS,
-              spaces: tuple[str, ...] = SCNCD_SPACES) -> int:
-    count = (palette or default_palette()).count
-    return len(spaces) * (count + 3 * hist_bins)

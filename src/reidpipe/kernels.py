@@ -1,42 +1,23 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels of the cue extractors, vectorized with numpy.
 
-Every kernel exists in two equivalent implementations: a pure-numpy version
-(always importable as ``<name>_numpy``) and a loop version compiled with
-``numba.njit``. The public name points at the compiled version unless numba
-is unavailable or the ``REIDPIPE_NO_NUMBA`` environment variable is set to
-``1``/``true``/``yes`` at import time; ``USE_NUMBA`` records the choice.
-
-The ``images`` workload of ``perfbench/run.py --trace 1`` times the selected
-path on fixed shapes (``kernels.fixed.*_us``) and checks the compiled path
-against the numpy one.
+The ``images`` workload of ``perfbench/run.py --trace 1`` times each kernel
+on fixed shapes (``kernels.fixed.*_us``); ``tests/test_kernels.py`` checks
+them against plain-Python loop oracles.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_disabled() -> bool:
-    return os.environ.get("REIDPIPE_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
+# perfbench/layers.py reads this flag; there is no compiled kernel path.
 USE_NUMBA = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        USE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # Patch histogram accumulation
 # ---------------------------------------------------------------------------
 
-def patch_histograms_numpy(
+def patch_histograms(
     bin_idx: np.ndarray,
     weights: np.ndarray,
     rects: np.ndarray,
@@ -57,24 +38,11 @@ def patch_histograms_numpy(
     return out
 
 
-def _patch_histograms_impl(bin_idx, weights, rects, n_bins):
-    out = np.zeros((rects.shape[0], n_bins), dtype=np.float64)
-    for k in range(rects.shape[0]):
-        x0 = rects[k, 0]
-        y0 = rects[k, 1]
-        w = rects[k, 2]
-        h = rects[k, 3]
-        for y in range(y0, y0 + h):
-            for x in range(x0, x0 + w):
-                out[k, bin_idx[y, x]] += weights[y, x]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Scale-invariant local ternary pattern codes
 # ---------------------------------------------------------------------------
 
-def siltp_codes_numpy(gray: np.ndarray, tau: float) -> np.ndarray:
+def siltp_codes(gray: np.ndarray, tau: float) -> np.ndarray:
     """Ternary codes for the interior of a grayscale image.
 
     Each interior pixel compares its 4 cross neighbors (E, S, W, N order)
@@ -93,34 +61,11 @@ def siltp_codes_numpy(gray: np.ndarray, tau: float) -> np.ndarray:
     return code
 
 
-def _siltp_codes_impl(gray, tau):
-    hh = gray.shape[0] - 2
-    ww = gray.shape[1] - 2
-    code = np.zeros((hh, ww), dtype=np.int64)
-    for y in range(hh):
-        for x in range(ww):
-            center = gray[y + 1, x + 1]
-            hi = (1.0 + tau) * center
-            lo = (1.0 - tau) * center
-            acc = 0
-            scale = 1
-            # E, S, W, N -- must match the vectorized neighbor order
-            for dy, dx in ((0, 1), (1, 0), (0, -1), (-1, 0)):
-                v = gray[y + 1 + dy, x + 1 + dx]
-                if v > hi:
-                    acc += scale
-                elif v < lo:
-                    acc += 2 * scale
-                scale *= 3
-            code[y, x] = acc
-    return code
-
-
 # ---------------------------------------------------------------------------
 # Soft color-name accumulation
 # ---------------------------------------------------------------------------
 
-def scncd_accumulate_numpy(
+def scncd_accumulate(
     pixels: np.ndarray,
     palette: np.ndarray,
     weights: np.ndarray,
@@ -146,54 +91,3 @@ def scncd_accumulate_numpy(
     out = np.zeros(n_names, dtype=np.float64)
     np.add.at(out, nn.ravel(), (kw * weights[:, None]).ravel())
     return out
-
-
-def _scncd_accumulate_impl(pixels, palette, weights, sigma, knn):
-    n_pix = pixels.shape[0]
-    n_names = palette.shape[0]
-    n_ch = pixels.shape[1]
-    out = np.zeros(n_names, dtype=np.float64)
-    d2 = np.empty(n_names, dtype=np.float64)
-    chosen = np.empty(knn, dtype=np.int64)
-    kw = np.empty(knn, dtype=np.float64)
-    used = np.empty(n_names, dtype=np.bool_)
-    for p in range(n_pix):
-        wp = weights[p]
-        if wp == 0.0:
-            continue
-        for j in range(n_names):
-            acc = 0.0
-            for c in range(n_ch):
-                diff = pixels[p, c] - palette[j, c]
-                acc += diff * diff
-            d2[j] = acc
-        used[:] = False
-        for k in range(knn):
-            best = 0
-            bestv = np.inf
-            for j in range(n_names):
-                if not used[j] and d2[j] < bestv:
-                    bestv = d2[j]
-                    best = j
-            used[best] = True
-            chosen[k] = best
-            kw[k] = bestv
-        dmin = kw[0]
-        total = 0.0
-        for k in range(knn):
-            v = np.exp(-(kw[k] - dmin) / (sigma * sigma))
-            kw[k] = v
-            total += v
-        for k in range(knn):
-            out[chosen[k]] += wp * kw[k] / total
-    return out
-
-
-if USE_NUMBA:
-    patch_histograms = njit(cache=True)(_patch_histograms_impl)
-    siltp_codes = njit(cache=True)(_siltp_codes_impl)
-    scncd_accumulate = njit(cache=True)(_scncd_accumulate_impl)
-else:
-    patch_histograms = patch_histograms_numpy
-    siltp_codes = siltp_codes_numpy
-    scncd_accumulate = scncd_accumulate_numpy

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimError, NumericError
+from .datamodel import BinaryReader
+from .errors import ConfigError, DataError, DimError, FormatError, NumericError
 
 GAMMA_DEFAULT = 1.1
 GLOBAL_SCOPE = "G"
@@ -478,38 +479,29 @@ def save_model(model: SimilarityModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path, rep_id: str = "") -> SimilarityModel:
-    """Read a SIMW file; a truncated or malformed file raises DataError."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != SIMW_MAGIC:
-        raise DataError(f"{path}: bad magic {raw[:4]!r}")
-    pos = 4
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if n > len(raw) - pos:
-            raise DataError(f"{path}: truncated: {n} bytes needed at offset {pos}")
-        pos += n
-        return raw[pos - n : pos]
-
-    version, gamma, bias = struct.unpack("<Iff", take(12))
+    """Read a SIMW file. A malformed file raises FormatError, non-finite
+    gamma, bias or weights DataError."""
+    reader = BinaryReader(path, SIMW_MAGIC)
+    (version,) = reader.unpack("<I")
     if version != SIMW_VERSION:
-        raise DataError(f"{path}: unsupported SIMW version {version}")
-    (count,) = struct.unpack("<I", take(4))
+        raise FormatError(f"{reader.path}: unsupported SIMW version {version}")
+    gamma, bias = reader.floats(2)
+    (count,) = reader.unpack("<I")
     blocks: dict[BlockKey, tuple[np.ndarray, np.ndarray]] = {}
     for _ in range(count):
-        region, cue_len = struct.unpack("<II", take(8))
+        region, cue_len = reader.unpack("<II")
         try:
-            cue = take(cue_len).decode("utf-8")
+            cue = reader.take(cue_len).decode("utf-8")
         except UnicodeDecodeError:
-            raise DataError(f"{path}: cue name is not UTF-8") from None
-        (d,) = struct.unpack("<I", take(4))
-        w_m = np.frombuffer(take(d * d * 4), dtype="<f4").reshape(d, d)
-        w_b = np.frombuffer(take(d * d * 4), dtype="<f4").reshape(d, d)
+            raise FormatError(f"{reader.path}: cue name is not UTF-8") from None
+        (d,) = reader.unpack("<I")
+        w_m = reader.floats(d, d)
+        w_b = reader.floats(d, d)
         scope = GLOBAL_SCOPE if region == _GLOBAL_TAG else f"r{region}"
+        if (cue, scope) in blocks:
+            raise FormatError(f"{reader.path}: duplicate block {(cue, scope)}")
         blocks[(cue, scope)] = (w_m.astype(np.float64), w_b.astype(np.float64))
-    if pos != len(raw):
-        raise DataError(f"{path}: trailing bytes after last block")
+    reader.finish()
     return SimilarityModel(
-        rep_id=rep_id or path.stem, gamma=float(gamma), bias=float(bias), blocks=blocks
+        rep_id=rep_id or reader.path.stem, gamma=float(gamma), bias=float(bias), blocks=blocks
     )

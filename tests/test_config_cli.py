@@ -11,6 +11,7 @@ from reidpipe.config import load_config
 from reidpipe.datamodel import (
     ImageRecord,
     load_feature_matrix,
+    save_feature_matrix,
     save_identities,
     save_pgm,
     save_ppm,
@@ -114,6 +115,13 @@ def test_cli_data_error_is_exit_3(tmp_path, capsys):
     feat = Path(config_path).parent / "S1_global.feat"
     feat.write_bytes(b"FEAT" + b"\x00" * 4)  # truncated header
     assert main(["eval", "-c", str(config_path)]) == 3
+
+
+def test_cli_zero_width_feat_is_exit_3(tmp_path, capsys):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8)
+    save_feature_matrix(np.zeros((16, 0), dtype=np.float32), tmp_path / "d" / "S1_global.feat")
+    assert main(["eval", "-c", str(config_path)]) == 3
+    assert "S1_global.feat: 16x0" in capsys.readouterr().err
 
 
 def test_cli_truncated_model_is_exit_3(tmp_path, capsys):
@@ -224,7 +232,8 @@ def test_cli_train_rank_postrank_aggregate_stats(tmp_path, capsys):
     assert "unchanged" in out
 
 
-def test_cli_extract_round_trip(tmp_path):
+def _image_dataset(tmp_path):
+    """Three identities of random 48x128 PPM images with PGM masks in imgs/."""
     rng = np.random.default_rng(0)
     data = tmp_path / "imgs"
     data.mkdir()
@@ -243,6 +252,11 @@ def test_cli_extract_round_trip(tmp_path):
         "[features]\ncomputed_cues = C1\n"
         "[eval]\nrepresentations = F0\n"
     )
+    return config_path
+
+
+def test_cli_extract_round_trip(tmp_path):
+    config_path = _image_dataset(tmp_path)
     out_dir = tmp_path / "feats"
     assert main(["extract", "-c", str(config_path), "--out", str(out_dir)]) == 0
     names = sorted(p.name for p in out_dir.glob("*.feat"))
@@ -258,6 +272,45 @@ def test_cli_extract_round_trip(tmp_path):
     assert matrix.cols == 165 * (512 + 9)
     norms = np.linalg.norm(matrix.values, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-6)
+
+
+def test_cli_zero_size_mask_is_exit_3(tmp_path, capsys):
+    config_path = _image_dataset(tmp_path)
+    (tmp_path / "imgs" / "a0.pgm").write_bytes(b"P5\n0 0\n255\n")
+    assert main(["extract", "-c", str(config_path), "--out", str(tmp_path / "feats")]) == 3
+    assert "a0.pgm" in capsys.readouterr().err
+    assert main(["eval", "-c", str(config_path)]) == 3
+    assert "a0.pgm" in capsys.readouterr().err
+
+
+def test_cli_postrank_fallback_is_reported(tmp_path, capsys):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=14, pca_dim=4)
+    trained_dir, single_dir = tmp_path / "trained", tmp_path / "single"
+    assert main(["postrank", "-c", str(config_path), "--rep", "R1", "--out", str(trained_dir)]) == 0
+    trained = capsys.readouterr()
+    assert trained.err == ""
+
+    # a window of 2 makes every content set a singleton: nothing to train on
+    single = Path(config_path).with_name("single.ini")
+    single.write_text(Path(config_path).read_text().replace("[postrank]\n", "[postrank]\nwindow = 2\n"))
+    assert main(["postrank", "-c", str(single), "--rep", "R1", "--out", str(single_dir)]) == 0
+    fallback = capsys.readouterr()
+    assert fallback.err.count("\n") == 1 and fallback.err.startswith("R1: ")
+    assert fallback.out == trained.out.replace(str(trained_dir), str(single_dir))
+    initial = (single_dir / "R1_initial.csv").read_bytes()
+    assert (single_dir / "R1_postranked.csv").read_bytes() == initial
+
+
+def test_cli_model_for_other_representation_is_exit_3(tmp_path, capsys):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=10, pca_dim=4)
+    model_path = tmp_path / "r1.simw"
+    assert main(["train", "-c", str(config_path), "--rep", "R1", "--out", str(model_path)]) == 0
+    code = main([
+        "rank", "-c", str(config_path), "--rep", "R2",
+        "--model", str(model_path), "--out", str(tmp_path / "r2.csv"),
+    ])
+    assert code == 3
+    assert "do not match R2" in capsys.readouterr().err
 
 
 def test_cli_module_entry_point():

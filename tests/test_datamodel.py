@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,3 +260,33 @@ def test_pgm_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(FormatError):
         load_mask(path)
+
+
+@pytest.mark.parametrize("header", [b"P5\n0 0\n255\n", b"P5\n0 4\n255\n", b"P5\n4 0\n255\n"])
+def test_pgm_zero_size_is_format_error(tmp_path, header):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(header)
+    with pytest.raises(FormatError):
+        load_mask(path)
+
+
+def test_ppm_zero_size_is_format_error(tmp_path):
+    path = tmp_path / "img.ppm"
+    path.write_bytes(b"P6\n0 128\n255\n")
+    with pytest.raises(FormatError):
+        load_image(path)
+
+
+def test_feat_trailing_bytes(tmp_path):
+    path = tmp_path / "long.feat"
+    save_feature_matrix(np.ones((2, 3), dtype=np.float32), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(FormatError):
+        load_feature_matrix(path)
+
+
+def test_feat_huge_header_dimensions(tmp_path):
+    path = tmp_path / "huge.feat"
+    path.write_bytes(b"FEAT" + struct.pack("<III", 1, 0xFFFFFFFF, 0xFFFFFFFF) + b"\x00" * 8)
+    with pytest.raises(FormatError, match="truncated"):
+        load_feature_matrix(path)

@@ -1,15 +1,57 @@
-"""Both kernel implementations must agree; the compiled path is optional."""
+"""The numpy kernels against plain-Python loop oracles, pixel by pixel."""
 
 import numpy as np
-import pytest
 
 from reidpipe import kernels
 
-pytestmark = pytest.mark.skipif(
-    not kernels.USE_NUMBA, reason="numba path disabled; numpy path is the active one"
-)
-
 rng = np.random.default_rng(20240901)
+
+
+def patch_histograms_loop(bin_idx, weights, rects, n_bins):
+    out = np.zeros((rects.shape[0], n_bins), dtype=np.float64)
+    for k in range(rects.shape[0]):
+        x0, y0, w, h = rects[k]
+        for y in range(y0, y0 + h):
+            for x in range(x0, x0 + w):
+                out[k, bin_idx[y, x]] += weights[y, x]
+    return out
+
+
+def siltp_codes_loop(gray, tau):
+    hh, ww = gray.shape[0] - 2, gray.shape[1] - 2
+    code = np.zeros((hh, ww), dtype=np.int64)
+    for y in range(hh):
+        for x in range(ww):
+            center = gray[y + 1, x + 1]
+            hi = (1.0 + tau) * center
+            lo = (1.0 - tau) * center
+            acc = 0
+            scale = 1
+            # E, S, W, N -- the kernel's neighbor order
+            for dy, dx in ((0, 1), (1, 0), (0, -1), (-1, 0)):
+                v = gray[y + 1 + dy, x + 1 + dx]
+                if v > hi:
+                    acc += scale
+                elif v < lo:
+                    acc += 2 * scale
+                scale *= 3
+            code[y, x] = acc
+    return code
+
+
+def scncd_accumulate_loop(pixels, palette, weights, sigma, knn):
+    out = np.zeros(palette.shape[0], dtype=np.float64)
+    for p in range(pixels.shape[0]):
+        if weights[p] == 0.0:
+            continue
+        d2 = [float(((pixels[p] - color) ** 2).sum()) for color in palette]
+        # nearest first; a distance tie keeps the smaller palette index
+        chosen = sorted(range(len(d2)), key=lambda j: (d2[j], j))[:knn]
+        kw = [np.exp(-(d2[j] - d2[chosen[0]]) / (sigma * sigma)) for j in chosen]
+        total = sum(kw)
+        for j, v in zip(chosen, kw):
+            out[j] += weights[p] * v / total
+    return out
 
 
 def random_rects(h, w, n):
@@ -23,13 +65,13 @@ def random_rects(h, w, n):
     return np.array(rects, dtype=np.int64)
 
 
-def test_patch_histograms_paths_agree():
+def test_patch_histograms_matches_loop():
     h, w, bins = 40, 30, 17
     idx = rng.integers(0, bins, size=(h, w))
     weights = rng.random((h, w))
     rects = random_rects(h, w, 25)
     got = kernels.patch_histograms(idx, weights, rects, bins)
-    want = kernels.patch_histograms_numpy(idx, weights, rects, bins)
+    want = patch_histograms_loop(idx, weights, rects, bins)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -40,20 +82,20 @@ def test_patch_histograms_empty_rects():
     assert kernels.patch_histograms(idx, weights, rects, 3).shape == (0, 3)
 
 
-def test_siltp_codes_paths_agree():
+def test_siltp_codes_matches_loop():
     gray = rng.random((33, 21))
     got = kernels.siltp_codes(gray, 0.3)
-    want = kernels.siltp_codes_numpy(gray, 0.3)
+    want = siltp_codes_loop(gray, 0.3)
     assert got.shape == (31, 19)
     np.testing.assert_array_equal(got, want)
 
 
-def test_scncd_accumulate_paths_agree():
+def test_scncd_accumulate_matches_loop():
     pixels = rng.random((500, 3))
     palette = rng.random((16, 3))
     weights = rng.random(500)
     got = kernels.scncd_accumulate(pixels, palette, weights, 0.125, 3)
-    want = kernels.scncd_accumulate_numpy(pixels, palette, weights, 0.125, 3)
+    want = scncd_accumulate_loop(pixels, palette, weights, 0.125, 3)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -63,5 +105,5 @@ def test_scncd_accumulate_zero_weights_skip_matches():
     weights = rng.random(100)
     weights[::3] = 0.0
     got = kernels.scncd_accumulate(pixels, palette, weights, 0.2, 3)
-    want = kernels.scncd_accumulate_numpy(pixels, palette, weights, 0.2, 3)
+    want = scncd_accumulate_loop(pixels, palette, weights, 0.2, 3)
     np.testing.assert_allclose(got, want, atol=1e-10)

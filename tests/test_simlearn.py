@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from reidpipe.errors import ConfigError, DataError, DimError
+from reidpipe.errors import ConfigError, DataError, DimError, FormatError
 from reidpipe.simlearn import (
     TABLE1,
     Representation,
@@ -575,4 +577,43 @@ def test_simw_non_utf8_cue_is_data_error(tmp_path):
     raw[28] = 0xFF  # the one-byte cue name follows the region tag and its length
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError):
+        load_model(path)
+
+
+def _one_block_simw(path):
+    """A SIMW file with one global 2x2 block named X: the cue name is byte 28,
+    d bytes 29-32, W_M bytes 33-48 and W_B bytes 49-64."""
+    save_model(random_model(Representation("toy", {"X": "G"}, n_regions=0), 2), path)
+    return bytearray(path.read_bytes())
+
+
+@pytest.mark.parametrize("offset", [8, 12, 33, 61], ids=["gamma", "bias", "W_M", "W_B"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_simw_non_finite_is_data_error(tmp_path, offset, value):
+    path = tmp_path / "model.simw"
+    raw = _one_block_simw(path)
+    raw[offset : offset + 4] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="non-finite") as excinfo:
+        load_model(path)
+    assert not isinstance(excinfo.value, FormatError)
+
+
+def test_simw_huge_dimension_is_format_error(tmp_path):
+    path = tmp_path / "model.simw"
+    raw = _one_block_simw(path)
+    raw[29:33] = struct.pack("<I", 0xFFFFFFFF)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="truncated"):
+        load_model(path)
+
+
+def test_simw_bad_magic_and_duplicate_block_are_format_errors(tmp_path):
+    path = tmp_path / "model.simw"
+    raw = _one_block_simw(path)
+    path.write_bytes(b"SIMX" + bytes(raw[4:]))
+    with pytest.raises(FormatError, match="magic"):
+        load_model(path)
+    path.write_bytes(bytes(raw[:16]) + struct.pack("<I", 2) + bytes(raw[20:]) * 2)
+    with pytest.raises(FormatError, match="duplicate"):
         load_model(path)
