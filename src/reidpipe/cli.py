@@ -88,14 +88,11 @@ def _cmd_postrank(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     loaded = [load_rankings_csv(path) for path in args.rankings]
-    rankings0, probe_ids, gallery_ids = loaded[0]
-    for path, (rankings, probes, galleries) in zip(args.rankings[1:], loaded[1:]):
+    _, probe_ids, gallery_ids = loaded[0]
+    for path, (_, probes, galleries) in zip(args.rankings[1:], loaded[1:]):
         if probes != probe_ids or galleries != gallery_ids:
             raise DataError(f"{path}: probe/gallery ids differ from {args.rankings[0]}")
-    combined = [
-        aggregate([lists[p] for lists, _, _ in loaded])
-        for p in range(len(rankings0))
-    ]
+    combined = aggregate([rankings for rankings, _, _ in loaded])
     save_rankings_csv(combined, args.out, probe_ids, gallery_ids)
     print(f"wrote {args.out}")
     return 0

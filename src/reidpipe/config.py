@@ -108,8 +108,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str  # cue names are case-sensitive
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     base = path.parent

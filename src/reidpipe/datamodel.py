@@ -1,8 +1,8 @@
 """Dataset structures and on-disk formats.
 
-Owns the bounds-checked binary reader, the FEAT binary descriptor format,
-the identities CSV, binary PGM/PPM image reading, foreground masks and
-identity-disjoint train/test splits.
+Owns the bounds-checked binary reader, the UTF-8 CSV reader, the FEAT
+binary descriptor format, the identities CSV, binary PGM/PPM image
+reading, foreground masks and identity-disjoint train/test splits.
 All structures are immutable after construction and safe to share across
 concurrent readers.
 """
@@ -10,6 +10,7 @@ concurrent readers.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ class ImageRecord:
     image_id: str
     person_id: int
     camera: str
-    source_path: str | None = None
 
     def __post_init__(self):
         if self.camera not in CAMERAS:
@@ -70,14 +70,6 @@ class ForegroundMask:
 
     weights: np.ndarray
 
-    @property
-    def width(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.weights.shape[0]
-
 
 @dataclass(frozen=True)
 class Split:
@@ -90,7 +82,6 @@ class Split:
 
     train_ids: frozenset[int]
     test_ids: frozenset[int]
-    seed: int
     view_a: dict[int, str] = field(default_factory=dict)
     view_b: dict[int, str] = field(default_factory=dict)
 
@@ -167,8 +158,18 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Identities CSV
+# UTF-8 CSV input; the identities CSV
 # ---------------------------------------------------------------------------
+
+def csv_reader(path: str | Path):
+    """A ``csv.reader`` over ``path`` read as UTF-8; other bytes raise FormatError."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return csv.reader(io.StringIO(text, newline=""))
+
 
 IDENTITIES_HEADER = ("image_id", "person_id", "camera")
 
@@ -177,30 +178,29 @@ def load_identities(path: str | Path) -> list[ImageRecord]:
     """Read the ``image_id,person_id,camera`` CSV into records."""
     records: list[ImageRecord] = []
     seen: set[str] = set()
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if lineno == 1 and tuple(v.strip() for v in row) == IDENTITIES_HEADER:
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            image_id, person_id, camera = (v.strip() for v in row)
-            try:
-                pid = int(person_id)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad person_id {person_id!r}") from None
-            if camera not in CAMERAS:
-                raise FormatError(f"{path}:{lineno}: unknown camera {camera!r}")
-            if image_id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
-            seen.add(image_id)
-            records.append(ImageRecord(image_id=image_id, person_id=pid, camera=camera))
+    for lineno, row in enumerate(csv_reader(path), start=1):
+        if not row:
+            continue
+        if lineno == 1 and tuple(v.strip() for v in row) == IDENTITIES_HEADER:
+            continue
+        if len(row) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        image_id, person_id, camera = (v.strip() for v in row)
+        try:
+            pid = int(person_id)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: bad person_id {person_id!r}") from None
+        if camera not in CAMERAS:
+            raise FormatError(f"{path}:{lineno}: unknown camera {camera!r}")
+        if image_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
+        seen.add(image_id)
+        records.append(ImageRecord(image_id=image_id, person_id=pid, camera=camera))
     return records
 
 
 def save_identities(records: list[ImageRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(IDENTITIES_HEADER)
         for rec in records:
@@ -235,8 +235,7 @@ def make_split(records: list[ImageRecord], seed: int) -> Split:
             images = sorted(by_id_cam.get((pid, camera), []))
             if images:
                 view[pid] = images[int(rng.integers(len(images)))]
-    return Split(train_ids=train_ids, test_ids=test_ids, seed=seed,
-                 view_a=view_a, view_b=view_b)
+    return Split(train_ids=train_ids, test_ids=test_ids, view_a=view_a, view_b=view_b)
 
 
 # ---------------------------------------------------------------------------

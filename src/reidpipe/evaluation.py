@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datamodel import csv_reader
 from .errors import DataError
 from .postrank import ContentSet
 from .rankagg import AggregationResult
@@ -167,19 +168,17 @@ def _row(row: list[str], width: int, path, reader) -> list[str]:
 def save_rankings_csv(
     rankings: list[Ranking],
     path: str | Path,
-    probe_ids: list[str] | None = None,
-    gallery_ids: list[str] | None = None,
+    probe_ids: list[str],
+    gallery_ids: list[str],
 ) -> None:
-    """Write rankings (best first) with string ids or bare indices."""
-    with open(path, "w", newline="") as fh:
+    """Write rankings (best first) under their probe and gallery ids."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RANKING_HEADER)
         for ranking in rankings:
-            p = ranking.probe_index
-            probe = probe_ids[p] if probe_ids is not None else str(p)
+            probe = probe_ids[ranking.probe_index]
             for rank, g in enumerate(ranking.order, start=1):
-                gallery = gallery_ids[g] if gallery_ids is not None else str(int(g))
-                writer.writerow([probe, rank, gallery, format(ranking.scores[g], ".10g")])
+                writer.writerow([probe, rank, gallery_ids[g], format(ranking.scores[g], ".10g")])
 
 
 CONTENT_HEADER = ("probe_id", "gallery_id", "threshold")
@@ -189,17 +188,16 @@ TRUTH_HEADER = ("probe_id", "gallery_id")
 def save_content_csv(
     contents: list[ContentSet],
     path: str | Path,
-    probe_ids: list[str] | None = None,
-    gallery_ids: list[str] | None = None,
+    probe_ids: list[str],
+    gallery_ids: list[str],
 ) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CONTENT_HEADER)
         for content in contents:
-            probe = probe_ids[content.probe_index] if probe_ids else str(content.probe_index)
+            probe = probe_ids[content.probe_index]
             for g in content.members:
-                gallery = gallery_ids[g] if gallery_ids else str(g)
-                writer.writerow([probe, gallery, format(content.threshold, ".10g")])
+                writer.writerow([probe, gallery_ids[g], format(content.threshold, ".10g")])
 
 
 def load_content_csv(
@@ -209,16 +207,15 @@ def load_content_csv(
 ) -> list[ContentSet]:
     members: dict[str, list[int]] = {}
     thresholds: dict[str, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CONTENT_HEADER:
-            raise DataError(f"{path}: expected header {','.join(CONTENT_HEADER)}")
-        for row in reader:
-            probe, gallery, threshold = _row(row, 3, path, reader)
-            g = _field(gallery_index.__getitem__, gallery, "gallery id", path, reader)
-            members.setdefault(probe, []).append(g)
-            thresholds[probe] = _field(float, threshold, "threshold", path, reader)
+    reader = csv_reader(path)
+    header = next(reader, None)
+    if header is None or tuple(header) != CONTENT_HEADER:
+        raise DataError(f"{path}: expected header {','.join(CONTENT_HEADER)}")
+    for row in reader:
+        probe, gallery, threshold = _row(row, 3, path, reader)
+        g = _field(gallery_index.__getitem__, gallery, "gallery id", path, reader)
+        members.setdefault(probe, []).append(g)
+        thresholds[probe] = _field(float, threshold, "threshold", path, reader)
     out = []
     for probe, p in sorted(probe_index.items(), key=lambda kv: kv[1]):
         out.append(
@@ -234,16 +231,14 @@ def load_content_csv(
 def save_truth_csv(
     truth: dict[int, int],
     path: str | Path,
-    probe_ids: list[str] | None = None,
-    gallery_ids: list[str] | None = None,
+    probe_ids: list[str],
+    gallery_ids: list[str],
 ) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_HEADER)
         for p in sorted(truth):
-            probe = probe_ids[p] if probe_ids else str(p)
-            gallery = gallery_ids[truth[p]] if gallery_ids else str(truth[p])
-            writer.writerow([probe, gallery])
+            writer.writerow([probe_ids[p], gallery_ids[truth[p]]])
 
 
 def load_truth_csv(
@@ -252,17 +247,16 @@ def load_truth_csv(
     gallery_index: dict[str, int],
 ) -> dict[int, int]:
     truth: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRUTH_HEADER:
-            raise DataError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
-        for row in reader:
-            probe, gallery = _row(row, 2, path, reader)
-            if probe in probe_index:
-                truth[probe_index[probe]] = _field(
-                    gallery_index.__getitem__, gallery, "gallery id", path, reader
-                )
+    reader = csv_reader(path)
+    header = next(reader, None)
+    if header is None or tuple(header) != TRUTH_HEADER:
+        raise DataError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
+    for row in reader:
+        probe, gallery = _row(row, 2, path, reader)
+        if probe in probe_index:
+            truth[probe_index[probe]] = _field(
+                gallery_index.__getitem__, gallery, "gallery id", path, reader
+            )
     return truth
 
 
@@ -270,27 +264,28 @@ def load_rankings_csv(path: str | Path) -> tuple[list[RankingList], list[str], l
     """Read a ranking CSV back; gallery indices follow sorted gallery ids."""
     rows: dict[str, list[tuple[int, str, float]]] = {}
     probe_order: list[str] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RANKING_HEADER:
-            raise DataError(f"{path}: expected header {','.join(RANKING_HEADER)}")
-        for row in reader:
-            probe, rank, gallery, score = _row(row, 4, path, reader)
-            if probe not in rows:
-                rows[probe] = []
-                probe_order.append(probe)
-            rows[probe].append((
-                _field(int, rank, "rank", path, reader),
-                gallery,
-                _field(float, score, "score", path, reader),
-            ))
+    reader = csv_reader(path)
+    header = next(reader, None)
+    if header is None or tuple(header) != RANKING_HEADER:
+        raise DataError(f"{path}: expected header {','.join(RANKING_HEADER)}")
+    for row in reader:
+        probe, rank, gallery, score = _row(row, 4, path, reader)
+        if probe not in rows:
+            rows[probe] = []
+            probe_order.append(probe)
+        rows[probe].append((
+            _field(int, rank, "rank", path, reader),
+            gallery,
+            _field(float, score, "score", path, reader),
+        ))
     gallery_ids = sorted({g for entries in rows.values() for _, g, _ in entries})
     gallery_index = {g: i for i, g in enumerate(gallery_ids)}
     rankings: list[RankingList] = []
     for p, probe in enumerate(probe_order):
         entries = sorted(rows[probe])
-        if [rank for rank, _, _ in entries] != list(range(1, len(gallery_ids) + 1)):
+        ranks = [rank for rank, _, _ in entries]
+        galleries = {g for _, g, _ in entries}
+        if ranks != list(range(1, len(gallery_ids) + 1)) or len(galleries) != len(ranks):
             raise DataError(f"{path}: probe {probe} is not a full permutation")
         order = np.array([gallery_index[g] for _, g, _ in entries], dtype=np.int64)
         scores = np.empty(len(gallery_ids))

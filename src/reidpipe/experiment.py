@@ -189,11 +189,10 @@ def _side_rows(
     return np.asarray(rows, dtype=np.int64), np.asarray(ids, dtype=np.int64)
 
 
-def _stage_sides(ids: frozenset[int], split, row_index, require_both: bool) -> StageSides:
+def _stage_sides(ids: frozenset[int], split, row_index) -> StageSides:
     both = sorted(i for i in ids if i in split.view_a and i in split.view_b)
-    ids_a = both if require_both else sorted(i for i in ids if i in split.view_a)
     ids_b = sorted(i for i in ids if i in split.view_b)
-    rows_a, labels_a = _side_rows(ids_a, split.view_a, row_index)
+    rows_a, labels_a = _side_rows(both, split.view_a, row_index)
     rows_b, labels_b = _side_rows(ids_b, split.view_b, row_index)
     return StageSides(rows_a=rows_a, labels_a=labels_a, rows_b=rows_b, labels_b=labels_b)
 
@@ -263,8 +262,8 @@ def run_stage(
     ``[seed, stage, i]``.
     """
     row_index = dataset.row_index
-    fit = _stage_sides(fit_ids, split, row_index, require_both=True)
-    eval_side = _stage_sides(eval_ids, split, row_index, require_both=True)
+    fit = _stage_sides(fit_ids, split, row_index)
+    eval_side = _stage_sides(eval_ids, split, row_index)
     reduced = reduce_bank(dataset.raw_bank, _stage_rows(fit), config.pca_dim)
     records = dataset.records
     outcome = StageOutcome(
@@ -482,15 +481,10 @@ def run_seed(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedResul
 
     aggregated = None
     if chosen_reps is not None:
-        n_probes = len(next(iter(outcome.per_rep.values())).postranked)
-        aggregated = [
-            aggregate([outcome.per_rep[rep].postranked[p] for rep in chosen_reps])
-            for p in range(n_probes)
-        ]
-    ordering = chosen_reps if chosen_reps is not None else None
+        aggregated = aggregate([outcome.per_rep[rep].postranked for rep in chosen_reps])
     return SeedResult(
         seed=seed, outcome=outcome, aggregated=aggregated,
-        chosen_n=chosen_n, ordering=ordering,
+        chosen_n=chosen_n, ordering=chosen_reps,
     )
 
 

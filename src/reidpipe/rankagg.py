@@ -29,6 +29,24 @@ class AggregationResult:
     scores: np.ndarray
 
 
+def _stuart(profiles: np.ndarray) -> np.ndarray:
+    """The recursion of :func:`stuart_statistic` for every row of ``profiles``.
+
+    Each row runs the same IEEE operations in the same order as a scalar
+    loop, ``acc += ((+-1 * C(k, i)) * r^i) * W_(k-i)`` for i = 1..k, so a
+    row's result does not depend on the rows batched with it.
+    """
+    n = profiles.shape[1]
+    w = [1.0]
+    for k in range(1, n + 1):
+        acc, rp = 0.0, 1.0
+        for i in range(1, k + 1):
+            rp *= profiles[:, n - k]
+            acc += (-1.0) ** (i - 1) * comb(k, i) * rp * w[k - i]
+        w.append(acc)
+    return np.clip(w[n], 0.0, 1.0)
+
+
 def stuart_statistic(r: np.ndarray, n: int | None = None) -> float:
     """P(U_(1) <= r_(1), ..., U_(n) <= r_(n)) for sorted normalized ranks.
 
@@ -47,44 +65,36 @@ def stuart_statistic(r: np.ndarray, n: int | None = None) -> float:
         raise ContractError("ranks must be sorted ascending")
     if np.any(r <= 0) or np.any(r > 1):
         raise ContractError("ranks must lie in (0, 1]")
-    w = np.zeros(n + 1)
-    w[0] = 1.0
-    for k in range(1, n + 1):
-        rv = r[n - k]
-        acc = 0.0
-        sign = 1.0
-        rp = 1.0
-        for i in range(1, k + 1):
-            rp *= rv
-            acc += sign * comb(k, i) * rp * w[k - i]
-            sign = -sign
-        w[k] = acc
-    return float(min(1.0, max(0.0, w[n])))
+    return float(_stuart(r.reshape(1, n))[0])
 
 
-def _check_permutation(order: np.ndarray, m: int) -> None:
-    if order.shape != (m,) or not np.array_equal(np.sort(order), np.arange(m)):
+def aggregate(lists: list[list[RankingList | AggregationResult]]) -> list[AggregationResult]:
+    """Combine n >= 2 full rankings of the same gallery into one order per probe.
+
+    ``lists[j][p]`` is list ``j``'s ranking of probe ``p``; the result holds
+    one :class:`AggregationResult` per probe, in probe order.
+    """
+    if len(lists) < 2:
+        raise DataError(f"aggregation needs at least 2 lists, got {len(lists)}")
+    counts = [len(rankings) for rankings in lists]
+    if len(set(counts)) != 1:
+        raise DataError(f"ranking lists cover different numbers of probes: {counts}")
+    if not lists[0]:
+        return []
+    m = len(lists[0][0].order)
+    orders = [np.asarray(ranking.order) for rankings in lists for ranking in rankings]
+    if any(order.shape != (m,) for order in orders) or np.any(np.sort(orders) != np.arange(m)):
         raise DataError("ranking lists must be full permutations of one gallery")
-
-
-def aggregate(rankings: list[RankingList | AggregationResult]) -> AggregationResult:
-    """Combine n >= 2 full rankings of the same gallery into one order."""
-    if len(rankings) < 2:
-        raise DataError(f"aggregation needs at least 2 lists, got {len(rankings)}")
-    m = rankings[0].order.shape[0]
-    profiles = np.empty((m, len(rankings)))
-    for j, ranking in enumerate(rankings):
-        order = np.asarray(ranking.order)
-        _check_permutation(order, m)
-        positions = np.empty(m, dtype=np.float64)
-        positions[order] = np.arange(1, m + 1)
-        profiles[:, j] = positions / m
-    profiles.sort(axis=1)
-    stats = np.array([stuart_statistic(profiles[i]) for i in range(m)])
-    order = np.lexsort((np.arange(m), stats))
-    return AggregationResult(
-        probe_index=rankings[0].probe_index, order=order, scores=stats
-    )
+    # the inverse permutations: each item's 0-based position in each list
+    positions = np.argsort(np.reshape(orders, (len(lists), counts[0], m)))
+    profiles = (positions.transpose(1, 2, 0) + 1) / m
+    profiles.sort(axis=-1)
+    stats = _stuart(profiles.reshape(-1, len(lists))).reshape(counts[0], m)
+    order = np.argsort(stats, axis=-1, kind="stable")
+    return [
+        AggregationResult(probe_index=ranking.probe_index, order=order[p], scores=stats[p])
+        for p, ranking in enumerate(lists[0])
+    ]
 
 
 @dataclass(frozen=True)
@@ -112,14 +122,11 @@ def best_n_select(
     if len(reps) < 2:
         raise ConfigError(f"best-n needs at least 2 representations, got {len(reps)}")
     ordered = sorted(reps, key=lambda rep: -validation_top1[rep])
-    n_probes = len(validation_rankings[ordered[0]])
     top1_per_n: dict[int, float] = {}
     for n in range(2, min(n_max, len(ordered)) + 1):
-        hits = 0
-        for p in range(n_probes):
-            combined = aggregate([validation_rankings[rep][p] for rep in ordered[:n]])
-            hits += int(combined.order[0] == truth[combined.probe_index])
-        top1_per_n[n] = hits / n_probes if n_probes else 0.0
+        combined = aggregate([validation_rankings[rep] for rep in ordered[:n]])
+        hits = sum(int(c.order[0] == truth[c.probe_index]) for c in combined)
+        top1_per_n[n] = hits / len(combined) if combined else 0.0
     chosen_n = max(top1_per_n, key=lambda n: (top1_per_n[n], -n))
     return BestNSelection(
         ordered_reps=tuple(ordered), chosen_n=chosen_n, top1_per_n=top1_per_n

@@ -164,8 +164,8 @@ def test_criterion_4_stuart_statistic():
     order = rng.permutation(12)
     scores = np.empty(12)
     scores[order] = -np.arange(12, dtype=np.float64)
-    lists = [RankingList(0, order.copy(), scores.copy()) for _ in range(4)]
-    np.testing.assert_array_equal(aggregate(lists).order, order)
+    lists = [[RankingList(0, order.copy(), scores.copy())] for _ in range(4)]
+    np.testing.assert_array_equal(aggregate(lists)[0].order, order)
     report("criterion-4 Stuart recursion vs Monte Carlo (3 sigma)", start, budget=120.0)
 
 

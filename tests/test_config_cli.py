@@ -187,6 +187,52 @@ def test_cli_stats_unknown_gallery_id_is_exit_3(tmp_path, capsys):
     assert "c3.csv" in capsys.readouterr().err
 
 
+def _with_ff(path):
+    """Put a 0xff byte, never valid UTF-8, at the start of the file's second line."""
+    path = Path(path)
+    raw = path.read_bytes()
+    cut = raw.index(b"\n") + 1
+    path.write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+    return str(path)
+
+
+def test_cli_eval_non_utf8_identities_is_exit_3(tmp_path, capsys):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8)
+    _with_ff(Path(config_path).parent / "identities.csv")
+    assert main(["eval", "-c", str(config_path)]) == 3
+    assert "identities.csv: not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_config_is_exit_2(tmp_path, capsys):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8)
+    _with_ff(config_path)
+    assert main(["eval", "-c", str(config_path)]) == 2
+    assert "config.ini" in capsys.readouterr().err
+
+
+def test_cli_aggregate_non_utf8_ranking_is_exit_3(tmp_path, capsys):
+    rows = [("p0", "1", "g0", "1"), ("p0", "2", "g1", "0")]
+    good = _write_csv(tmp_path / "a.csv", RANKING, rows)
+    bad = _with_ff(_write_csv(tmp_path / "b.csv", RANKING, rows))
+    assert main(["aggregate", good, bad, "--out", str(tmp_path / "agg.csv")]) == 3
+    assert "b.csv: not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_stats_non_utf8_csv_is_exit_3(tmp_path, capsys):
+    files = {
+        "before": _write_csv(tmp_path / "r.csv", RANKING, [("p0", "1", "g0", "1")]),
+        "content": _write_csv(tmp_path / "c.csv", CONTENT, [("p0", "g0", "0.5")]),
+        "truth": _write_csv(tmp_path / "t.csv", TRUTH, [("p0", "g0")]),
+    }
+    for name, path in files.items():
+        bad = tmp_path / f"bad_{name}.csv"
+        bad.write_bytes(Path(path).read_bytes())
+        args = {**files, "after": files["before"], name: _with_ff(bad)}
+        argv = ["stats"] + [f"--{key}={value}" for key, value in args.items()]
+        assert main(argv) == 3, name
+        assert f"bad_{name}.csv: not UTF-8" in capsys.readouterr().err
+
+
 def test_cli_train_rank_postrank_aggregate_stats(tmp_path, capsys):
     config_path = build_synthetic_dataset(
         tmp_path / "d", seeds=(0,), n_ids=14, n_cues=2, best_n=False, pca_dim=8

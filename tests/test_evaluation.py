@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -201,6 +206,61 @@ def test_content_truth_csv_round_trip(tmp_path):
     assert [c.members for c in loaded] == [(2, 0), (1,)]
     assert loaded[0].threshold == pytest.approx(0.5)
     assert load_truth_csv(tpath, probe_index, gallery_index) == truth
+
+
+def test_rankings_csv_rejects_repeated_gallery_id(tmp_path):
+    path = tmp_path / "dup.csv"
+    # ranks run 1..2 for both probes, but p0 lists g0 twice and leaves out g1
+    path.write_text(
+        "probe_id,rank,gallery_id,score\n"
+        "p0,1,g0,0.4\np0,2,g0,0.3\np1,1,g1,0.1\np1,2,g0,0.2\n"
+    )
+    with pytest.raises(DataError, match="dup.csv: probe p0 is not a full permutation"):
+        load_rankings_csv(path)
+
+
+ROUND_TRIP = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from reidpipe.datamodel import ImageRecord, load_identities, save_identities
+from reidpipe.evaluation import (
+    load_content_csv, load_rankings_csv, load_truth_csv,
+    save_content_csv, save_rankings_csv, save_truth_csv,
+)
+from reidpipe.postrank import ContentSet
+from reidpipe.simlearn import RankingList
+
+root = Path(sys.argv[1])
+probes, gallery = ["p\\u00e9"], ["g\\u00e8", "g1"]
+save_identities([ImageRecord(probes[0], 1, "A")], root / "ids.csv")
+save_rankings_csv([RankingList(0, np.array([1, 0]), np.zeros(2))], root / "r.csv", probes, gallery)
+save_content_csv([ContentSet(0, (0,), 0.5)], root / "c.csv", probes, gallery)
+save_truth_csv({0: 0}, root / "t.csv", probes, gallery)
+assert load_identities(root / "ids.csv")[0].image_id == probes[0]
+assert load_rankings_csv(root / "r.csv")[1:] == (probes, sorted(gallery))
+index = ({probes[0]: 0}, {g: i for i, g in enumerate(gallery)})
+assert load_content_csv(root / "c.csv", *index)[0].members == (0,)
+assert load_truth_csv(root / "t.csv", *index) == {0: 0}
+"""
+
+
+def test_csv_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale without UTF-8 mode makes ASCII the default file encoding
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {
+        **os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    script = tmp_path / "round_trip.py"
+    script.write_text(ROUND_TRIP)
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "p\u00e9".encode() in (tmp_path / "r.csv").read_bytes()
 
 
 def test_rankings_csv_rejects_bad_header(tmp_path):

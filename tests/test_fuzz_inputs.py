@@ -1,9 +1,11 @@
-"""Property tests for the binary input boundary: FEAT, SIMW, PGM and PPM.
+"""Property tests for the input boundary: FEAT, SIMW, PGM and PPM files and
+the identities, ranking, content and truth CSVs.
 
 A valid file is cut at any length or has bytes overwritten; reading it
 either succeeds or raises a ``ReidError`` subclass, never anything else.
 A fuzzed SIMW model given to ``reidpipe rank`` ends with exit code 3 when
-the loader rejects it.
+the loader rejects it; fuzzed CSVs given to ``reidpipe aggregate`` and
+``reidpipe stats`` end with exit code 0 or 3.
 """
 
 from pathlib import Path
@@ -16,15 +18,33 @@ from hypothesis import strategies as st
 from conftest import build_synthetic_dataset
 from reidpipe.cli import main
 from reidpipe.datamodel import (
+    ImageRecord,
     load_feature_matrix,
+    load_identities,
     load_image,
     load_mask,
     save_feature_matrix,
+    save_identities,
     save_pgm,
     save_ppm,
 )
 from reidpipe.errors import ReidError
-from reidpipe.simlearn import Representation, SimilarityModel, load_model, save_model
+from reidpipe.evaluation import (
+    load_content_csv,
+    load_rankings_csv,
+    load_truth_csv,
+    save_content_csv,
+    save_rankings_csv,
+    save_truth_csv,
+)
+from reidpipe.postrank import ContentSet
+from reidpipe.simlearn import (
+    RankingList,
+    Representation,
+    SimilarityModel,
+    load_model,
+    save_model,
+)
 
 
 def _valid_files(root: Path) -> dict[str, tuple[bytes, object]]:
@@ -109,3 +129,69 @@ def test_cli_rank_fuzzed_model_is_exit_3(tmp_path_factory, trained_model, data):
     ])
     # an accepted file may still carry blocks that do not fit R1 (exit 3)
     assert code in ((3,) if rejected else (0, 3))
+
+
+# ---------------------------------------------------------------------------
+# CSV readers
+# ---------------------------------------------------------------------------
+
+PROBES = ["a0", "a1", "a2"]
+GALLERY = ["b0", "b1", "b2"]
+
+
+def _valid_csvs(root: Path) -> dict[str, tuple[bytes, object]]:
+    """One small valid file per CSV reader, with a loader taking its path."""
+    rng = np.random.default_rng(11)
+    save_identities(
+        [ImageRecord(f"{cam.lower()}{pid}", pid, cam) for pid in range(3) for cam in "AB"],
+        root / "identities.csv",
+    )
+    rankings = [RankingList(p, rng.permutation(3), rng.random(3)) for p in range(3)]
+    save_rankings_csv(rankings, root / "rankings.csv", PROBES, GALLERY)
+    contents = [ContentSet(r.probe_index, tuple(r.order[:2]), 0.5) for r in rankings]
+    save_content_csv(contents, root / "content.csv", PROBES, GALLERY)
+    save_truth_csv({p: p for p in range(3)}, root / "truth.csv", PROBES, GALLERY)
+    probe_index = {p: i for i, p in enumerate(PROBES)}
+    gallery_index = {g: i for i, g in enumerate(GALLERY)}
+    loaders = {
+        "identities": load_identities,
+        "rankings": load_rankings_csv,
+        "content": lambda path: load_content_csv(path, probe_index, gallery_index),
+        "truth": lambda path: load_truth_csv(path, probe_index, gallery_index),
+    }
+    return {name: ((root / f"{name}.csv").read_bytes(), load) for name, load in loaders.items()}
+
+
+@pytest.fixture(scope="module")
+def valid_csvs(tmp_path_factory):
+    return _valid_csvs(tmp_path_factory.mktemp("valid_csv"))
+
+
+@pytest.mark.parametrize("name", ["identities", "rankings", "content", "truth"])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_csv_raises_only_reid_errors(tmp_path_factory, valid_csvs, name, data):
+    raw, load = valid_csvs[name]
+    path = tmp_path_factory.mktemp("fuzz_csv") / f"{name}.csv"
+    path.write_bytes(data.draw(fuzzed(raw)))
+    _loads(load, path)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_aggregate_and_stats_fuzzed_csv_exit_0_or_3(tmp_path_factory, valid_csvs, data):
+    work = tmp_path_factory.mktemp("csv_cli")
+    target = data.draw(st.sampled_from(["rankings", "content", "truth"]))
+    paths = {}
+    for name in ("rankings", "content", "truth"):
+        raw = valid_csvs[name][0]
+        paths[name] = work / f"{name}.csv"
+        paths[name].write_bytes(data.draw(fuzzed(raw)) if name == target else raw)
+    good = work / "good.csv"
+    good.write_bytes(valid_csvs["rankings"][0])
+    aggregate = ["aggregate", str(good), str(paths["rankings"]), "--out", str(work / "agg.csv")]
+    assert main(aggregate) in (0, 3)
+    assert main([
+        "stats", "--before", str(good), "--after", str(paths["rankings"]),
+        "--content", str(paths["content"]), "--truth", str(paths["truth"]),
+    ]) in (0, 3)

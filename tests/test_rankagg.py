@@ -38,6 +38,29 @@ def ranking_of(order, m=None):
 # Stuart statistic
 # ---------------------------------------------------------------------------
 
+def stuart_loop(r):
+    """Plain-Python oracle: the Stuart recursion one item at a time."""
+    n = len(r)
+    w = [1.0] + [0.0] * n
+    for k in range(1, n + 1):
+        rv = r[n - k]
+        acc = 0.0
+        sign = 1.0
+        rp = 1.0
+        for i in range(1, k + 1):
+            rp *= rv
+            acc += sign * math.comb(k, i) * rp * w[k - i]
+            sign = -sign
+        w[k] = acc
+    return min(1.0, max(0.0, w[n]))
+
+
+def tied_profiles(n, count, m, seed):
+    """Sorted normalized ranks i/m, so short galleries give many ties."""
+    gen = np.random.default_rng(seed)
+    return np.sort(gen.integers(1, m + 1, size=(count, n)), axis=1) / m
+
+
 def test_all_ones_profile_exactly_one():
     for n in range(1, 13):
         assert stuart_statistic(np.ones(n)) == 1.0
@@ -104,6 +127,15 @@ def test_recursion_matches_quadrature_up_to_n4():
         assert stuart_statistic(r) == pytest.approx(quadrature_oracle(r), abs=1e-3)
 
 
+def test_statistic_equals_loop_oracle_exactly():
+    for n in range(1, 13):
+        profiles = np.vstack([tied_profiles(n, 200, 5, n), tied_profiles(n, 200, 1000, n)])
+        profiles[0] = 1.0
+        got = np.array([stuart_statistic(r) for r in profiles])
+        want = np.array([stuart_loop(r.tolist()) for r in profiles])
+        assert np.array_equal(got, want), n
+
+
 def test_statistic_rejects_unsorted():
     with pytest.raises(ContractError):
         stuart_statistic(np.array([0.5, 0.2]))
@@ -144,30 +176,30 @@ def test_statistic_in_range_and_monotone(values, bump_idx, bump):
 
 def test_identical_lists_keep_order():
     order = rng.permutation(9)
-    result = aggregate([ranking_of(order) for _ in range(4)])
+    (result,) = aggregate([[ranking_of(order)] for _ in range(4)])
     np.testing.assert_array_equal(result.order, order)
 
 
 def test_two_reversed_lists_tie_by_index():
     a = ranking_of([0, 1])
     b = ranking_of([1, 0])
-    result = aggregate([a, b])
+    (result,) = aggregate([[a], [b]])
     np.testing.assert_array_equal(result.order, [0, 1])
     assert result.scores[0] == pytest.approx(result.scores[1])
 
 
 def test_aggregate_is_list_order_invariant():
-    lists = [ranking_of(rng.permutation(8)) for _ in range(3)]
-    base = aggregate(lists)
+    lists = [[ranking_of(rng.permutation(8))] for _ in range(3)]
+    (base,) = aggregate(lists)
     for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
-        shuffled = aggregate([lists[i] for i in perm])
+        (shuffled,) = aggregate([lists[i] for i in perm])
         np.testing.assert_array_equal(shuffled.order, base.order)
 
 
 def test_aggregate_monte_carlo_oracle_equivalence():
     # same order when the recursion is replaced by a Monte Carlo estimate
     lists = [ranking_of(rng.permutation(8)) for _ in range(3)]
-    result = aggregate(lists)
+    (result,) = aggregate([[ranking] for ranking in lists])
     m = 8
     profiles = np.empty((m, 3))
     for j, ranking in enumerate(lists):
@@ -185,19 +217,56 @@ def test_aggregate_monte_carlo_oracle_equivalence():
     np.testing.assert_array_equal(result.order, oracle_order)
 
 
+def test_aggregate_scores_equal_loop_oracle_exactly():
+    # a 4-item gallery: most items share a position in two or more lists
+    for n in range(2, 13):
+        for m in (4, 30):
+            lists = [[ranking_of(rng.permutation(m))] for _ in range(n)]
+            (result,) = aggregate(lists)
+            positions = np.empty((n, m))
+            for j, (ranking,) in enumerate(lists):
+                positions[j, ranking.order] = np.arange(1, m + 1)
+            profiles = np.sort(positions / m, axis=0).T
+            want = np.array([stuart_loop(r.tolist()) for r in profiles])
+            assert np.array_equal(result.scores, want), (n, m)
+
+
+def test_one_batched_call_equals_one_call_per_probe():
+    n_probes, m = 7, 15
+    lists = [
+        [RankingList(p, rng.permutation(m), rng.random(m)) for p in range(n_probes)]
+        for _ in range(5)
+    ]
+    batched = aggregate(lists)
+    assert len(batched) == n_probes
+    for p, result in enumerate(batched):
+        (single,) = aggregate([[rankings[p]] for rankings in lists])
+        assert result.probe_index == single.probe_index == p
+        np.testing.assert_array_equal(result.order, single.order)
+        assert np.array_equal(result.scores, single.scores)
+
+
+def test_aggregate_rejects_different_probe_counts():
+    two = [ranking_of([0, 1, 2]), ranking_of([2, 1, 0])]
+    with pytest.raises(DataError, match="different numbers of probes"):
+        aggregate([two, two[:1]])
+    with pytest.raises(DataError, match="different numbers of probes"):
+        aggregate([two, two, []])
+
+
 def test_aggregate_needs_two_lists():
     with pytest.raises(DataError):
-        aggregate([ranking_of([0, 1, 2])])
+        aggregate([[ranking_of([0, 1, 2])]])
 
 
 def test_aggregate_rejects_mismatched_galleries():
     with pytest.raises(DataError):
-        aggregate([ranking_of([0, 1, 2]), ranking_of([1, 0])])
+        aggregate([[ranking_of([0, 1, 2])], [ranking_of([1, 0])]])
 
 
 def test_aggregate_statistic_bounds():
-    lists = [ranking_of(rng.permutation(11)) for _ in range(4)]
-    result = aggregate(lists)
+    lists = [[ranking_of(rng.permutation(11))] for _ in range(4)]
+    (result,) = aggregate(lists)
     assert np.all(result.scores >= 0.0) and np.all(result.scores <= 1.0)
     assert sorted(result.order.tolist()) == list(range(11))
 
