@@ -28,7 +28,8 @@ from .evaluation import (
     postrank_stats,
     summarize_postrank_stats,
 )
-from .features import assemble_cue
+from .features import IMAGE_H, IMAGE_W, extract_cues
+from .features import assemble_cue  # noqa: F401  perfbench/layers.py wraps this name
 from .features.pca import apply_pca, fit_pca
 from .postrank import DciaResult, apply_dcia, content_set, postrank, train_postrank_model
 from .rankagg import aggregate, best_n_select
@@ -86,32 +87,42 @@ def compute_cue_bank(
     records: list[ImageRecord],
     config: ExperimentConfig,
 ) -> FeatureBank:
-    """Extract the configured hand-crafted cues for every record."""
-    bank: dict[tuple[str, str], list[np.ndarray]] = {}
+    """Extract the configured hand-crafted cues for every record, each
+    block's rows written in place into one preallocated matrix."""
+    bank: FeatureBank = {}
     if not config.computed_cues:
-        return {}
+        return bank
     if config.images_dir is None:
         raise ConfigError("computed_cues requires images_dir")
-    for rec in records:
-        image = load_image(Path(config.images_dir) / f"{rec.image_id}.ppm")
+    for i, rec in enumerate(records):
+        image_path = Path(config.images_dir) / f"{rec.image_id}.ppm"
+        image = load_image(image_path)
+        if image.shape != (IMAGE_H, IMAGE_W, 3):
+            raise DataError(
+                f"{image_path}: expected a {IMAGE_W}x{IMAGE_H} image,"
+                f" got {image.shape[1]}x{image.shape[0]}"
+            )
         mask: ForegroundMask | None = None
         if config.masks_dir is not None:
             mask_path = Path(config.masks_dir) / f"{rec.image_id}.pgm"
             if mask_path.exists():
                 mask = load_mask(mask_path)
+        descs = extract_cues(
+            image,
+            config.computed_cues,
+            mask,
+            masked_cues=config.masked_cues,
+            n_stripes=config.n_regions,
+            mask_blend=config.mask_blend,
+        )
         for cue in config.computed_cues:
-            cue_mask = mask if cue in config.masked_cues else None
-            desc = assemble_cue(
-                image,
-                cue,
-                cue_mask,
-                n_stripes=config.n_regions,
-                mask_blend=config.mask_blend,
-            )
-            bank.setdefault((cue, "G"), []).append(desc.global_)
-            for r, vec in enumerate(desc.local):
-                bank.setdefault((cue, f"r{r}"), []).append(vec)
-    return {key: np.vstack(rows) for key, rows in bank.items()}
+            desc = descs[cue]
+            scoped = [("G", desc.global_)] + [(f"r{r}", v) for r, v in enumerate(desc.local)]
+            for scope, vec in scoped:
+                if i == 0:
+                    bank[(cue, scope)] = np.empty((len(records), vec.size))
+                bank[(cue, scope)][i] = vec
+    return bank
 
 
 def load_ingested_bank(
@@ -206,10 +217,13 @@ def _truth_map(labels_a: np.ndarray, labels_b: np.ndarray) -> dict[int, int]:
     return {p: gallery_of[int(label)] for p, label in enumerate(labels_a)}
 
 
-def reduce_bank(raw_bank: FeatureBank, fit_rows: np.ndarray, pca_dim: int) -> FeatureBank:
-    """Per-block PCA fit on the training rows, applied to every row."""
+def reduce_bank(
+    raw_bank: FeatureBank, keys: set[tuple[str, str]], fit_rows: np.ndarray, pca_dim: int
+) -> FeatureBank:
+    """Per-block PCA fit on the training rows, applied to every row, for the
+    blocks of ``keys`` the bank holds (a missing one fails where it is used)."""
     reduced: FeatureBank = {}
-    for key in sorted(raw_bank):
+    for key in sorted(keys & raw_bank.keys()):
         model = fit_pca(raw_bank[key][fit_rows], pca_dim)
         reduced[key] = apply_pca(model, raw_bank[key])
     return reduced
@@ -264,7 +278,9 @@ def run_stage(
     row_index = dataset.row_index
     fit = _stage_sides(fit_ids, split, row_index)
     eval_side = _stage_sides(eval_ids, split, row_index)
-    reduced = reduce_bank(dataset.raw_bank, _stage_rows(fit), config.pca_dim)
+    reps = [config.representation(rep_id) for rep_id in config.representations]
+    used = {key for rep in reps for key in rep.block_keys()}
+    reduced = reduce_bank(dataset.raw_bank, used, _stage_rows(fit), config.pca_dim)
     records = dataset.records
     outcome = StageOutcome(
         truth=_truth_map(eval_side.labels_a, eval_side.labels_b),
@@ -273,8 +289,7 @@ def run_stage(
     )
 
     train_cfg = TrainConfig(lam=config.lam, max_iters=config.max_iters)
-    for rep_idx, rep_id in enumerate(config.representations):
-        rep = config.representation(rep_id)
+    for rep_idx, (rep_id, rep) in enumerate(zip(config.representations, reps)):
         keys = rep.block_keys()
         model = (models or {}).get(rep_id)
         if model is not None and model.block_keys() != sorted(keys):

@@ -1,7 +1,7 @@
 """Hand-crafted visual cues, normalization and PCA."""
 
 from .colorspace import convert, to_gray, to_hsv, to_l1l2l3, to_lab, to_normalized_rgb
-from .cues import CUE_IDS, CueDescriptor, assemble_cue, l2_normalize
+from .cues import CUE_IDS, CueDescriptor, assemble_cue, extract_cues, l2_normalize
 from .grid import (
     IMAGE_H,
     IMAGE_W,
@@ -32,6 +32,7 @@ __all__ = [
     "color_name_distribution",
     "convert",
     "default_palette",
+    "extract_cues",
     "fit_pca",
     "hog_descriptor",
     "joint_color_histogram",

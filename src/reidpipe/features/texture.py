@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
-from ..errors import ConfigError
+from ..errors import ConfigError, ContractError
 
 HOG_BINS = 9
 SILTP_TAU = 0.3
@@ -13,8 +13,12 @@ SILTP_BINS = 81
 
 
 def hog_orientation_grid(gray: np.ndarray, bins: int = HOG_BINS) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel unsigned orientation bin and gradient magnitude."""
-    gy, gx = np.gradient(gray)
+    """Per-pixel unsigned orientation bin and gradient magnitude.
+
+    Gradients run along the last two axes, so a stack of patches gets each
+    patch's own gradients.
+    """
+    gy, gx = np.gradient(gray, axis=(-2, -1))
     mag = np.hypot(gx, gy)
     ang = np.arctan2(gy, gx) % np.pi
     idx = np.clip((ang / np.pi * bins).astype(np.int64), 0, bins - 1)
@@ -23,21 +27,32 @@ def hog_orientation_grid(gray: np.ndarray, bins: int = HOG_BINS) -> tuple[np.nda
 
 def hog_descriptor(pixels: np.ndarray, bins: int = HOG_BINS) -> np.ndarray:
     """Gradient-magnitude histogram over ``bins`` unsigned orientations in [0, pi)."""
-    idx, mag = hog_orientation_grid(np.asarray(pixels, dtype=np.float64), bins)
-    rect = np.array([[0, 0, pixels.shape[1], pixels.shape[0]]], dtype=np.int64)
-    return kernels.patch_histograms(idx, mag, rect, bins)[0]
+    gray = np.asarray(pixels, dtype=np.float64)
+    rect = np.array([[0, 0, gray.shape[1], gray.shape[0]]], dtype=np.int64)
+    return patch_hog_histograms(gray, rect, bins)[0]
 
 
 def patch_hog_histograms(gray: np.ndarray, rects: np.ndarray, bins: int = HOG_BINS) -> np.ndarray:
-    """Per-patch HOG histograms; gradients are taken patch-locally.
+    """Per-patch HOG histograms of equally sized patches, all in one pass.
 
-    Gradients at patch borders use the patch's own one-sided differences, so
-    each row equals :func:`hog_descriptor` of the cropped patch.
+    Gradients are taken patch-locally: at patch borders they use the patch's
+    own one-sided differences, so each row equals the histogram of the
+    cropped patch alone. Each patch's pixels are summed in row-major order.
     """
-    out = np.empty((rects.shape[0], bins), dtype=np.float64)
-    for k, (x0, y0, w, h) in enumerate(rects):
-        out[k] = hog_descriptor(gray[y0 : y0 + h, x0 : x0 + w], bins)
-    return out
+    n = rects.shape[0]
+    if n == 0:
+        return np.zeros((0, bins), dtype=np.float64)
+    w, h = rects[0, 2], rects[0, 3]
+    if np.any(rects[:, 2] != w) or np.any(rects[:, 3] != h):
+        raise ContractError("patch_hog_histograms needs equally sized patches")
+    rows = rects[:, 1, None, None] + np.arange(h)[:, None]
+    cols = rects[:, 0, None, None] + np.arange(w)
+    idx, mag = hog_orientation_grid(np.asarray(gray, dtype=np.float64)[rows, cols], bins)
+    # the (n, h, w) stack as one (n * h, w) grid with one rectangle per patch
+    tiles = np.column_stack(
+        [np.zeros(n, dtype=np.int64), h * np.arange(n), np.full(n, w), np.full(n, h)]
+    )
+    return kernels.patch_histograms(idx.reshape(n * h, w), mag.reshape(n * h, w), tiles, bins)
 
 
 def _check_siltp_params(radius: int, neighbors: int) -> None:

@@ -5,7 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reidpipe.datamodel import ImageRecord, save_feature_matrix, save_identities
+from reidpipe.datamodel import (
+    ImageRecord,
+    save_feature_matrix,
+    save_identities,
+    save_pgm,
+    save_ppm,
+)
 
 
 def build_synthetic_dataset(
@@ -78,6 +84,26 @@ report_dir = report
     config_path = root / "config.ini"
     config_path.write_text(config)
     return config_path
+
+
+def write_color_dataset(root, n_ids=8, noise=18.0, seed=0, with_masks=True):
+    """Identity-colored images: each person is a noisy constant color."""
+    rng = np.random.default_rng(seed)
+    imgs = root / "imgs"
+    imgs.mkdir(parents=True)
+    records = []
+    for pid in range(n_ids):
+        base = rng.integers(30, 220, size=3)
+        for cam in "AB":
+            image_id = f"{cam.lower()}{pid}"
+            records.append(ImageRecord(image_id, pid, cam))
+            img = np.clip(
+                base[None, None, :] + rng.normal(0.0, noise, (128, 48, 3)), 0, 255
+            ).astype(np.uint8)
+            save_ppm(img, imgs / f"{image_id}.ppm")
+            if with_masks:
+                save_pgm(np.full((128, 48), 255, np.uint8), imgs / f"{image_id}.pgm")
+    save_identities(records, root / "identities.csv")
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_synthetic_dataset
+from conftest import build_synthetic_dataset, write_color_dataset
 from reidpipe.cli import main
 from reidpipe.config import load_config
 from reidpipe.experiment import run_experiment
@@ -47,3 +47,27 @@ def test_layer_probes_resolve_and_nest(tmp_path, traced):
         assert traced.calls[name] > 0, name
     for stat in ("simlearn.scored_rows", "postrank.windows_requested", "postrank.contents"):
         assert traced.stats[stat] > 0, stat
+
+
+def test_layer_probes_see_computed_cue_extraction(tmp_path, traced):
+    write_color_dataset(tmp_path, n_ids=6)
+    config_path = tmp_path / "c.ini"
+    config_path.write_text(
+        "[data]\nidentities = identities.csv\nimages_dir = imgs\nmasks_dir = imgs\n"
+        "[features]\ncomputed_cues = C1,C2,C3,C4,C5,C6\npca_dim = 4\n"
+        "[representations]\nSC = C5:GL, C6:GL\n"
+        "[postrank]\nenabled = false\n"
+        "[rankagg]\nbest_n = false\n"
+        "[eval]\nseeds = 0\nrepresentations = F0,SC\nreport_dir = rep\n"
+    )
+    with traced.span("timed"):
+        assert main(["eval", "-c", str(config_path)]) == 0
+    assert traced.nesting_ok()
+    extract = [s for s in traced.spans if s["name"] == "features.extract"]
+    assert len(extract) == 1
+    for name in ("datamodel.load_image", "datamodel.load_mask", "kernels.patch_histograms",
+                 "kernels.siltp_codes", "features.pca_fit"):
+        assert traced.calls[name] > 0, name
+    # PCA is fitted on exactly the blocks the representations use
+    assert traced.stats["features.pca_blocks_fitted"] > 0
+    assert traced.stats["features.pca_blocks_used"] == traced.stats["features.pca_blocks_fitted"]

@@ -329,6 +329,15 @@ def test_cli_zero_size_mask_is_exit_3(tmp_path, capsys):
     assert "a0.pgm" in capsys.readouterr().err
 
 
+def test_cli_wrong_size_image_is_exit_3(tmp_path, capsys):
+    config_path = _image_dataset(tmp_path)
+    save_ppm(np.zeros((100, 50, 3), dtype=np.uint8), tmp_path / "imgs" / "a0.ppm")
+    assert main(["extract", "-c", str(config_path), "--out", str(tmp_path / "feats")]) == 3
+    assert "a0.ppm: expected a 48x128 image, got 50x100" in capsys.readouterr().err
+    assert main(["eval", "-c", str(config_path)]) == 3
+    assert "a0.ppm: expected a 48x128 image, got 50x100" in capsys.readouterr().err
+
+
 def test_cli_postrank_fallback_is_reported(tmp_path, capsys):
     config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=14, pca_dim=4)
     trained_dir, single_dir = tmp_path / "trained", tmp_path / "single"

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reidpipe import kernels
 from reidpipe.datamodel import ForegroundMask
 from reidpipe.errors import ConfigError
 from reidpipe.features import (
+    CUE_IDS,
     assemble_cue,
     channel_histogram,
     color_name_distribution,
     convert,
     default_palette,
+    extract_cues,
     fit_pca,
     apply_pca,
     hog_descriptor,
@@ -20,9 +23,12 @@ from reidpipe.features import (
     scncd_descriptor,
     siltp_descriptor,
     stripe_bounds,
+    to_gray,
     to_l1l2l3,
     to_normalized_rgb,
 )
+from reidpipe.features.scncd import SCNCD_SPACES
+from reidpipe.features.texture import patch_hog_histograms
 
 rng = np.random.default_rng(7)
 
@@ -266,6 +272,15 @@ def test_hog_rotation_permutes_dominant_bin():
     np.testing.assert_allclose(hog_descriptor(rotated), hist_rot, atol=1e-10)
 
 
+@pytest.mark.parametrize("size", [(48, 128), (50, 130)])
+def test_patch_hog_histograms_equal_hog_of_each_cropped_patch(size):
+    gray = rng.random(size[::-1])
+    grid = patch_grid(*size)
+    stacked = patch_hog_histograms(gray, grid.rects)
+    want = [hog_descriptor(gray[y0 : y0 + h, x0 : x0 + w]) for x0, y0, w, h in grid.rects]
+    assert np.array_equal(stacked, want)
+
+
 # ---------------------------------------------------------------------------
 # SILTP
 # ---------------------------------------------------------------------------
@@ -399,6 +414,118 @@ def test_c5_zero_mask_kills_color_keeps_texture():
         np.linalg.norm(got_texture) * np.linalg.norm(want_texture)
     )
     assert cos == pytest.approx(1.0, abs=1e-12)
+
+
+# cue -> (color space, color histogram, texture descriptor)
+CUE_RECIPES = {
+    "C1": ("hsv", joint_color_histogram, hog_descriptor),
+    "C2": ("hsv", channel_histogram, siltp_descriptor),
+    "C3": ("lab", joint_color_histogram, siltp_descriptor),
+    "C4": ("lab", channel_histogram, hog_descriptor),
+    "C5": (None, scncd_descriptor, hog_descriptor),
+    "C6": (None, scncd_descriptor, siltp_descriptor),
+}
+
+
+def per_cue_reference(image, cue, mask=None, n_stripes=4, mask_blend=0.0):
+    """One cue computed on its own: texture and color histograms patch by
+    patch from each cropped patch, SCNCD region by region from each cropped
+    stripe and sub-stripe."""
+
+    def unit(v):
+        return v / np.linalg.norm(v) if np.linalg.norm(v) > 0 else v
+
+    def unit_rows(rows):
+        norms = np.linalg.norm(np.array(rows), axis=1, keepdims=True)
+        return np.array(rows) / np.where(norms > 0, norms, 1.0)
+
+    space, color_fn, texture_fn = CUE_RECIPES[cue]
+    grid = patch_grid()
+    stripes = patch_stripe_indices(grid, n_stripes)
+    weights = None if mask is None else (1.0 - mask_blend) * mask.weights + mask_blend
+    gray = to_gray(image)
+    crops = [(slice(y0, y0 + h), slice(x0, x0 + w)) for x0, y0, w, h in grid.rects]
+    texture = unit_rows([texture_fn(gray[crop]) for crop in crops])
+    if space is not None:
+        color = unit_rows([
+            color_fn(image[crop], space, weights=None if weights is None else weights[crop])
+            for crop in crops
+        ])
+        per_patch = np.hstack([color, texture])
+        local = [unit(per_patch[stripes == r].ravel()) for r in range(n_stripes)]
+        return local, unit(per_patch.ravel())
+
+    def scncd(y0, y1):
+        return scncd_descriptor(image[y0:y1], weights=None if weights is None else weights[y0:y1])
+
+    def fuse(color, tex):
+        return unit(np.concatenate([unit(color), unit(tex)]))
+
+    bounds = stripe_bounds(128, n_stripes)
+    local = [
+        fuse(
+            np.concatenate(
+                [scncd(y0 + s0, y0 + s1) for s0, s1 in stripe_bounds(y1 - y0, n_stripes)]
+            ),
+            texture[stripes == r].ravel(),
+        )
+        for r, (y0, y1) in enumerate(bounds)
+    ]
+    return local, fuse(np.concatenate([scncd(y0, y1) for y0, y1 in bounds]), texture.ravel())
+
+
+@pytest.mark.parametrize(
+    "with_mask, masked_cues, mask_blend, n_stripes",
+    [
+        (False, (), 0.0, 4),
+        (True, ("C5", "C6"), 0.0, 4),
+        (True, ("C1", "C4", "C5"), 0.25, 4),
+        (True, ("C2", "C3", "C6"), 0.0, 3),
+    ],
+)
+def test_extract_cues_equals_each_cue_on_its_own(with_mask, masked_cues, mask_blend, n_stripes):
+    image = full_image()
+    mask = ForegroundMask(weights=rng.random((128, 48))) if with_mask else None
+    descs = extract_cues(
+        image, CUE_IDS, mask, masked_cues=masked_cues, n_stripes=n_stripes, mask_blend=mask_blend
+    )
+    assert list(descs) == list(CUE_IDS)
+    for cue in CUE_IDS:
+        cue_mask = mask if cue in masked_cues else None
+        single = assemble_cue(image, cue, cue_mask, n_stripes=n_stripes, mask_blend=mask_blend)
+        want_local, want_global = per_cue_reference(image, cue, cue_mask, n_stripes, mask_blend)
+        for desc in (descs[cue], single):
+            assert desc.cue_id == cue and len(desc.local) == n_stripes
+            assert np.array_equal(desc.global_, want_global), cue
+            for got, want in zip(desc.local, want_local):
+                assert np.array_equal(got, want), cue
+
+
+def test_extract_cues_runs_each_kernel_once_per_shared_intermediate(monkeypatch):
+    names = ("patch_histograms", "siltp_codes", "scncd_assign", "scncd_accumulate")
+    calls = dict.fromkeys(names, 0)
+    for name in calls:
+        original = getattr(kernels, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    mask = ForegroundMask(weights=rng.random((128, 48)))
+    # C5 masked and C6 unmasked: two weightings, one assignment per space
+    extract_cues(full_image(), CUE_IDS, mask, masked_cues=("C5",))
+    assert calls == {
+        "patch_histograms": 10,  # HOG, SILTP, 2 joint and 2x3 channel histograms
+        "siltp_codes": 1,
+        "scncd_assign": len(SCNCD_SPACES),
+        "scncd_accumulate": 0,
+    }
+
+
+def test_extract_cues_rejects_unknown_cue():
+    with pytest.raises(ConfigError):
+        extract_cues(full_image(), ("C1", "C9"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,30 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import write_color_dataset
 from reidpipe.cli import main
-from reidpipe.datamodel import ImageRecord, save_identities, save_pgm, save_ppm
+from reidpipe.datamodel import ImageRecord, save_identities
 from reidpipe.config import load_config
 from reidpipe.experiment import run_experiment
-
-
-def write_color_dataset(root, n_ids=8, noise=18.0, seed=0, with_masks=True):
-    """Identity-colored images: each person is a noisy constant color."""
-    rng = np.random.default_rng(seed)
-    imgs = root / "imgs"
-    imgs.mkdir(parents=True)
-    records = []
-    for pid in range(n_ids):
-        base = rng.integers(30, 220, size=3)
-        for cam in "AB":
-            image_id = f"{cam.lower()}{pid}"
-            records.append(ImageRecord(image_id, pid, cam))
-            img = np.clip(
-                base[None, None, :] + rng.normal(0.0, noise, (128, 48, 3)), 0, 255
-            ).astype(np.uint8)
-            save_ppm(img, imgs / f"{image_id}.ppm")
-            if with_masks:
-                save_pgm(np.full((128, 48), 255, np.uint8), imgs / f"{image_id}.pgm")
-    save_identities(records, root / "identities.csv")
 
 
 def test_eval_on_computed_baseline_cues(tmp_path):
