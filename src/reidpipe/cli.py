@@ -51,6 +51,10 @@ def _single_rep(args, postrank: bool):
 def _cmd_train(args) -> int:
     _, run = _single_rep(args, postrank=False)
     save_model(run.model, args.out)
+    print(
+        f"{args.rep}: {run.model.iterations} iterations, stop_reason {run.model.stop_reason}",
+        file=sys.stderr,
+    )
     print(f"wrote {args.out}")
     return 0
 

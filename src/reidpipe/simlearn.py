@@ -3,14 +3,25 @@
 A similarity model holds one symmetric Mahalanobis weight matrix and one
 symmetric bilinear weight matrix per (cue, region) block plus per-cue global
 blocks. The pair score is the sum of local block scores plus gamma times the
-global block sum. Training minimizes a logistic pair loss with Frobenius
-regularization by full-batch gradient descent with backtracking line search.
-The score is linear in the weights, so the problem is convex and a trial
-step ``W - tG`` scores as ``s(W) - t*s(G)``: each iteration scores the
-gradient direction once, prices every line-search trial in O(n_pairs) and
-computes block gradients only at the accepted point. The gradients are
-symmetric by construction, so the weights stay symmetric without a
-projection.
+global block sum. Galleries and training pairs are scored by one core,
+:func:`_score_matrix`.
+
+Training minimizes a logistic pair loss with Frobenius regularization by
+full-batch gradient descent with backtracking line search. The score is
+linear in the weights, so the problem is convex and a trial step ``W - tG``
+scores as ``s(W) - t*s(G)``: each iteration scores the gradient direction
+once, prices every line-search trial in O(n_pairs) and computes block
+gradients only at the accepted point. The gradients are symmetric by
+construction, so the weights stay symmetric without a projection.
+
+An iteration applies two linear maps, weights to pair scores and pair loss
+slopes to the gradient, at the size of the data rather than of a stack of
+per-pair rows. When the pairs index shared image banks (n^2 > N_a N_b), a
+pair's score is an entry of the image-level score matrix and the gradient
+is built from the (N_a, N_b) slope matrix. When there are no more pairs
+than rows (n^2 <= N_a N_b, as for post-ranking's one row per pair), the
+weights stay ``W = Psi^T alpha`` over the pairs' feature maps ``Psi``, and
+both maps are products with the (n, n) pair Gram ``Psi Psi^T``.
 """
 
 from __future__ import annotations
@@ -164,23 +175,21 @@ def score_pair(
     return local + model.gamma * global_
 
 
-def score_gallery(
-    model: SimilarityModel,
-    probes: FeatureBank,
-    gallery: FeatureBank,
+def _score_matrix(
+    blocks: Blocks, gamma: float, bank_a: FeatureBank, bank_b: FeatureBank
 ) -> np.ndarray:
-    """:func:`score_pair` of every probe row against every gallery row.
+    """The (N_a, N_b) score matrix of every ``bank_a`` row against every
+    ``bank_b`` row: the one scoring core of galleries and training pairs.
 
-    Returns the (P, G) score matrix. Per block, ``(a-b)^T M (a-b) + a^T W_B b
-    + b^T W_B a = a^T M a + b^T M b + a^T (W_B + W_B^T - M - M^T) b``, so each
-    block costs one probe x gallery product; global blocks are scaled by
-    gamma.
+    Per block, ``(a-b)^T M (a-b) + a^T W_B b + b^T W_B a = a^T M a + b^T M b
+    + a^T (W_B + W_B^T - M - M^T) b``, so each block costs one row x row
+    product; global blocks are scaled by gamma.
     """
     scores: np.ndarray | None = None
-    for key in model.block_keys():
-        w_m, w_b = model.blocks[key]
+    for key in sorted(blocks):
+        w_m, w_b = blocks[key]
         try:
-            mat_a, mat_b = probes[key], gallery[key]
+            mat_a, mat_b = bank_a[key], bank_b[key]
         except KeyError:
             raise ConfigError(f"missing descriptor for block {key}") from None
         d = mat_a.shape[1]
@@ -192,11 +201,26 @@ def score_gallery(
         contrib += np.einsum("ij,ij->i", mat_a @ w_m, mat_a)[:, None]
         contrib += np.einsum("ij,ij->i", mat_b @ w_m, mat_b)[None, :]
         if key[1] == GLOBAL_SCOPE:
-            contrib *= model.gamma
-        scores = contrib if scores is None else scores + contrib
+            contrib *= gamma
+        if scores is None:
+            scores = contrib
+        else:
+            scores += contrib
     if scores is None:
         raise ConfigError("model has no weight blocks")
     return scores
+
+
+def score_gallery(
+    model: SimilarityModel,
+    probes: FeatureBank,
+    gallery: FeatureBank,
+) -> np.ndarray:
+    """:func:`score_pair` of every probe row against every gallery row.
+
+    Returns the (P, G) score matrix (see :func:`_score_matrix`).
+    """
+    return _score_matrix(model.blocks, model.gamma, probes, gallery)
 
 
 def rank_gallery(
@@ -273,7 +297,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class _PairData:
-    """Per-block pair feature stacks reused across iterations."""
+    """Training pairs over shared image banks: each block's (N_a, d) and
+    (N_b, d) camera matrices, the pair indices and the labels."""
 
     def __init__(self, bank_a: FeatureBank, bank_b: FeatureBank,
                  pairs: np.ndarray, keys: list[BlockKey]):
@@ -288,52 +313,71 @@ class _PairData:
                 f"pairs must be an (n, 3) integer array with labels +1/-1, "
                 f"got {pairs.dtype} {pairs.shape}"
             )
-        idx_a = pairs[:, 0]
-        idx_b = pairs[:, 1]
-        self.y = pairs[:, 2].astype(np.float64)
+        if not keys:
+            raise ConfigError("representation has no weight blocks")
         self.keys = keys
         self.a: dict[BlockKey, np.ndarray] = {}
         self.b: dict[BlockKey, np.ndarray] = {}
-        self.diff: dict[BlockKey, np.ndarray] = {}
         for key in keys:
             try:
-                mat_a, mat_b = bank_a[key], bank_b[key]
+                self.a[key], self.b[key] = bank_a[key], bank_b[key]
             except KeyError:
                 raise ConfigError(f"missing descriptor for block {key}") from None
-            if mat_a.shape[1] != mat_b.shape[1]:
+            if self.a[key].shape[1] != self.b[key].shape[1]:
                 raise DimError(f"block {key}: camera banks disagree on dimension")
-            self.a[key] = mat_a[idx_a]
-            self.b[key] = mat_b[idx_b]
-            self.diff[key] = self.a[key] - self.b[key]
+        rows_a = {mat.shape[0] for mat in self.a.values()}
+        rows_b = {mat.shape[0] for mat in self.b.values()}
+        if len(rows_a) != 1 or len(rows_b) != 1:
+            raise DimError("blocks of one camera bank disagree on their row count")
+        self.shape = (rows_a.pop(), rows_b.pop())
+        self.p = pairs[:, 0].astype(np.int64)
+        self.q = pairs[:, 1].astype(np.int64)
+        if not (
+            ((self.p >= 0) & (self.p < self.shape[0])).all()
+            and ((self.q >= 0) & (self.q < self.shape[1])).all()
+        ):
+            raise DataError(
+                f"pair indices must lie in [0, {self.shape[0]}) x [0, {self.shape[1]})"
+            )
+        self.flat = self.p * self.shape[1] + self.q
+        self.y = pairs[:, 2].astype(np.float64)
+
+
+def _scale(key: BlockKey, gamma: float) -> float:
+    """A block's weight in the pair score: gamma on global blocks."""
+    return gamma if key[1] == GLOBAL_SCOPE else 1.0
 
 
 def _pair_scores(data: _PairData, blocks: Blocks, gamma: float) -> np.ndarray:
-    """Score of every pair. Linear in ``blocks``, so it also scores a step
-    direction; the bilinear term is one product with ``W_B + W_B^T``."""
-    s = np.zeros(len(data.y))
-    for key in data.keys:
-        w_m, w_b = blocks[key]
-        a, b, diff = data.a[key], data.b[key], data.diff[key]
-        term = np.einsum("ij,ij->i", diff @ w_m, diff)
-        term += np.einsum("ij,ij->i", a @ (w_b + w_b.T), b)
-        s += gamma * term if key[1] == GLOBAL_SCOPE else term
-    return s
+    """Score of every pair: its entry of the image-level score matrix.
+    Linear in ``blocks``, so it also scores a step direction."""
+    return _score_matrix(blocks, gamma, data.a, data.b).ravel()[data.flat]
 
 
 def _gradient(
     data: _PairData, blocks: Blocks, coef: np.ndarray, gamma: float, lam: float
 ) -> Blocks:
     """Block gradients of the penalized loss, given the per-pair loss slopes
-    ``coef``. Both are symmetric by construction, so symmetric weights stay
-    symmetric under gradient steps."""
+    ``coef``.
+
+    The slopes go into the (N_a, N_b) matrix C, a pair listed twice counting
+    twice. With X = A^T C B, the bilinear gradient is X + X^T and the
+    Mahalanobis one is A^T diag(C 1) A + B^T diag(C^T 1) B - X - X^T. Both
+    are symmetric by construction, so symmetric weights stay symmetric under
+    gradient steps.
+    """
+    c = np.bincount(data.flat, weights=coef, minlength=data.shape[0] * data.shape[1])
+    c = c.reshape(data.shape)
+    row, col = c.sum(axis=1), c.sum(axis=0)
     grads: Blocks = {}
     for key in data.keys:
         w_m, w_b = blocks[key]
-        c = (gamma * coef if key[1] == GLOBAL_SCOPE else coef)[:, None]
-        diff = data.diff[key]
-        m = (diff * c).T @ diff
-        x = (data.a[key] * c).T @ data.b[key]
-        grads[key] = (0.5 * (m + m.T) + 2.0 * lam * w_m, x + x.T + 2.0 * lam * w_b)
+        a, b = data.a[key], data.b[key]
+        x = (a.T @ c) @ b
+        g_b = x + x.T
+        m = (a.T * row) @ a + (b.T * col) @ b
+        s = _scale(key, gamma)
+        grads[key] = (s * (0.5 * (m + m.T) - g_b) + 2.0 * lam * w_m, s * g_b + 2.0 * lam * w_b)
     return grads
 
 
@@ -353,11 +397,117 @@ def loss_and_gradient(
     gamma: float,
     lam: float,
 ) -> tuple[float, Blocks, float]:
-    """Logistic pair loss with Frobenius penalty, plus analytic gradients."""
+    """Logistic pair loss with Frobenius penalty, plus analytic gradients,
+    on the image-level maps of :func:`train_model`."""
     margins = -data.y * (_pair_scores(data, blocks, gamma) - bias)
     coef = -data.y * _sigmoid(margins)
     loss = _loss(margins, _inner(blocks, blocks), lam)
     return loss, _gradient(data, blocks, coef, gamma, lam), float(-coef.sum())
+
+
+class _ImageMaps:
+    """Weights held as blocks: pair scores from the scoring core, gradients
+    from the slope matrix."""
+
+    def __init__(self, data: _PairData, gamma: float, lam: float):
+        self.data, self.gamma, self.lam = data, gamma, lam
+        self.weights: Blocks = {
+            key: (np.zeros((mat.shape[1],) * 2), np.zeros((mat.shape[1],) * 2))
+            for key, mat in data.a.items()
+        }
+
+    def scores(self) -> np.ndarray:
+        return _pair_scores(self.data, self.weights, self.gamma)
+
+    def direction(self, coef: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+        """Pair scores of the gradient G, and ||W||^2, <W, G>, ||G||^2."""
+        w = self.weights
+        g = self.grads = _gradient(self.data, w, coef, self.gamma, self.lam)
+        return _pair_scores(self.data, g, self.gamma), _inner(w, w), _inner(w, g), _inner(g, g)
+
+    def step(self, t: float) -> None:
+        self.weights = {
+            key: (w_m - t * self.grads[key][0], w_b - t * self.grads[key][1])
+            for key, (w_m, w_b) in self.weights.items()
+        }
+
+    def blocks(self) -> Blocks:
+        return self.weights
+
+
+class _PairSpaceMaps:
+    """Weights held as W = Psi^T alpha, where row i of Psi is pair i's
+    feature map with global blocks scaled by gamma. Every map is one product
+    with the (n, n) pair Gram K = Psi Psi^T."""
+
+    def __init__(self, data: _PairData, gamma: float, lam: float):
+        self.data, self.gamma, self.lam = data, gamma, lam
+        self.gram = _pair_gram(data, gamma)
+        self.alpha = np.zeros(len(data.y))
+        self.k_alpha = self.gram @ self.alpha
+
+    def scores(self) -> np.ndarray:
+        return self.k_alpha
+
+    def direction(self, coef: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+        """G = Psi^T beta with beta = coef + 2 lam alpha, so its pair scores
+        are K beta and every inner product is a dot of known vectors."""
+        self.beta = coef + 2.0 * self.lam * self.alpha
+        self.k_beta = self.gram @ self.beta
+        return (
+            self.k_beta,
+            float(self.alpha @ self.k_alpha),
+            float(self.beta @ self.k_alpha),
+            float(self.beta @ self.k_beta),
+        )
+
+    def step(self, t: float) -> None:
+        self.alpha = self.alpha - t * self.beta
+        self.k_alpha = self.k_alpha - t * self.k_beta
+
+    def blocks(self) -> Blocks:
+        blocks: Blocks = {}
+        for key in self.data.keys:
+            a, b = self.data.a[key][self.data.p], self.data.b[key][self.data.q]
+            diff = a - b
+            m = (diff.T * self.alpha) @ diff
+            x = (a.T * self.alpha) @ b
+            s = _scale(key, self.gamma)
+            blocks[key] = (s * 0.5 * (m + m.T), s * (x + x.T))
+        return blocks
+
+
+_GRAM_ROWS = 64  # rows of the pair Gram filled per product
+
+
+def _pair_gram(data: _PairData, gamma: float) -> np.ndarray:
+    """K[i, j] = sum over blocks of s^2 [(d_i.d_j)^2 + 2 (a_i.a_j)(b_i.b_j)
+    + 2 (a_i.b_j)(b_i.a_j)] with d = a - b and s = gamma on global blocks.
+
+    K is filled in place, ``_GRAM_ROWS`` rows at a time, so no (n, n)
+    temporary is made.
+    """
+    n = len(data.y)
+    gram = np.zeros((n, n))
+    for key in data.keys:
+        a, b = data.a[key][data.p], data.b[key][data.q]
+        diff = a - b
+        s2 = _scale(key, gamma) ** 2
+        for lo in range(0, n, _GRAM_ROWS):
+            rows, out = slice(lo, lo + _GRAM_ROWS), gram[lo : lo + _GRAM_ROWS]
+            tmp = a[rows] @ b.T
+            tmp *= b[rows] @ a.T
+            tmp *= 2.0 * s2
+            out += tmp
+            np.matmul(a[rows], a.T, out=tmp)
+            tmp *= b[rows] @ b.T
+            tmp *= 2.0 * s2
+            out += tmp
+            np.matmul(diff[rows], diff.T, out=tmp)
+            tmp *= tmp
+            tmp *= s2
+            out += tmp
+    return gram
 
 
 def train_model(
@@ -370,28 +520,35 @@ def train_model(
 ) -> SimilarityModel:
     """Fit weight blocks by full-batch gradient descent with line search.
 
-    ``pairs`` rows are (index_a, index_b, +1/-1); both classes must be
-    present. Weights start at zero (the loss is convex in them) and stay
-    symmetric because every gradient is. Line-search trials are priced by
-    linearity in O(n_pairs) (see the module docstring). The model records
-    the accepted steps in ``iterations`` and why training stopped in
-    ``stop_reason``: ``converged``, ``max_iters``, ``line_search`` (no trial
-    step met the Armijo test) or ``zero_gradient``.
+    ``pairs`` rows are (index_a, index_b, +1/-1), with indices in range;
+    both classes must be present. Weights start at zero (the loss is convex
+    in them) and stay symmetric because every gradient is. Line-search
+    trials are priced by linearity in O(n_pairs) (see the module docstring).
+
+    Each iteration applies two linear maps: weights to pair scores, and pair
+    slopes to the gradient. With n pairs over N_a x N_b images, they run at
+    the size of the data:
+
+    - image level (n^2 > N_a N_b, e.g. :func:`sample_pairs`): pair scores are
+      entries of the score matrix from the core behind :func:`score_gallery`,
+      and gradients come from the (N_a, N_b) slope matrix (:func:`_gradient`);
+    - pair space (n^2 <= N_a N_b, e.g. one row per pair): every step is
+      ``W <- (1 - 2 lam t) W - t Psi^T c`` from W = 0, so W = Psi^T alpha
+      exactly. Each iteration is one product with the (n, n) pair Gram, and
+      the blocks are formed once, at the end.
+
+    The model records the accepted steps in ``iterations`` and why training
+    stopped in ``stop_reason``: ``converged``, ``max_iters``, ``line_search``
+    (no trial step met the Armijo test) or ``zero_gradient``.
     """
-    keys = rep.block_keys()
-    data = _PairData(bank_a, bank_b, pairs, keys)
+    data = _PairData(bank_a, bank_b, pairs, rep.block_keys())
     if not ((data.y > 0).any() and (data.y < 0).any()):
         raise DataError("training pairs must contain both classes")
     lam = config.lam
-    blocks = {
-        key: (
-            np.zeros((data.a[key].shape[1],) * 2),
-            np.zeros((data.a[key].shape[1],) * 2),
-        )
-        for key in keys
-    }
+    pair_space = len(data.y) ** 2 <= data.shape[0] * data.shape[1]
+    maps = (_PairSpaceMaps if pair_space else _ImageMaps)(data, gamma, lam)
     bias = 0.0
-    z = _pair_scores(data, blocks, gamma) - bias
+    z = maps.scores() - bias
     margins = -data.y * z
     loss = _loss(margins, 0.0, lam)
     if not np.isfinite(loss):
@@ -402,14 +559,13 @@ def train_model(
     while iterations < config.max_iters:
         coef = -data.y * _sigmoid(margins)
         grad_bias = float(-coef.sum())
-        grads = _gradient(data, blocks, coef, gamma, lam)
-        w_sq, w_dot_g, g_sq = _inner(blocks, blocks), _inner(blocks, grads), _inner(grads, grads)
+        dz_w, w_sq, w_dot_g, g_sq = maps.direction(coef)
         grad_sq = grad_bias**2 + g_sq
         if grad_sq == 0.0:
             stop = "zero_gradient"
             break
         # z(W - tG, bias - t*grad_bias) = z - t*dz
-        dz = _pair_scores(data, grads, gamma) - grad_bias
+        dz = dz_w - grad_bias
         t = step
         for _ in range(60):
             trial_margins = -data.y * (z - t * dz)
@@ -420,10 +576,7 @@ def train_model(
         else:
             stop = "line_search"
             break
-        blocks = {
-            key: (w_m - t * grads[key][0], w_b - t * grads[key][1])
-            for key, (w_m, w_b) in blocks.items()
-        }
+        maps.step(t)
         bias -= t * grad_bias
         z, margins = z - t * dz, trial_margins
         prev_loss, loss = loss, trial_loss
@@ -433,7 +586,7 @@ def train_model(
             stop = "converged"
             break
     return SimilarityModel(
-        rep_id=rep.rep_id, gamma=gamma, bias=bias, blocks=blocks,
+        rep_id=rep.rep_id, gamma=gamma, bias=bias, blocks=maps.blocks(),
         iterations=iterations, stop_reason=stop,
     )
 
@@ -445,11 +598,9 @@ def pair_accuracy(
     pairs: np.ndarray,
 ) -> float:
     """Fraction of pairs whose score side of the bias matches the label."""
-    pairs = np.asarray(pairs)
     data = _PairData(bank_a, bank_b, pairs, model.block_keys())
     z = _pair_scores(data, model.blocks, model.gamma) - model.bias
-    pred = np.where(z > 0, 1, -1)
-    return float(np.mean(pred == pairs[:, 2]))
+    return float(np.mean(np.where(z > 0, 1.0, -1.0) == data.y))
 
 
 # ---------------------------------------------------------------------------

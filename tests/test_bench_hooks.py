@@ -71,3 +71,20 @@ def test_layer_probes_see_computed_cue_extraction(tmp_path, traced):
     # PCA is fitted on exactly the blocks the representations use
     assert traced.stats["features.pca_blocks_fitted"] > 0
     assert traced.stats["features.pca_blocks_used"] == traced.stats["features.pca_blocks_fitted"]
+
+
+def test_layer_probes_see_both_trainers(tmp_path, traced):
+    # simlearn.train is opened by the probes on experiment.train_model (the
+    # initial models) and on postrank.train_model (the post-rank models); a
+    # trainer that moves off either name would drop out of simlearn.train_s
+    config_path = build_synthetic_dataset(tmp_path / "d", n_ids=16, seeds=(0,), pca_dim=8)
+    config = load_config(config_path)
+    assert config.postrank_enabled
+    with traced.span("timed"):
+        run_experiment(config)
+    assert traced.nesting_ok()
+    names = {span["id"]: span["name"] for span in traced.spans}
+    parents = [names.get(s["parent"]) for s in traced.spans if s["name"] == "simlearn.train"]
+    from_postrank = parents.count("postrank.train")
+    assert from_postrank > 0
+    assert len(parents) - from_postrank > 0

@@ -18,6 +18,8 @@ from reidpipe.datamodel import (
 )
 from reidpipe.errors import ConfigError
 from reidpipe.evaluation import load_rankings_csv
+from reidpipe.experiment import run_single_rep
+from reidpipe.simlearn import save_model
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +356,27 @@ def test_cli_postrank_fallback_is_reported(tmp_path, capsys):
     assert fallback.out == trained.out.replace(str(trained_dir), str(single_dir))
     initial = (single_dir / "R1_initial.csv").read_bytes()
     assert (single_dir / "R1_postranked.csv").read_bytes() == initial
+
+
+def test_cli_train_reports_convergence_on_stderr(tmp_path, capsys):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=10, pca_dim=4)
+    model_path = tmp_path / "r1.simw"
+    assert main(["train", "-c", str(config_path), "--rep", "R1", "--out", str(model_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {model_path}\n"
+    (line,) = captured.err.splitlines()
+    rep, iterations, _, label, reason = line.split()
+    assert rep == "R1:" and int(iterations) > 0 and label == "stop_reason"
+    assert reason in ("converged", "max_iters", "line_search", "zero_gradient")
+
+    # the line reads the model the command trained and saved
+    config = load_config(config_path)
+    config.postrank_enabled = False
+    run = run_single_rep(config, "R1", 0).per_rep["R1"]
+    assert line == f"R1: {run.model.iterations} iterations, stop_reason {run.model.stop_reason}"
+    again = tmp_path / "again.simw"
+    save_model(run.model, again)
+    assert again.read_bytes() == model_path.read_bytes()
 
 
 def test_cli_model_for_other_representation_is_exit_3(tmp_path, capsys):

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from reidpipe import simlearn
 from reidpipe.errors import ConfigError, DataError, DimError, FormatError
 from reidpipe.simlearn import (
     TABLE1,
@@ -395,12 +396,24 @@ def test_training_deterministic():
         np.array([[0, 0, 1], [1, 2, -1]], dtype=np.float64),
         np.array([[0, 0, 1], [1, 2, 0]]),
         np.array([0, 1, 1]),
+        # indices outside [0, rows): a negative one must not wrap to the last row
+        np.array([[-1, 3, -1], [0, 0, 1]]),
+        np.array([[0, -1, -1], [0, 0, 1]]),
+        np.array([[12, 3, -1], [0, 0, 1]]),
+        np.array([[0, 12, -1], [0, 0, 1]]),
     ],
 )
 def test_training_malformed_pairs_rejected(pairs):
-    rep, bank_a, bank_b, _ = make_separable()
+    rep, bank_a, bank_b, good = make_separable()
     with pytest.raises(DataError):
         train_model(bank_a, bank_b, pairs, rep, gamma=1.1)
+    model = train_model(bank_a, bank_b, good, rep, gamma=1.1, config=TrainConfig(max_iters=2))
+    with pytest.raises(DataError):
+        pair_accuracy(model, bank_a, bank_b, pairs)
+    with pytest.raises(DataError):
+        loss_and_gradient(
+            _PairData(bank_a, bank_b, pairs, rep.block_keys()), model.blocks, 0.0, 1.1, 1e-3
+        )
 
 
 def test_training_stop_reasons():
@@ -422,14 +435,45 @@ def test_training_stop_reasons():
     assert stop(bank_a=zeros, bank_b=zeros, pairs=balanced) == ("zero_gradient", 0)
 
 
+def per_pair_loss_and_gradient(bank_a, bank_b, pairs, blocks, bias, gamma, lam):
+    """Oracle for loss_and_gradient: every pair's a, b and a - b rows stacked
+    per block, pair scores and gradients summed pair by pair."""
+    pairs = np.asarray(pairs)
+    y = pairs[:, 2].astype(np.float64)
+    stacks = {key: (bank_a[key][pairs[:, 0]], bank_b[key][pairs[:, 1]]) for key in blocks}
+    scale = {key: gamma if key[1] == "G" else 1.0 for key in blocks}
+    scores = np.zeros(len(y))
+    for key, (w_m, w_b) in blocks.items():
+        a, b = stacks[key]
+        diff = a - b
+        term = np.einsum("ij,ij->i", diff @ w_m, diff)
+        term += np.einsum("ij,ij->i", a @ (w_b + w_b.T), b)
+        scores += scale[key] * term
+    margins = -y * (scores - bias)
+    coef = -y * np.exp(-np.logaddexp(0.0, -margins))
+    sq_norm = sum(np.sum(w_m * w_m) + np.sum(w_b * w_b) for w_m, w_b in blocks.values())
+    loss = float(np.logaddexp(0.0, margins).sum()) + lam * sq_norm
+    grads = {}
+    for key, (w_m, w_b) in blocks.items():
+        a, b = stacks[key]
+        c = scale[key] * coef[:, None]
+        diff = a - b
+        m = (diff * c).T @ diff
+        x = (a * c).T @ b
+        grads[key] = (0.5 * (m + m.T) + 2.0 * lam * w_m, x + x.T + 2.0 * lam * w_b)
+    return loss, grads, float(-coef.sum())
+
+
 def reference_train(bank_a, bank_b, pairs, rep, gamma, config=TrainConfig()):
-    """Gradient descent with a full loss-and-gradient pass per line-search
-    trial and every accepted step symmetrized: the algorithm train_model
-    must reproduce."""
-    data = _PairData(bank_a, bank_b, pairs, rep.block_keys())
-    blocks = {k: (np.zeros((m.shape[1],) * 2),) * 2 for k, m in data.a.items()}
+    """Gradient descent on the per-pair oracle with a full loss-and-gradient
+    pass per line-search trial and every accepted step symmetrized: the
+    algorithm train_model must reproduce."""
+    def loss_and_grad(blocks_, bias_):
+        return per_pair_loss_and_gradient(bank_a, bank_b, pairs, blocks_, bias_, gamma, config.lam)
+
+    blocks = {k: (np.zeros((bank_a[k].shape[1],) * 2),) * 2 for k in rep.block_keys()}
     bias, step, iterations = 0.0, 1.0, 0
-    loss, grads, grad_bias = loss_and_gradient(data, blocks, bias, gamma, config.lam)
+    loss, grads, grad_bias = loss_and_grad(blocks, bias)
     for _ in range(config.max_iters):
         grad_sq = grad_bias**2 + sum(np.sum(m * m) + np.sum(b * b) for m, b in grads.values())
         if grad_sq == 0.0:
@@ -437,9 +481,7 @@ def reference_train(bank_a, bank_b, pairs, rep, gamma, config=TrainConfig()):
         t = step
         for _ in range(60):
             trial = {k: (m - t * grads[k][0], b - t * grads[k][1]) for k, (m, b) in blocks.items()}
-            trial_loss, trial_grads, trial_gb = loss_and_gradient(
-                data, trial, bias - t * grad_bias, gamma, config.lam
-            )
+            trial_loss, trial_grads, trial_gb = loss_and_grad(trial, bias - t * grad_bias)
             if np.isfinite(trial_loss) and trial_loss <= loss - config.armijo * t * grad_sq:
                 break
             t *= 0.5
@@ -455,25 +497,49 @@ def reference_train(bank_a, bank_b, pairs, rep, gamma, config=TrainConfig()):
     return blocks, bias, iterations
 
 
-@pytest.mark.parametrize(
-    "scopes, n_ids, d, gamma",
-    [
-        # 6 blocks, 330 pairs > sum d^2 = 96; runs all 500 iterations
-        ({"C1": "GL", "C2": "GL"}, 30, 4, 1.1),
-        # one wide block, d^2 = 1600 > 132 pairs; converges
-        ({"X": "G"}, 12, 40, 1.0),
-    ],
-)
-def test_training_matches_reference_loop(scopes, n_ids, d, gamma):
-    r = np.random.default_rng(17)
-    rep = Representation("toy", scopes, n_regions=2)
+def camera_banks(rep, n_ids, d, r):
+    """Two noisy views of ``n_ids`` identity centres per block."""
     bank_a, bank_b = {}, {}
     for key in rep.block_keys():
         centers = r.standard_normal((n_ids, d))
         bank_a[key] = centers + 1.5 * r.standard_normal((n_ids, d))
         bank_b[key] = centers + 1.5 * r.standard_normal((n_ids, d))
+    return bank_a, bank_b
+
+
+def sampled(scopes, n_ids, d, r):
+    """Camera banks with sample_pairs' pairs: trained at image level."""
+    rep = Representation("toy", scopes, n_regions=2)
+    bank_a, bank_b = camera_banks(rep, n_ids, d, r)
     labels = np.arange(n_ids)
-    pairs = sample_pairs(labels, labels, r, neg_ratio=10)
+    return rep, bank_a, bank_b, sample_pairs(labels, labels, r, neg_ratio=10)
+
+
+def postrank_shaped(n, d, r):
+    """One global block, one probe row and one member row per pair and
+    pairs (i, i), as post-ranking trains: n^2 <= N_a N_b, so pair space."""
+    rep = Representation("toy", {"X": "G"}, n_regions=0)
+    labels = np.where(r.random(n) < 0.3, 1, -1)
+    probe = r.standard_normal((n, d))
+    member = r.standard_normal((n, d)) + (labels > 0)[:, None] * probe
+    pairs = np.column_stack([np.arange(n), np.arange(n), labels])
+    return rep, {("X", "G"): probe}, {("X", "G"): member}, pairs
+
+
+def count_pair_grams(monkeypatch):
+    """The size of every pair Gram train_model builds from now on."""
+    sizes = []
+    build = simlearn._pair_gram
+
+    def spy(data, gamma):
+        sizes.append(len(data.y))
+        return build(data, gamma)
+
+    monkeypatch.setattr(simlearn, "_pair_gram", spy)
+    return sizes
+
+
+def assert_matches_reference(bank_a, bank_b, pairs, rep, gamma):
     ref_blocks, ref_bias, ref_iterations = reference_train(bank_a, bank_b, pairs, rep, gamma)
     model = train_model(bank_a, bank_b, pairs, rep, gamma=gamma)
     assert model.iterations == ref_iterations
@@ -481,6 +547,122 @@ def test_training_matches_reference_loop(scopes, n_ids, d, gamma):
     for key, ref in ref_blocks.items():
         for got, want in zip(model.blocks[key], ref):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "scopes, n_ids, d, gamma",
+    [
+        # 6 blocks, 330 pairs > sum d^2 = 96; runs all 500 iterations
+        ({"C1": "GL", "C2": "GL"}, 30, 4, 1.1),
+        # one wide block, d^2 = 1600 > 132 pairs; converges
+        ({"X": "G"}, 12, 40, 1.0),
+        # post-rank shaped (no scopes): 40 wide, 60 pairs (i, i), pair space
+        pytest.param(None, 60, 40, 1.0, id="pair_space"),
+    ],
+)
+def test_training_matches_reference_loop(scopes, n_ids, d, gamma, monkeypatch):
+    r = np.random.default_rng(17)
+    if scopes is None:
+        rep, bank_a, bank_b, pairs = postrank_shaped(n_ids, d, r)
+    else:
+        rep, bank_a, bank_b, pairs = sampled(scopes, n_ids, d, r)
+    grams = count_pair_grams(monkeypatch)
+    assert_matches_reference(bank_a, bank_b, pairs, rep, gamma)
+    assert grams == ([] if scopes else [len(pairs)])
+
+
+@pytest.mark.parametrize("pair_space", [False, True], ids=["image", "pair_space"])
+def test_training_pair_listed_twice_matches_reference(pair_space, monkeypatch):
+    r = np.random.default_rng(29)
+    if pair_space:
+        rep, bank_a, bank_b, pairs = postrank_shaped(30, 8, r)
+        # one more row per camera keeps n^2 <= N_a N_b with a pair repeated
+        bank_a = {k: np.vstack([m, m[:1]]) for k, m in bank_a.items()}
+        bank_b = {k: np.vstack([m, m[:1]]) for k, m in bank_b.items()}
+    else:
+        rep, bank_a, bank_b, pairs = sampled({"C1": "GL"}, 10, 5, r)
+    pairs = np.vstack([pairs, pairs[:1]])
+    grams = count_pair_grams(monkeypatch)
+    assert_matches_reference(bank_a, bank_b, pairs, rep, gamma=1.1)
+    assert grams == ([len(pairs)] if pair_space else [])
+
+
+def test_pair_scores_match_score_pair():
+    # the image-level pair-score map against score_pair, pair by pair
+    r = np.random.default_rng(31)
+    rep = Representation("toy", {"C1": "GL", "C2": "G"}, n_regions=2)
+    bank_a, bank_b = camera_banks(rep, 7, 4, r)
+    bank_b = {k: m[:5] for k, m in bank_b.items()}
+    pairs = np.array([[p, q, 1 if p == q else -1] for p in range(7) for q in range(5)])
+    pairs = np.vstack([pairs, pairs[:3]])
+    model = random_model(rep, 4, r=r)
+    data = _PairData(bank_a, bank_b, pairs, rep.block_keys())
+    scores = simlearn._pair_scores(data, model.blocks, model.gamma)
+    assert scores.shape == (len(pairs),)
+    for (p, q, _), got in zip(pairs, scores):
+        want = score_pair(model, bank_row(bank_a, p), bank_row(bank_b, q))
+        assert abs(got - want) <= 1e-9
+
+
+def test_loss_and_gradient_matches_per_pair_oracle():
+    r = np.random.default_rng(37)
+    rep = Representation("toy", {"C1": "GL", "C2": "G"}, n_regions=2)
+    bank_a, bank_b = camera_banks(rep, 9, 5, r)
+    pairs = sample_pairs(np.arange(9), np.arange(9), r, neg_ratio=3)
+    pairs = np.vstack([pairs, pairs[:2]])
+    model = random_model(rep, 5, r=r)
+    data = _PairData(bank_a, bank_b, pairs, rep.block_keys())
+    loss, grads, grad_bias = loss_and_gradient(data, model.blocks, 0.2, 1.1, 1e-2)
+    ref_loss, ref_grads, ref_grad_bias = per_pair_loss_and_gradient(
+        bank_a, bank_b, pairs, model.blocks, 0.2, 1.1, 1e-2
+    )
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert grad_bias == pytest.approx(ref_grad_bias, rel=1e-12)
+    for key, ref in ref_grads.items():
+        for got, want in zip(grads[key], ref):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_pair_gram_matches_explicit_feature_map():
+    # K = Psi Psi^T, where pair i's row of Psi holds, per block, s * vec(d d^T)
+    # and s * vec(a b^T + b a^T); 70 pairs fill more than one row chunk
+    r = np.random.default_rng(43)
+    rep = Representation("toy", {"C1": "GL"}, n_regions=1)
+    bank_a, bank_b = camera_banks(rep, 70, 3, r)
+    labels = np.where(r.random(70) < 0.5, 1, -1)
+    pairs = np.column_stack([r.permutation(70), np.arange(70), labels])
+    data = _PairData(bank_a, bank_b, pairs, rep.block_keys())
+    rows = []
+    for p, q, _ in pairs:
+        row = []
+        for key in rep.block_keys():
+            a, b = bank_a[key][p], bank_b[key][q]
+            s = 1.1 if key[1] == "G" else 1.0
+            row.append(s * np.outer(a - b, a - b).ravel())
+            row.append(s * (np.outer(a, b) + np.outer(b, a)).ravel())
+        rows.append(np.concatenate(row))
+    psi = np.array(rows)
+    gram = simlearn._pair_gram(data, 1.1)
+    np.testing.assert_allclose(gram, psi @ psi.T, rtol=1e-12, atol=1e-9)
+
+
+def test_training_stop_reasons_in_pair_space(monkeypatch):
+    rep, bank_a, bank_b, pairs = postrank_shaped(40, 6, np.random.default_rng(41))
+    grams = count_pair_grams(monkeypatch)
+
+    def stop(bank_a=bank_a, bank_b=bank_b, pairs=pairs, **config):
+        model = train_model(bank_a, bank_b, pairs, rep, gamma=1.0, config=TrainConfig(**config))
+        return model.stop_reason, model.iterations
+
+    reason, iterations = stop()
+    assert reason == "converged" and 1 < iterations < 500
+    assert stop(max_iters=3) == ("max_iters", 3)
+    assert stop(lam=1e12) == ("converged", 1)
+    assert stop(lam=1e30) == ("line_search", 0)
+    zeros = {("X", "G"): np.zeros((2, 6))}
+    balanced = np.array([[0, 0, 1], [1, 1, -1]])
+    assert stop(bank_a=zeros, bank_b=zeros, pairs=balanced) == ("zero_gradient", 0)
+    assert grams == [40, 40, 40, 40, 2]
 
 
 def gradient_check(rep, bank_a, bank_b, pairs, gamma=1.1, lam=1e-3, eps=1e-5):
