@@ -178,11 +178,13 @@ def load_identities(path: str | Path) -> list[ImageRecord]:
     """Read the ``image_id,person_id,camera`` CSV into records."""
     records: list[ImageRecord] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(csv_reader(path), start=1):
+    reader = csv_reader(path)
+    for index, row in enumerate(reader):
         if not row:
             continue
-        if lineno == 1 and tuple(v.strip() for v in row) == IDENTITIES_HEADER:
+        if index == 0 and tuple(v.strip() for v in row) == IDENTITIES_HEADER:
             continue
+        lineno = reader.line_num  # the physical line: a quoted id may span several
         if len(row) != 3:
             raise FormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
         image_id, person_id, camera = (v.strip() for v in row)

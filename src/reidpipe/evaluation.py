@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -150,6 +153,12 @@ def summarize_postrank_stats(runs: list[PostrankStats]) -> PostrankStats:
 
 RANKING_HEADER = ("probe_id", "rank", "gallery_id", "score")
 
+# load_rankings_csv tokenizes and converts this many rows at a time. It stays
+# below the garbage collector's first threshold (700 allocations): a block's
+# row lists then rarely outlive a young collection, which would send them to
+# the older generations and their full scans. 4096 read about a quarter slower.
+ROW_BLOCK = 512
+
 
 def _field(convert, text: str, what: str, path, reader):
     """``convert(text)``; a bad value raises DataError naming file and line."""
@@ -165,6 +174,26 @@ def _row(row: list[str], width: int, path, reader) -> list[str]:
     return row
 
 
+def _escaped(ids: list[str]) -> list[str]:
+    """Each id as ``csv.writer`` writes it inside a row, quoted where needed."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = []
+    for value in ids:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value, ""))
+        out.append(buf.getvalue()[:-3])  # less the empty field's "," and the "\r\n"
+    return out
+
+
+def _write_csv(path: str | Path, header: tuple[str, ...], chunks) -> None:
+    """Write ``header``, then each chunk of escaped, "\\r\\n"-terminated rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(chunks)
+
+
 def save_rankings_csv(
     rankings: list[Ranking],
     path: str | Path,
@@ -172,13 +201,17 @@ def save_rankings_csv(
     gallery_ids: list[str],
 ) -> None:
     """Write rankings (best first) under their probe and gallery ids."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RANKING_HEADER)
+    probes, galleries = _escaped(probe_ids), _escaped(gallery_ids)
+
+    def chunks():
         for ranking in rankings:
-            probe = probe_ids[ranking.probe_index]
-            for rank, g in enumerate(ranking.order, start=1):
-                writer.writerow([probe, rank, gallery_ids[g], format(ranking.scores[g], ".10g")])
+            probe, scores = probes[ranking.probe_index], ranking.scores.tolist()
+            yield "".join([
+                f"{probe},{rank},{galleries[g]},{scores[g]:.10g}\r\n"
+                for rank, g in enumerate(ranking.order.tolist(), start=1)
+            ])
+
+    _write_csv(path, RANKING_HEADER, chunks())
 
 
 CONTENT_HEADER = ("probe_id", "gallery_id", "threshold")
@@ -191,13 +224,12 @@ def save_content_csv(
     probe_ids: list[str],
     gallery_ids: list[str],
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CONTENT_HEADER)
-        for content in contents:
-            probe = probe_ids[content.probe_index]
-            for g in content.members:
-                writer.writerow([probe, gallery_ids[g], format(content.threshold, ".10g")])
+    probes, galleries = _escaped(probe_ids), _escaped(gallery_ids)
+    _write_csv(path, CONTENT_HEADER, (
+        f"{probes[content.probe_index]},{galleries[g]},{content.threshold:.10g}\r\n"
+        for content in contents
+        for g in content.members
+    ))
 
 
 def load_content_csv(
@@ -234,11 +266,9 @@ def save_truth_csv(
     probe_ids: list[str],
     gallery_ids: list[str],
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_HEADER)
-        for p in sorted(truth):
-            writer.writerow([probe_ids[p], gallery_ids[truth[p]]])
+    probes, galleries = _escaped(probe_ids), _escaped(gallery_ids)
+    rows = (f"{probes[p]},{galleries[truth[p]]}\r\n" for p in sorted(truth))
+    _write_csv(path, TRUTH_HEADER, rows)
 
 
 def load_truth_csv(
@@ -260,36 +290,108 @@ def load_truth_csv(
     return truth
 
 
+def _row_blocks(reader):
+    """The reader's rows in lists of up to ``ROW_BLOCK``.
+
+    A tokenizer error is raised only after the rows before it were yielded,
+    so a faulty row ahead of it is still the one reported.
+    """
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(islice(reader, ROW_BLOCK))
+        except csv.Error:
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _raise_first_fault(path, start: int) -> NoReturn:
+    """Re-read the data rows from row ``start`` (0-based) one by one and raise
+    at the first malformed row, bad rank or bad score, naming its line."""
+    reader = csv_reader(path)
+    for row in islice(reader, start + 1, None):  # + 1: the header
+        _, rank, _, score = _row(row, 4, path, reader)
+        _field(int, rank, "rank", path, reader)
+        _field(float, score, "score", path, reader)
+    raise AssertionError(f"{path}: no faulty row from row {start}")
+
+
+def _codes(ids: tuple[str, ...], codes: dict[str, int]) -> np.ndarray:
+    """The code of each id; ids not yet in ``codes`` get the next codes in turn."""
+    try:
+        return np.fromiter(map(codes.__getitem__, ids), np.int64, len(ids))
+    except KeyError:
+        for value in dict.fromkeys(ids):
+            codes.setdefault(value, len(codes))
+        return np.fromiter(map(codes.__getitem__, ids), np.int64, len(ids))
+
+
 def load_rankings_csv(path: str | Path) -> tuple[list[RankingList], list[str], list[str]]:
-    """Read a ranking CSV back; gallery indices follow sorted gallery ids."""
-    rows: dict[str, list[tuple[int, str, float]]] = {}
-    probe_order: list[str] = []
+    """Read a ranking CSV back; gallery indices follow sorted gallery ids.
+
+    Rows are converted in blocks of ``ROW_BLOCK``. A probe's rows may come
+    in any order and between other probes' rows; probes are numbered in
+    order of first appearance. The first faulty row in the file is reported
+    by its line; then the first probe, in probe order, whose ranks are not
+    1..G over G distinct gallery ids.
+    """
     reader = csv_reader(path)
     header = next(reader, None)
     if header is None or tuple(header) != RANKING_HEADER:
         raise DataError(f"{path}: expected header {','.join(RANKING_HEADER)}")
-    for row in reader:
-        probe, rank, gallery, score = _row(row, 4, path, reader)
-        if probe not in rows:
-            rows[probe] = []
-            probe_order.append(probe)
-        rows[probe].append((
-            _field(int, rank, "rank", path, reader),
-            gallery,
-            _field(float, score, "score", path, reader),
-        ))
-    gallery_ids = sorted({g for entries in rows.values() for _, g, _ in entries})
+    probe_codes: dict[str, int] = {}
+    gallery_codes: dict[str, int] = {}
+    columns: list[tuple[np.ndarray, ...]] = []
+    start = 0
+    for block in _row_blocks(reader):
+        if set(map(len, block)) != {4}:
+            _raise_first_fault(path, start)
+        probes, rank_texts, galleries, score_texts = zip(*block)
+        try:
+            ranks = list(map(int, rank_texts))
+            scores = np.fromiter(map(float, score_texts), np.float64, len(block))
+        except ValueError:
+            _raise_first_fault(path, start)
+        try:
+            ranks = np.array(ranks, dtype=np.int64)
+        except OverflowError:
+            # no rank beyond int64 is in 1..G, nor is 0
+            ranks = np.array([r if abs(r) < 2**63 else 0 for r in ranks], dtype=np.int64)
+        columns.append(
+            (_codes(probes, probe_codes), ranks, _codes(galleries, gallery_codes), scores)
+        )
+        start += len(block)
+    probe_order = list(probe_codes)
+    gallery_ids = sorted(gallery_codes)
+    if not columns:
+        return [], probe_order, gallery_ids
+    probe, rank, gallery, score = (np.concatenate(c) for c in zip(*columns))
+    n_probes, n_gallery = len(probe_order), len(gallery_ids)
     gallery_index = {g: i for i, g in enumerate(gallery_ids)}
-    rankings: list[RankingList] = []
-    for p, probe in enumerate(probe_order):
-        entries = sorted(rows[probe])
-        ranks = [rank for rank, _, _ in entries]
-        galleries = {g for _, g, _ in entries}
-        if ranks != list(range(1, len(gallery_ids) + 1)) or len(galleries) != len(ranks):
-            raise DataError(f"{path}: probe {probe} is not a full permutation")
-        order = np.array([gallery_index[g] for _, g, _ in entries], dtype=np.int64)
-        scores = np.empty(len(gallery_ids))
-        for _, g, score in entries:
-            scores[gallery_index[g]] = score
-        rankings.append(RankingList(probe_index=p, order=order, scores=scores))
+    code_to_index = np.fromiter(map(gallery_index.__getitem__, gallery_codes), np.int64, n_gallery)
+    gallery = code_to_index[gallery]
+
+    # each probe's ranks, sorted, must run 1..G ...
+    counts = np.bincount(probe, minlength=n_probes)
+    by_rank = np.lexsort((rank, probe))
+    probe_sorted = probe[by_rank]
+    position = np.arange(probe.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    bad = counts != n_gallery
+    bad[probe_sorted[rank[by_rank] != position + 1]] = True
+    # ... and its gallery ids, sorted, must be all G
+    full = ~bad
+    order = gallery[by_rank][full[probe_sorted]].reshape(-1, n_gallery)
+    bad[full] = np.any(np.sort(order, axis=1) != np.arange(n_gallery), axis=1)
+    if bad.any():
+        probe_id = probe_order[int(np.argmax(bad))]
+        raise DataError(f"{path}: probe {probe_id} is not a full permutation")
+    scores = np.empty((n_probes, n_gallery))
+    scores[probe, gallery] = score
+    rankings = [
+        RankingList(probe_index=p, order=order[p], scores=scores[p]) for p in range(n_probes)
+    ]
     return rankings, probe_order, gallery_ids

@@ -88,3 +88,19 @@ def test_layer_probes_see_both_trainers(tmp_path, traced):
     from_postrank = parents.count("postrank.train")
     assert from_postrank > 0
     assert len(parents) - from_postrank > 0
+
+
+def test_layer_probes_see_ranking_csv_io(tmp_path, traced):
+    # the probes wrap cli.save_rankings_csv and cli.load_rankings_csv; a rename
+    # would read as zero CSV time and bytes in the traced benchmark
+    config_path = build_synthetic_dataset(
+        tmp_path / "d", n_ids=16, seeds=(0,), pca_dim=8, postrank=False
+    )
+    ranked = tmp_path / "r1.csv"
+    with traced.span("timed"):
+        assert main(["rank", "-c", str(config_path), "--rep", "R1", "--out", str(ranked)]) == 0
+        assert main(["aggregate", str(ranked), str(ranked), "--out", str(tmp_path / "a.csv")]) == 0
+    assert traced.nesting_ok()
+    for name in ("evaluation.csv_write", "evaluation.csv_read"):
+        assert traced.calls[name] > 0, name
+    assert traced.stats["evaluation.csv_bytes"] > 0

@@ -171,6 +171,18 @@ def test_cli_aggregate_non_integer_rank_is_exit_3(tmp_path, capsys):
     assert "b.csv" in err and "line 2" in err
 
 
+@pytest.mark.parametrize("row, message", [
+    (("p0", "99999999999999999999999", "g0", "1"), "probe p0 is not a full permutation"),
+    (("p0", "1", "g0"), "line 2: malformed row ['p0', '1', 'g0']"),
+    (("p0", "1", "g0", "high"), "line 2: bad score 'high'"),
+])
+def test_cli_aggregate_faulty_ranking_row_is_exit_3(tmp_path, capsys, row, message):
+    good = _write_csv(tmp_path / "a.csv", RANKING, [("p0", "1", "g0", "1"), ("p0", "2", "g1", "0")])
+    bad = _write_csv(tmp_path / "b.csv", RANKING, [row, ("p0", "2", "g1", "0")])
+    assert main(["aggregate", good, bad, "--out", str(tmp_path / "agg.csv")]) == 3
+    assert f"b.csv: {message}" in capsys.readouterr().err
+
+
 def test_cli_stats_unknown_gallery_id_is_exit_3(tmp_path, capsys):
     rows = [("p0", "1", "g0", "1"), ("p0", "2", "g1", "0")]
     ranking = _write_csv(tmp_path / "r.csv", RANKING, rows)
