@@ -22,7 +22,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .simlearn import TABLE1, Representation
+from .features import N_STRIPES, PCA_DIM
+from .postrank import ENERGY, K_COMMON, WINDOW
+from .rankagg import N_MAX
+from .simlearn import GAMMA_DEFAULT, NEG_RATIO, TABLE1, Representation, TrainConfig
 
 DEFAULT_SEEDS = tuple(range(10))
 
@@ -39,19 +42,19 @@ class ExperimentConfig:
     representations: tuple[str, ...] = ("F0",)
     custom_reps: dict[str, dict[str, str]] = field(default_factory=dict)
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    gamma: float = 1.1
-    pca_dim: int = 120
-    n_regions: int = 4
-    k_common: int = 13
-    energy: float = 0.35
-    window: int = 25
-    lam: float = 1e-3
-    max_iters: int = 500
-    neg_ratio: int = 10
+    gamma: float = GAMMA_DEFAULT
+    pca_dim: int = PCA_DIM
+    n_regions: int = N_STRIPES
+    k_common: int = K_COMMON
+    energy: float = ENERGY
+    window: int = WINDOW
+    lam: float = TrainConfig.lam
+    max_iters: int = TrainConfig.max_iters
+    neg_ratio: int = NEG_RATIO
     mask_blend: float = 0.0
     postrank_enabled: bool = True
     best_n_enabled: bool = True
-    n_max: int = 12
+    n_max: int = N_MAX
     report_dir: Path = Path("report")
 
     def __post_init__(self):

@@ -1,8 +1,9 @@
 """Dataset structures and on-disk formats.
 
-Owns the bounds-checked binary reader, the UTF-8 CSV reader, the FEAT
-binary descriptor format, the identities CSV, binary PGM/PPM image
-reading, foreground masks and identity-disjoint train/test splits.
+Owns the one read of input files, the bounds-checked binary reader, the
+UTF-8 CSV reader, the FEAT binary descriptor format, the identities CSV,
+binary PGM/PPM image reading, foreground masks and identity-disjoint
+train/test splits.
 All structures are immutable after construction and safe to share across
 concurrent readers.
 """
@@ -14,6 +15,7 @@ import io
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -87,8 +89,17 @@ class Split:
 
 
 # ---------------------------------------------------------------------------
-# Bounds-checked binary reader (FEAT and SIMW)
+# Input bytes; the bounds-checked binary reader (FEAT and SIMW)
 # ---------------------------------------------------------------------------
+
+def read_bytes(path: str | Path) -> bytes:
+    """Every byte of an input file; a file that cannot be read (missing, a
+    directory, no permission) raises DataError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
+
 
 class BinaryReader:
     """Little-endian reader over one file's bytes that never reads past them.
@@ -100,7 +111,7 @@ class BinaryReader:
 
     def __init__(self, path: str | Path, magic: bytes):
         self.path = Path(path)
-        self.raw = self.path.read_bytes()
+        self.raw = read_bytes(self.path)
         if self.raw[: len(magic)] != magic:
             raise FormatError(f"{self.path}: bad magic {self.raw[: len(magic)]!r}")
         self.pos = len(magic)
@@ -161,14 +172,58 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
 # UTF-8 CSV input; the identities CSV
 # ---------------------------------------------------------------------------
 
-def csv_reader(path: str | Path):
-    """A ``csv.reader`` over ``path`` read as UTF-8; other bytes raise FormatError."""
-    with open(path, encoding="utf-8", newline="") as fh:
+class _CsvRows:
+    """A ``csv.reader`` whose tokenizer errors, such as a field longer than
+    ``csv.field_size_limit()``, raise FormatError naming the file and line.
+    Rows before the faulty one are still returned."""
+
+    def __init__(self, path: str | Path, reader):
+        self.path = path
+        self._reader = reader
+
+    @property
+    def line_num(self) -> int:
+        """The physical lines read so far: a quoted field may span several."""
+        return self._reader.line_num
+
+    def _error(self, exc: csv.Error) -> FormatError:
+        return FormatError(f"{self.path}: line {self.line_num}: {exc}")
+
+    def __iter__(self):
         try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
-    return csv.reader(io.StringIO(text, newline=""))
+            yield from self._reader
+        except csv.Error as exc:
+            raise self._error(exc) from None
+
+    def __next__(self) -> list[str]:
+        return next(iter(self))
+
+    def blocks(self, size: int):
+        """The remaining rows in lists of up to ``size``, at no cost per row.
+
+        A tokenizer error is raised only after the rows before it were
+        yielded, so a faulty row ahead of it can still be the one reported.
+        """
+        while True:
+            block: list[list[str]] = []
+            try:
+                block.extend(islice(self._reader, size))
+            except csv.Error as exc:
+                if block:
+                    yield block
+                raise self._error(exc) from None
+            if not block:
+                return
+            yield block
+
+
+def csv_reader(path: str | Path) -> _CsvRows:
+    """The CSV rows of ``path`` read as UTF-8; other bytes raise FormatError."""
+    try:
+        text = read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return _CsvRows(path, csv.reader(io.StringIO(text, newline="")))
 
 
 IDENTITIES_HEADER = ("image_id", "person_id", "camera")
@@ -271,7 +326,7 @@ def _read_pnm_tokens(raw: bytes, count: int, path) -> tuple[list[int], int]:
 
 def _load_pnm(path: str | Path, magic: bytes, channels: int) -> np.ndarray:
     path = Path(path)
-    raw = path.read_bytes()
+    raw = read_bytes(path)
     if raw[:2] != magic:
         raise FormatError(f"{path}: not a {magic.decode()} file")
     (width, height, maxval), offset = _read_pnm_tokens(raw, 3, path)

@@ -290,25 +290,6 @@ def load_truth_csv(
     return truth
 
 
-def _row_blocks(reader):
-    """The reader's rows in lists of up to ``ROW_BLOCK``.
-
-    A tokenizer error is raised only after the rows before it were yielded,
-    so a faulty row ahead of it is still the one reported.
-    """
-    while True:
-        block: list[list[str]] = []
-        try:
-            block.extend(islice(reader, ROW_BLOCK))
-        except csv.Error:
-            if block:
-                yield block
-            raise
-        if not block:
-            return
-        yield block
-
-
 def _raise_first_fault(path, start: int) -> NoReturn:
     """Re-read the data rows from row ``start`` (0-based) one by one and raise
     at the first malformed row, bad rank or bad score, naming its line."""
@@ -347,7 +328,7 @@ def load_rankings_csv(path: str | Path) -> tuple[list[RankingList], list[str], l
     gallery_codes: dict[str, int] = {}
     columns: list[tuple[np.ndarray, ...]] = []
     start = 0
-    for block in _row_blocks(reader):
+    for block in reader.blocks(ROW_BLOCK):
         if set(map(len, block)) != {4}:
             _raise_first_fault(path, start)
         probes, rank_texts, galleries, score_texts = zip(*block)

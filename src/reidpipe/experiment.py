@@ -308,7 +308,9 @@ def run_stage(
             _sub_bank(reduced, keys, eval_side.rows_b),
         )
         if config.postrank_enabled:
-            rep_out = _postrank_stage(model, rep, reduced, fit, eval_side, initial, config)
+            rep_out = _postrank_stage(
+                model, rep, reduced, fit, eval_side, initial, config, train_cfg
+            )
         else:
             rep_out = _initial_only(model, initial, config)
         outcome.per_rep[rep_id] = rep_out
@@ -361,6 +363,7 @@ def _postrank_stage(
     eval_side: StageSides,
     initial: list[RankingList],
     config: ExperimentConfig,
+    train_cfg: TrainConfig,
 ) -> RepStageOutcome:
     """DCIA training on the fit split, then post-ranking of the eval rankings.
 
@@ -369,8 +372,6 @@ def _postrank_stage(
     so the pipeline still completes.
     """
     keys = rep.block_keys()
-    train_cfg = TrainConfig(lam=config.lam, max_iters=config.max_iters)
-
     fit_gallery_bank = _sub_bank(reduced, keys, fit.rows_b)
     fit_rankings = rank_gallery(model, _sub_bank(reduced, keys, fit.rows_a), fit_gallery_bank)
     fit_results = _dcia_all(

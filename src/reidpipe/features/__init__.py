@@ -13,7 +13,7 @@ from .grid import (
 )
 from .histograms import channel_histogram, joint_color_histogram
 from .pca import PCA_DIM, PcaModel, apply_pca, fit_pca
-from .scncd import ColorNamePalette, color_name_distribution, default_palette, scncd_descriptor
+from .scncd import scncd_descriptor
 from .texture import hog_descriptor, siltp_descriptor
 
 __all__ = [
@@ -22,16 +22,13 @@ __all__ = [
     "IMAGE_W",
     "N_STRIPES",
     "PCA_DIM",
-    "ColorNamePalette",
     "CueDescriptor",
     "PatchGrid",
     "PcaModel",
     "apply_pca",
     "assemble_cue",
     "channel_histogram",
-    "color_name_distribution",
     "convert",
-    "default_palette",
     "extract_cues",
     "fit_pca",
     "hog_descriptor",

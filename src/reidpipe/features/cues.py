@@ -21,7 +21,7 @@ from ..errors import ConfigError
 from .colorspace import convert, to_gray
 from .grid import IMAGE_H, IMAGE_W, N_STRIPES, patch_grid, patch_stripe_indices, stripe_bounds
 from .histograms import patch_channel_histograms, patch_joint_histograms
-from .scncd import ColorNamePalette, assign_color_names, scncd_regions
+from .scncd import assign_color_names, scncd_regions
 from .texture import patch_hog_histograms, patch_siltp_histograms
 
 CUE_IDS = ("C1", "C2", "C3", "C4", "C5", "C6")
@@ -36,14 +36,8 @@ _RECIPES = {
     "C6": (None, "scncd", "siltp"),
 }
 
-JOINT_BINS = 8
-CHANNEL_BINS = 16
-
 _TEXTURES = {"hog": patch_hog_histograms, "siltp": patch_siltp_histograms}
-_COLOR_HISTOGRAMS = {
-    "joint": (patch_joint_histograms, JOINT_BINS),
-    "channel": (patch_channel_histograms, CHANNEL_BINS),
-}
+_COLOR_HISTOGRAMS = {"joint": patch_joint_histograms, "channel": patch_channel_histograms}
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,6 @@ class CueDescriptor:
     cue_id: str
     local: tuple[np.ndarray, ...]
     global_: np.ndarray
-    normalized: bool = True
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -84,7 +77,6 @@ def extract_cues(
     masked_cues: tuple[str, ...] = (),
     n_stripes: int = N_STRIPES,
     mask_blend: float = 0.0,
-    palette: ColorNamePalette | None = None,
 ) -> dict[str, CueDescriptor]:
     """Compute the local (per-stripe) and global descriptors of every cue in
     ``cue_ids`` for one image.
@@ -131,8 +123,7 @@ def extract_cues(
         weights = mask_weights if cue in masked_cues else None
         texture = textures[texture_kind]
         if color_kind != "scncd":
-            histograms, bins = _COLOR_HISTOGRAMS[color_kind]
-            color = _l2_rows(histograms(spaces[space], grid.rects, bins, weights))
+            color = _l2_rows(_COLOR_HISTOGRAMS[color_kind](spaces[space], grid.rects, weights))
             per_patch = np.hstack([color, texture])
             out[cue] = CueDescriptor(
                 cue,
@@ -143,7 +134,7 @@ def extract_cues(
 
         # SCNCD cues: color at region level, texture per patch as above.
         if assignment is None:
-            assignment = assign_color_names(image, palette)
+            assignment = assign_color_names(image)
         masked = weights is not None
         if masked not in scncd_parts:
             scncd_parts[masked] = scncd_regions(assignment, regions, weights)
@@ -168,7 +159,6 @@ def assemble_cue(
     *,
     n_stripes: int = N_STRIPES,
     mask_blend: float = 0.0,
-    palette: ColorNamePalette | None = None,
 ) -> CueDescriptor:
     """One cue of :func:`extract_cues`, with the mask (if any) applied to it."""
     return extract_cues(
@@ -178,5 +168,4 @@ def assemble_cue(
         masked_cues=(cue_id,),
         n_stripes=n_stripes,
         mask_blend=mask_blend,
-        palette=palette,
     )[cue_id]

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError
 from .simlearn import RankingList
 
+N_MAX = 12  # best-n tries list counts 2..N_MAX
+
 
 @dataclass(frozen=True)
 class AggregationResult:
@@ -47,8 +49,9 @@ def _stuart(profiles: np.ndarray) -> np.ndarray:
     return np.clip(w[n], 0.0, 1.0)
 
 
-def stuart_statistic(r: np.ndarray, n: int | None = None) -> float:
-    """P(U_(1) <= r_(1), ..., U_(n) <= r_(n)) for sorted normalized ranks.
+def stuart_statistic(r: np.ndarray) -> float:
+    """P(U_(1) <= r_(1), ..., U_(n) <= r_(n)) for the n = ``r.size`` sorted
+    normalized ranks.
 
     Computed by the recursion W_0 = 1,
     W_k = sum_{i=1..k} (-1)^(i-1) C(k, i) r_(n-k+1)^i W_(k-i),
@@ -57,15 +60,13 @@ def stuart_statistic(r: np.ndarray, n: int | None = None) -> float:
     profile exactly 1 in floating point.
     """
     r = np.asarray(r, dtype=np.float64)
-    if n is None:
-        n = r.size
-    if n != r.size or n == 0:
-        raise ContractError(f"rank profile of length {r.size} does not match n={n}")
+    if r.size == 0:
+        raise ContractError("rank profile is empty")
     if np.any(np.diff(r) < 0):
         raise ContractError("ranks must be sorted ascending")
     if np.any(r <= 0) or np.any(r > 1):
         raise ContractError("ranks must lie in (0, 1]")
-    return float(_stuart(r.reshape(1, n))[0])
+    return float(_stuart(r.reshape(1, -1))[0])
 
 
 def aggregate(lists: list[list[RankingList | AggregationResult]]) -> list[AggregationResult]:
@@ -110,7 +111,7 @@ def best_n_select(
     validation_top1: dict[str, float],
     validation_rankings: dict[str, list[RankingList]],
     truth: dict[int, int],
-    n_max: int = 12,
+    n_max: int = N_MAX,
 ) -> BestNSelection:
     """Order representations by validation top-1 and pick the best prefix size.
 

@@ -247,19 +247,24 @@ def rank_gallery(
 # Training
 # ---------------------------------------------------------------------------
 
+# Training stops once the loss changes by at most REL_TOL relative to the
+# previous one; a line-search trial must lower it by ARMIJO * t * |grad|^2.
+REL_TOL = 1e-6
+ARMIJO = 1e-4
+NEG_RATIO = 10  # negative pairs sampled per positive
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lam: float = 1e-3
     max_iters: int = 500
-    rel_tol: float = 1e-6
-    armijo: float = 1e-4
 
 
 def sample_pairs(
     labels_a: np.ndarray,
     labels_b: np.ndarray,
     seed: int | np.random.Generator,
-    neg_ratio: int = 10,
+    neg_ratio: int = NEG_RATIO,
 ) -> np.ndarray:
     """All positive cross-camera pairs plus ``neg_ratio`` negatives per positive.
 
@@ -570,7 +575,7 @@ def train_model(
         for _ in range(60):
             trial_margins = -data.y * (z - t * dz)
             trial_loss = _loss(trial_margins, w_sq - 2.0 * t * w_dot_g + t * t * g_sq, lam)
-            if np.isfinite(trial_loss) and trial_loss <= loss - config.armijo * t * grad_sq:
+            if np.isfinite(trial_loss) and trial_loss <= loss - ARMIJO * t * grad_sq:
                 break
             t *= 0.5
         else:
@@ -582,7 +587,7 @@ def train_model(
         prev_loss, loss = loss, trial_loss
         iterations += 1
         step = t * 2.0
-        if abs(prev_loss - loss) <= config.rel_tol * max(1.0, abs(prev_loss)):
+        if abs(prev_loss - loss) <= REL_TOL * max(1.0, abs(prev_loss)):
             stop = "converged"
             break
     return SimilarityModel(

@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,32 @@ def test_cli_model_width_mismatch_is_exit_3(tmp_path, capsys):
     assert "W (4, 4)" in capsys.readouterr().err
 
 
+def test_cli_rank_missing_feat_file_is_exit_3(tmp_path, capsys):
+    # R1 reads only S1, but every configured cue is loaded
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)
+    (tmp_path / "d" / "S3_global.feat").unlink()
+    code = main(["rank", "-c", str(config_path), "--rep", "R1", "--out", str(tmp_path / "r.csv")])
+    assert code == 3
+    assert "S3_global.feat: cannot read: No such file or directory" in capsys.readouterr().err
+
+
+def test_cli_rank_missing_model_file_is_exit_3(tmp_path, capsys):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)
+    code = main([
+        "rank", "-c", str(config_path), "--rep", "R1",
+        "--model", str(tmp_path / "nope.simw"), "--out", str(tmp_path / "r.csv"),
+    ])
+    assert code == 3
+    assert "nope.simw: cannot read" in capsys.readouterr().err
+
+
+def test_cli_aggregate_missing_ranking_files_is_exit_3(tmp_path, capsys):
+    missing = [str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")]
+    assert main(["aggregate", *missing, "--out", str(tmp_path / "agg.csv")]) == 3
+    assert "nope.csv: cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "agg.csv").exists()
+
+
 RANKING = ("probe_id", "rank", "gallery_id", "score")
 CONTENT = ("probe_id", "gallery_id", "threshold")
 TRUTH = ("probe_id", "gallery_id")
@@ -230,6 +257,15 @@ def test_cli_aggregate_non_utf8_ranking_is_exit_3(tmp_path, capsys):
     bad = _with_ff(_write_csv(tmp_path / "b.csv", RANKING, rows))
     assert main(["aggregate", good, bad, "--out", str(tmp_path / "agg.csv")]) == 3
     assert "b.csv: not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_aggregate_over_long_field_is_exit_3(tmp_path, capsys):
+    too_long = "g" * (csv.field_size_limit() + 1)
+    rows = [("p0", "1", "g0", "1"), ("p0", "2", "g1", "0")]
+    good = _write_csv(tmp_path / "a.csv", RANKING, rows)
+    bad = _write_csv(tmp_path / "b.csv", RANKING, [rows[0], ("p0", "2", too_long, "0")])
+    assert main(["aggregate", good, bad, "--out", str(tmp_path / "agg.csv")]) == 3
+    assert "b.csv: line 3: field larger than field limit" in capsys.readouterr().err
 
 
 def test_cli_stats_non_utf8_csv_is_exit_3(tmp_path, capsys):
@@ -350,6 +386,15 @@ def test_cli_wrong_size_image_is_exit_3(tmp_path, capsys):
     assert "a0.ppm: expected a 48x128 image, got 50x100" in capsys.readouterr().err
     assert main(["eval", "-c", str(config_path)]) == 3
     assert "a0.ppm: expected a 48x128 image, got 50x100" in capsys.readouterr().err
+
+
+def test_cli_missing_image_is_exit_3(tmp_path, capsys):
+    config_path = _image_dataset(tmp_path)
+    (tmp_path / "imgs" / "b1.ppm").unlink()
+    assert main(["extract", "-c", str(config_path), "--out", str(tmp_path / "feats")]) == 3
+    assert "b1.ppm: cannot read" in capsys.readouterr().err
+    assert main(["eval", "-c", str(config_path)]) == 3
+    assert "b1.ppm: cannot read" in capsys.readouterr().err
 
 
 def test_cli_postrank_fallback_is_reported(tmp_path, capsys):

@@ -20,6 +20,7 @@ from reidpipe.datamodel import (
     save_ppm,
 )
 from reidpipe.errors import DataError, FormatError
+from reidpipe.simlearn import load_model
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,23 @@ def test_identities_errors_name_the_physical_line(tmp_path):
     path.write_text('image_id,person_id,camera\n"a\nb",1,A\nimg2,x,B\n')
     with pytest.raises(FormatError, match=r"ids.csv:4: bad person_id 'x'"):
         load_identities(path)
+
+
+def test_identities_over_long_field_is_format_error(tmp_path):
+    path = tmp_path / "ids.csv"
+    path.write_text(f"image_id,person_id,camera\nimg1,1,A\n{'i' * 140_000},2,B\n")
+    with pytest.raises(FormatError, match=r"ids.csv: line 3: field larger than field limit"):
+        load_identities(path)
+
+
+@pytest.mark.parametrize(
+    "load", [load_feature_matrix, load_identities, load_image, load_mask, load_model]
+)
+def test_unreadable_input_is_data_error(tmp_path, load):
+    with pytest.raises(DataError, match=r"nope: cannot read: No such file or directory"):
+        load(tmp_path / "nope")
+    with pytest.raises(DataError, match=r"cannot read: Is a directory"):
+        load(tmp_path)
 
 
 def test_identities_header_only_on_the_first_row(tmp_path):

@@ -10,9 +10,7 @@ from reidpipe.features import (
     CUE_IDS,
     assemble_cue,
     channel_histogram,
-    color_name_distribution,
     convert,
-    default_palette,
     extract_cues,
     fit_pca,
     apply_pca,
@@ -27,7 +25,7 @@ from reidpipe.features import (
     to_l1l2l3,
     to_normalized_rgb,
 )
-from reidpipe.features.scncd import SCNCD_SPACES
+from reidpipe.features.scncd import SCNCD_BANDWIDTH, SCNCD_KNN, SCNCD_NAMES, SCNCD_SPACES
 from reidpipe.features.texture import patch_hog_histograms
 
 rng = np.random.default_rng(7)
@@ -304,31 +302,26 @@ def test_siltp_mass_is_interior_count():
     assert siltp_descriptor(patch).sum() == (16 - 2) * (8 - 2)
 
 
-def test_siltp_rejects_other_radii():
-    with pytest.raises(ConfigError):
-        siltp_descriptor(np.zeros((8, 8)), radius=2)
-
-
 # ---------------------------------------------------------------------------
 # SCNCD
 # ---------------------------------------------------------------------------
 
 def test_palette_has_16_distinct_names():
-    palette = default_palette()
-    assert palette.count == 16
-    assert palette.kernel_bandwidth == pytest.approx(0.125)
+    assert SCNCD_NAMES.shape == (16, 3)
+    d2 = ((SCNCD_NAMES[:, None, :] - SCNCD_NAMES[None, :, :]) ** 2).sum(axis=2)
+    d2[np.diag_indices_from(d2)] = np.inf
+    # the bandwidth is half the minimum inter-name distance
+    assert SCNCD_BANDWIDTH == pytest.approx(np.sqrt(d2.min()) / 2.0)
+    assert SCNCD_BANDWIDTH == pytest.approx(0.125)
 
 
 @pytest.mark.parametrize("name_idx", [0, 5, 15])
 def test_color_name_exact_palette_color_dominates(name_idx):
-    palette = default_palette()
-    pixel = palette.names[name_idx][None, :]
-    dist = color_name_distribution(
-        pixel, palette.names, np.ones(1), palette.kernel_bandwidth, palette.knn
-    )
+    pixel = SCNCD_NAMES[name_idx][None, :]
+    dist = kernels.scncd_accumulate(pixel, SCNCD_NAMES, np.ones(1), SCNCD_BANDWIDTH, SCNCD_KNN)
     # independent expectation: Gaussian kernel over the 3 closest distances
-    d2 = sorted(float(((pixel[0] - name) ** 2).sum()) for name in palette.names)
-    kernel = [np.exp(-d / palette.kernel_bandwidth**2) for d in d2[:3]]
+    d2 = sorted(float(((pixel[0] - name) ** 2).sum()) for name in SCNCD_NAMES)
+    kernel = [np.exp(-d / SCNCD_BANDWIDTH**2) for d in d2[:3]]
     expected_max = kernel[0] / sum(kernel)
     assert d2[0] == 0.0
     assert dist[name_idx] == pytest.approx(expected_max, abs=1e-12)
@@ -338,12 +331,9 @@ def test_color_name_exact_palette_color_dominates(name_idx):
 
 
 def test_color_name_mass_equals_weighted_pixels():
-    palette = default_palette()
     pixels = rng.random((50, 3))
     weights = rng.random(50)
-    dist = color_name_distribution(
-        pixels, palette.names, weights, palette.kernel_bandwidth, palette.knn
-    )
+    dist = kernels.scncd_accumulate(pixels, SCNCD_NAMES, weights, SCNCD_BANDWIDTH, SCNCD_KNN)
     assert dist.sum() == pytest.approx(weights.sum())
 
 
@@ -383,7 +373,6 @@ def test_assemble_cue_deterministic():
 def test_assemble_cue_four_local_stripes():
     desc = assemble_cue(full_image(), "C1")
     assert len(desc.local) == 4
-    assert desc.normalized
 
 
 @pytest.mark.parametrize("cue", ["C1", "C2", "C3", "C4", "C5", "C6"])

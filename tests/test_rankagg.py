@@ -148,9 +148,9 @@ def test_statistic_rejects_out_of_range():
         stuart_statistic(np.array([0.5, 1.2]))
 
 
-def test_statistic_rejects_mismatched_n():
+def test_statistic_rejects_empty_profile():
     with pytest.raises(ContractError):
-        stuart_statistic(np.array([0.5]), n=3)
+        stuart_statistic(np.array([]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from reidpipe import evaluation
 from reidpipe.datamodel import csv_reader
-from reidpipe.errors import DataError
+from reidpipe.errors import DataError, FormatError
 from reidpipe.evaluation import (
     CONTENT_HEADER,
     RANKING_HEADER,
@@ -363,6 +363,6 @@ def test_reader_reports_a_faulty_row_before_a_tokenizer_error(tmp_path, block):
         load_rankings_csv(path)
     assert_reads_like_oracle(path, block)
     path = _write(tmp_path / "r.csv", HEADER + f"p,1,a,0\np,2,{too_long},0\n")
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    with pytest.raises(FormatError, match="line 3: field larger than field limit"):
         load_rankings_csv(path)
     assert_reads_like_oracle(path, block)

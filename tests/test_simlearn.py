@@ -482,7 +482,7 @@ def reference_train(bank_a, bank_b, pairs, rep, gamma, config=TrainConfig()):
         for _ in range(60):
             trial = {k: (m - t * grads[k][0], b - t * grads[k][1]) for k, (m, b) in blocks.items()}
             trial_loss, trial_grads, trial_gb = loss_and_grad(trial, bias - t * grad_bias)
-            if np.isfinite(trial_loss) and trial_loss <= loss - config.armijo * t * grad_sq:
+            if np.isfinite(trial_loss) and trial_loss <= loss - simlearn.ARMIJO * t * grad_sq:
                 break
             t *= 0.5
         else:
@@ -492,7 +492,7 @@ def reference_train(bank_a, bank_b, pairs, rep, gamma, config=TrainConfig()):
         prev_loss, loss, grads, grad_bias = loss, trial_loss, trial_grads, trial_gb
         iterations += 1
         step = 2.0 * t
-        if abs(prev_loss - loss) <= config.rel_tol * max(1.0, abs(prev_loss)):
+        if abs(prev_loss - loss) <= simlearn.REL_TOL * max(1.0, abs(prev_loss)):
             break
     return blocks, bias, iterations
 
