@@ -241,16 +241,16 @@ def load_identities(path: str | Path) -> list[ImageRecord]:
             continue
         lineno = reader.line_num  # the physical line: a quoted id may span several
         if len(row) != 3:
-            raise FormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+            raise FormatError(f"{path}: line {lineno}: expected 3 columns, got {len(row)}")
         image_id, person_id, camera = (v.strip() for v in row)
         try:
             pid = int(person_id)
         except ValueError:
-            raise FormatError(f"{path}:{lineno}: bad person_id {person_id!r}") from None
+            raise FormatError(f"{path}: line {lineno}: bad person_id {person_id!r}") from None
         if camera not in CAMERAS:
-            raise FormatError(f"{path}:{lineno}: unknown camera {camera!r}")
+            raise FormatError(f"{path}: line {lineno}: unknown camera {camera!r}")
         if image_id in seen:
-            raise DataError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
+            raise DataError(f"{path}: line {lineno}: duplicate image_id {image_id!r}")
         seen.add(image_id)
         records.append(ImageRecord(image_id=image_id, person_id=pid, camera=camera))
     return records

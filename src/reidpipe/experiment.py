@@ -31,7 +31,14 @@ from .evaluation import (
 from .features import IMAGE_H, IMAGE_W, extract_cues
 from .features import assemble_cue  # noqa: F401  perfbench/layers.py wraps this name
 from .features.pca import apply_pca, fit_pca
-from .postrank import DciaResult, apply_dcia, content_set, postrank, train_postrank_model
+from .postrank import (
+    DciaResult,
+    NeighborWindows,
+    apply_dcia,
+    content_set,
+    postrank,
+    train_postrank_model,
+)
 from .rankagg import aggregate, best_n_select
 from .simlearn import (
     FeatureBank,
@@ -339,17 +346,16 @@ def _dcia_all(
     config: ExperimentConfig,
 ) -> list[DciaResult]:
     """DCIA for every ranking; the neighbor windows of all of them come from
-    one gallery x gallery score matrix."""
-    gallery_scores = score_gallery(model, gallery_bank, gallery_bank)
+    one gallery x gallery score matrix, each window computed once."""
+    windows = NeighborWindows(score_gallery(model, gallery_bank, gallery_bank), config.window)
     return [
         apply_dcia(
             ranking,
             probe_vectors[ranking.probe_index],
             gallery_vectors,
-            gallery_scores,
+            windows,
             energy=config.energy,
             k=config.k_common,
-            window=config.window,
         )
         for ranking in rankings
     ]

@@ -122,6 +122,21 @@ def _member_window(g: int, gallery_scores: np.ndarray, window: int) -> tuple[int
     return tuple(int(i) for i in order[:m_g])
 
 
+class NeighborWindows(dict):
+    """Neighbor windows under one gallery x gallery score matrix:
+    ``windows[g]`` is :func:`_member_window` of ``g``, computed on first use.
+    A window depends only on ``g`` and the matrix, so one instance serves
+    every probe ranked against that gallery."""
+
+    def __init__(self, gallery_scores: np.ndarray, window: int = WINDOW):
+        super().__init__()
+        self.gallery_scores, self.window = gallery_scores, window
+
+    def __missing__(self, g: int) -> tuple[int, ...]:
+        found = self[g] = _member_window(g, self.gallery_scores, self.window)
+        return found
+
+
 def context_set(
     initial_ranking: RankingList,
     content: ContentSet,
@@ -199,21 +214,19 @@ def apply_dcia(
     initial_ranking: RankingList,
     probe_vector: np.ndarray,
     gallery_vectors: np.ndarray,
-    gallery_scores: np.ndarray,
+    windows: NeighborWindows,
     *,
     energy: float = ENERGY,
     k: int = K_COMMON,
-    window: int = WINDOW,
 ) -> DciaResult:
     """Content/context extraction plus discriminant removal for one probe.
 
     ``probe_vector`` and ``gallery_vectors`` are the concatenated feature
-    vectors DCIA operates on; ``gallery_scores`` is the model's gallery x
-    gallery score matrix, whose rows give the content members' neighbor
-    windows.
+    vectors DCIA operates on; ``windows`` gives the content members' neighbor
+    windows from the model's gallery x gallery score matrix, and its
+    ``window`` also bounds the content set's knee.
     """
-    content = content_set(initial_ranking, window)
-    windows = {g: _member_window(g, gallery_scores, window) for g in content.members}
+    content = content_set(initial_ranking, windows.window)
     context = context_set(initial_ranking, content, windows, k)
     stack = np.vstack(
         [probe_vector]

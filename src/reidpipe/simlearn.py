@@ -4,15 +4,22 @@ A similarity model holds one symmetric Mahalanobis weight matrix and one
 symmetric bilinear weight matrix per (cue, region) block plus per-cue global
 blocks. The pair score is the sum of local block scores plus gamma times the
 global block sum. Galleries and training pairs are scored by one core,
-:func:`_score_matrix`.
+:func:`_score_terms`.
+
+The core and the trainer hold a representation's blocks per width group as
+stacked arrays: each camera bank concatenated over the group's blocks, and
+W_M and W_B as (k, d, d) stacks. A group's cross terms are one matrix
+product, and every other per-block step is one batched product over the
+group, so neither a scoring call nor a training iteration loops over blocks
+in Python.
 
 Training minimizes a logistic pair loss with Frobenius regularization by
 full-batch gradient descent with backtracking line search. The score is
 linear in the weights, so the problem is convex and a trial step ``W - tG``
 scores as ``s(W) - t*s(G)``: each iteration scores the gradient direction
-once, prices every line-search trial in O(n_pairs) and computes block
-gradients only at the accepted point. The gradients are symmetric by
-construction, so the weights stay symmetric without a projection.
+once, prices every line-search trial in O(n_pairs) and computes gradients
+only at the accepted point. The gradients are symmetric by construction, so
+the weights stay symmetric without a projection.
 
 An iteration applies two linear maps, weights to pair scores and pair loss
 slopes to the gradient, at the size of the data rather than of a stack of
@@ -175,40 +182,131 @@ def score_pair(
     return local + model.gamma * global_
 
 
-def _score_matrix(
-    blocks: Blocks, gamma: float, bank_a: FeatureBank, bank_b: FeatureBank
-) -> np.ndarray:
-    """The (N_a, N_b) score matrix of every ``bank_a`` row against every
-    ``bank_b`` row: the one scoring core of galleries and training pairs.
+# Weights of one width group: (W_M, W_B), each a (k, d, d) stack in the
+# group's key order. A model's weights are one such pair per group.
+Stacks = list[tuple[np.ndarray, np.ndarray]]
+
+
+def _dim_error(key: BlockKey, d_a: int, d_b: int, w_shape: tuple) -> DimError:
+    return DimError(f"block {key}: probes d={d_a}, gallery d={d_b}, W {w_shape}")
+
+
+def _transposed(stack: np.ndarray) -> np.ndarray:
+    return stack.transpose(0, 2, 1)
+
+
+def _stacked(cat: np.ndarray, k: int) -> np.ndarray:
+    """The (k, N, d) stack view of k blocks concatenated as (N, k d)."""
+    return cat.reshape(cat.shape[0], k, cat.shape[1] // k).transpose(1, 0, 2)
+
+
+def _concatenated(mats: list[np.ndarray]) -> np.ndarray:
+    """The (N, k d) concatenation of k (N, d) blocks; a single block is used
+    as it is, so a one-block bank (post-ranking's) is not copied."""
+    return np.ascontiguousarray(mats[0]) if len(mats) == 1 else np.concatenate(mats, axis=1)
+
+
+class _Group:
+    """The blocks of one width, in sorted key order, and which are global.
+
+    Each camera bank is held concatenated, as ``a_cat`` (N_a, k d) and
+    ``b_cat`` (N_b, k d), and seen as the stacks ``a`` (k, N_a, d) and ``b``
+    (k, N_b, d) through views.
+    """
+
+    def __init__(self, keys: list[BlockKey], bank_a: FeatureBank, bank_b: FeatureBank):
+        self.keys = keys
+        self.is_global = np.array([key[1] == GLOBAL_SCOPE for key in keys])[:, None, None]
+        self.a_cat = _concatenated([bank_a[key] for key in keys])
+        self.b_cat = _concatenated([bank_b[key] for key in keys])
+        self.a, self.b = _stacked(self.a_cat, len(keys)), _stacked(self.b_cat, len(keys))
+
+    def scale(self, gamma: float) -> np.ndarray:
+        """Each block's weight in the pair score, shaped to scale a stack."""
+        return np.where(self.is_global, gamma, 1.0)
+
+
+class _BlockBanks:
+    """Two camera banks of the blocks ``keys``, grouped by block width.
+
+    A missing block is a ConfigError; blocks whose banks disagree on their
+    width, or on the row count within one bank, are a DimError. Given
+    ``blocks``, each block's weights are checked against its width too.
+    """
+
+    def __init__(self, keys: list[BlockKey], bank_a: FeatureBank, bank_b: FeatureBank,
+                 blocks: Blocks | None = None):
+        by_width: dict[int, list[BlockKey]] = {}
+        for key in sorted(keys):
+            try:
+                mat_a, mat_b = bank_a[key], bank_b[key]
+            except KeyError:
+                raise ConfigError(f"missing descriptor for block {key}") from None
+            d = mat_a.shape[1]
+            if blocks is not None and (mat_b.shape[1] != d or blocks[key][0].shape != (d, d)):
+                raise _dim_error(key, d, mat_b.shape[1], blocks[key][0].shape)
+            if mat_b.shape[1] != d:
+                raise DimError(f"block {key}: camera banks disagree on dimension")
+            by_width.setdefault(d, []).append(key)
+        rows_a = {bank_a[key].shape[0] for key in keys}
+        rows_b = {bank_b[key].shape[0] for key in keys}
+        if len(rows_a) > 1 or len(rows_b) > 1:
+            raise DimError("blocks of one camera bank disagree on their row count")
+        self.shape = (rows_a.pop(), rows_b.pop())
+        self.groups = [_Group(group_keys, bank_a, bank_b) for group_keys in by_width.values()]
+
+    def stack(self, blocks: Blocks) -> Stacks:
+        """``blocks`` as one (W_M, W_B) stack pair per group."""
+        stacks = []
+        for group in self.groups:
+            d = group.a.shape[2]
+            for key in group.keys:
+                for w in blocks[key]:
+                    if w.shape != (d, d):
+                        raise _dim_error(key, d, d, w.shape)
+            stacks.append(tuple(np.stack([blocks[key][i] for key in group.keys]) for i in (0, 1)))
+        return stacks
+
+    def unstack(self, stacks: Stacks) -> Blocks:
+        """The weight blocks of ``stacks``, keyed again."""
+        return {
+            key: (w_m[i], w_b[i])
+            for group, (w_m, w_b) in zip(self.groups, stacks)
+            for i, key in enumerate(group.keys)
+        }
+
+
+def _score_terms(
+    banks: _BlockBanks, weights: Stacks, gamma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one scoring core of galleries and training pairs: the score of
+    bank A row i against bank B row j is ``cross[i, j] + row[i] + col[j]``.
 
     Per block, ``(a-b)^T M (a-b) + a^T W_B b + b^T W_B a = a^T M a + b^T M b
-    + a^T (W_B + W_B^T - M - M^T) b``, so each block costs one row x row
-    product; global blocks are scaled by gamma.
+    + a^T K b`` with ``K = (W_B - M) + (W_B - M)^T``, and each block is
+    scaled by s (gamma on global blocks). So a width group's cross terms are
+    one product of the concatenated A against the stacked ``(s K) B^T``, and
+    the ``a^T M a`` and ``b^T M b`` terms of all its blocks are two vectors.
     """
-    scores: np.ndarray | None = None
-    for key in sorted(blocks):
-        w_m, w_b = blocks[key]
-        try:
-            mat_a, mat_b = bank_a[key], bank_b[key]
-        except KeyError:
-            raise ConfigError(f"missing descriptor for block {key}") from None
-        d = mat_a.shape[1]
-        if mat_b.shape[1] != d or w_m.shape != (d, d):
-            raise DimError(
-                f"block {key}: probes d={d}, gallery d={mat_b.shape[1]}, W {w_m.shape}"
-            )
-        contrib = (mat_a @ (w_b + w_b.T - w_m - w_m.T)) @ mat_b.T
-        contrib += np.einsum("ij,ij->i", mat_a @ w_m, mat_a)[:, None]
-        contrib += np.einsum("ij,ij->i", mat_b @ w_m, mat_b)[None, :]
-        if key[1] == GLOBAL_SCOPE:
-            contrib *= gamma
-        if scores is None:
-            scores = contrib
+    cross = row = col = None
+    for group, (w_m, w_b) in zip(banks.groups, weights):
+        s = group.scale(gamma)
+        k = w_b - w_m
+        k = k + _transposed(k)
+        k *= s
+        s_m = s * w_m
+        terms = (
+            group.a_cat @ (k @ _transposed(group.b)).reshape(group.a_cat.shape[1], -1),
+            np.einsum("kij,kij->i", group.a @ s_m, group.a),
+            np.einsum("kij,kij->i", group.b @ s_m, group.b),
+        )
+        if cross is None:
+            cross, row, col = terms
         else:
-            scores += contrib
-    if scores is None:
-        raise ConfigError("model has no weight blocks")
-    return scores
+            cross += terms[0]
+            row += terms[1]
+            col += terms[2]
+    return cross, row, col
 
 
 def score_gallery(
@@ -218,9 +316,15 @@ def score_gallery(
 ) -> np.ndarray:
     """:func:`score_pair` of every probe row against every gallery row.
 
-    Returns the (P, G) score matrix (see :func:`_score_matrix`).
+    Returns the (P, G) score matrix, built by :func:`_score_terms`.
     """
-    return _score_matrix(model.blocks, model.gamma, probes, gallery)
+    if not model.blocks:
+        raise ConfigError("model has no weight blocks")
+    banks = _BlockBanks(list(model.blocks), probes, gallery, model.blocks)
+    scores, row, col = _score_terms(banks, banks.stack(model.blocks), model.gamma)
+    scores += row[:, None]
+    scores += col[None, :]
+    return scores
 
 
 def rank_gallery(
@@ -293,17 +397,15 @@ def sample_pairs(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exp
+    overflows."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
-class _PairData:
-    """Training pairs over shared image banks: each block's (N_a, d) and
-    (N_b, d) camera matrices, the pair indices and the labels."""
+class _PairData(_BlockBanks):
+    """Training pairs over shared image banks: the blocks' camera banks
+    grouped by width, the pair indices and the labels."""
 
     def __init__(self, bank_a: FeatureBank, bank_b: FeatureBank,
                  pairs: np.ndarray, keys: list[BlockKey]):
@@ -320,21 +422,7 @@ class _PairData:
             )
         if not keys:
             raise ConfigError("representation has no weight blocks")
-        self.keys = keys
-        self.a: dict[BlockKey, np.ndarray] = {}
-        self.b: dict[BlockKey, np.ndarray] = {}
-        for key in keys:
-            try:
-                self.a[key], self.b[key] = bank_a[key], bank_b[key]
-            except KeyError:
-                raise ConfigError(f"missing descriptor for block {key}") from None
-            if self.a[key].shape[1] != self.b[key].shape[1]:
-                raise DimError(f"block {key}: camera banks disagree on dimension")
-        rows_a = {mat.shape[0] for mat in self.a.values()}
-        rows_b = {mat.shape[0] for mat in self.b.values()}
-        if len(rows_a) != 1 or len(rows_b) != 1:
-            raise DimError("blocks of one camera bank disagree on their row count")
-        self.shape = (rows_a.pop(), rows_b.pop())
+        super().__init__(keys, bank_a, bank_b)
         self.p = pairs[:, 0].astype(np.int64)
         self.q = pairs[:, 1].astype(np.int64)
         if not (
@@ -348,47 +436,52 @@ class _PairData:
         self.y = pairs[:, 2].astype(np.float64)
 
 
-def _scale(key: BlockKey, gamma: float) -> float:
-    """A block's weight in the pair score: gamma on global blocks."""
-    return gamma if key[1] == GLOBAL_SCOPE else 1.0
-
-
-def _pair_scores(data: _PairData, blocks: Blocks, gamma: float) -> np.ndarray:
-    """Score of every pair: its entry of the image-level score matrix.
-    Linear in ``blocks``, so it also scores a step direction."""
-    return _score_matrix(blocks, gamma, data.a, data.b).ravel()[data.flat]
+def _pair_scores(data: _PairData, weights: Stacks, gamma: float) -> np.ndarray:
+    """Score of every pair: its entry of the image-level score matrix, with
+    the row and column terms added to the pairs' entries only. Linear in
+    ``weights``, so it also scores a step direction."""
+    cross, row, col = _score_terms(data, weights, gamma)
+    return cross.ravel()[data.flat] + row[data.p] + col[data.q]
 
 
 def _gradient(
-    data: _PairData, blocks: Blocks, coef: np.ndarray, gamma: float, lam: float
-) -> Blocks:
-    """Block gradients of the penalized loss, given the per-pair loss slopes
+    data: _PairData, weights: Stacks, coef: np.ndarray, gamma: float, lam: float
+) -> Stacks:
+    """Weight gradients of the penalized loss, given the per-pair loss slopes
     ``coef``.
 
     The slopes go into the (N_a, N_b) matrix C, a pair listed twice counting
     twice. With X = A^T C B, the bilinear gradient is X + X^T and the
     Mahalanobis one is A^T diag(C 1) A + B^T diag(C^T 1) B - X - X^T. Both
     are symmetric by construction, so symmetric weights stay symmetric under
-    gradient steps.
+    gradient steps. Per width group, A^T C for all blocks is one product
+    with the concatenated A, and the rest are batched over the blocks.
     """
-    c = np.bincount(data.flat, weights=coef, minlength=data.shape[0] * data.shape[1])
-    c = c.reshape(data.shape)
-    row, col = c.sum(axis=1), c.sum(axis=0)
-    grads: Blocks = {}
-    for key in data.keys:
-        w_m, w_b = blocks[key]
-        a, b = data.a[key], data.b[key]
-        x = (a.T @ c) @ b
-        g_b = x + x.T
-        m = (a.T * row) @ a + (b.T * col) @ b
-        s = _scale(key, gamma)
-        grads[key] = (s * (0.5 * (m + m.T) - g_b) + 2.0 * lam * w_m, s * g_b + 2.0 * lam * w_b)
+    n_a, n_b = data.shape
+    c = np.bincount(data.flat, weights=coef, minlength=n_a * n_b).reshape(n_a, n_b)
+    row = np.bincount(data.p, weights=coef, minlength=n_a)
+    col = np.bincount(data.q, weights=coef, minlength=n_b)
+    grads: Stacks = []
+    for group, (w_m, w_b) in zip(data.groups, weights):
+        a, b = group.a, group.b
+        x = (group.a_cat.T @ c).reshape(w_m.shape[0], w_m.shape[1], n_b) @ b
+        g_b = x + _transposed(x)
+        m = (_transposed(a) * row) @ a + (_transposed(b) * col) @ b
+        g_m = m + _transposed(m)
+        g_m *= 0.5
+        g_m -= g_b
+        s = group.scale(gamma)
+        g_m *= s
+        g_m += 2.0 * lam * w_m
+        g_b *= s
+        g_b += 2.0 * lam * w_b
+        grads.append((g_m, g_b))
     return grads
 
 
-def _inner(x: Blocks, y: Blocks) -> float:
+def _inner(x: Stacks, y: Stacks) -> float:
     """Frobenius inner product summed over blocks."""
-    return sum(float(np.vdot(x[k][0], y[k][0]) + np.vdot(x[k][1], y[k][1])) for k in x)
+    return sum(float(np.vdot(xm, ym) + np.vdot(xb, yb)) for (xm, xb), (ym, yb) in zip(x, y))
 
 
 def _loss(margins: np.ndarray, sq_norm: float, lam: float) -> float:
@@ -404,22 +497,24 @@ def loss_and_gradient(
 ) -> tuple[float, Blocks, float]:
     """Logistic pair loss with Frobenius penalty, plus analytic gradients,
     on the image-level maps of :func:`train_model`."""
-    margins = -data.y * (_pair_scores(data, blocks, gamma) - bias)
+    weights = data.stack(blocks)
+    margins = -data.y * (_pair_scores(data, weights, gamma) - bias)
     coef = -data.y * _sigmoid(margins)
-    loss = _loss(margins, _inner(blocks, blocks), lam)
-    return loss, _gradient(data, blocks, coef, gamma, lam), float(-coef.sum())
+    loss = _loss(margins, _inner(weights, weights), lam)
+    grads = _gradient(data, weights, coef, gamma, lam)
+    return loss, data.unstack(grads), float(-coef.sum())
 
 
 class _ImageMaps:
-    """Weights held as blocks: pair scores from the scoring core, gradients
-    from the slope matrix."""
+    """Weights held as width-group stacks: pair scores from the scoring
+    core, gradients from the slope matrix."""
 
     def __init__(self, data: _PairData, gamma: float, lam: float):
         self.data, self.gamma, self.lam = data, gamma, lam
-        self.weights: Blocks = {
-            key: (np.zeros((mat.shape[1],) * 2), np.zeros((mat.shape[1],) * 2))
-            for key, mat in data.a.items()
-        }
+        self.weights: Stacks = [
+            (np.zeros((k, d, d)), np.zeros((k, d, d)))
+            for k, _, d in (group.a.shape for group in data.groups)
+        ]
 
     def scores(self) -> np.ndarray:
         return _pair_scores(self.data, self.weights, self.gamma)
@@ -431,12 +526,12 @@ class _ImageMaps:
         return _pair_scores(self.data, g, self.gamma), _inner(w, w), _inner(w, g), _inner(g, g)
 
     def step(self, t: float) -> None:
-        self.weights = {
-            key: (w_m - t * self.grads[key][0], w_b - t * self.grads[key][1])
-            for key, (w_m, w_b) in self.weights.items()
-        }
+        self.weights = [
+            (w_m - t * g_m, w_b - t * g_b)
+            for (w_m, w_b), (g_m, g_b) in zip(self.weights, self.grads)
+        ]
 
-    def blocks(self) -> Blocks:
+    def final(self) -> Stacks:
         return self.weights
 
 
@@ -470,16 +565,17 @@ class _PairSpaceMaps:
         self.alpha = self.alpha - t * self.beta
         self.k_alpha = self.k_alpha - t * self.k_beta
 
-    def blocks(self) -> Blocks:
-        blocks: Blocks = {}
-        for key in self.data.keys:
-            a, b = self.data.a[key][self.data.p], self.data.b[key][self.data.q]
+    def final(self) -> Stacks:
+        """W = Psi^T alpha, formed once."""
+        weights: Stacks = []
+        for group in self.data.groups:
+            a, b = group.a[:, self.data.p], group.b[:, self.data.q]
             diff = a - b
-            m = (diff.T * self.alpha) @ diff
-            x = (a.T * self.alpha) @ b
-            s = _scale(key, self.gamma)
-            blocks[key] = (s * 0.5 * (m + m.T), s * (x + x.T))
-        return blocks
+            m = (_transposed(diff) * self.alpha) @ diff
+            x = (_transposed(a) * self.alpha) @ b
+            s = group.scale(self.gamma)
+            weights.append((s * 0.5 * (m + _transposed(m)), s * (x + _transposed(x))))
+        return weights
 
 
 _GRAM_ROWS = 64  # rows of the pair Gram filled per product
@@ -494,24 +590,25 @@ def _pair_gram(data: _PairData, gamma: float) -> np.ndarray:
     """
     n = len(data.y)
     gram = np.zeros((n, n))
-    for key in data.keys:
-        a, b = data.a[key][data.p], data.b[key][data.q]
-        diff = a - b
-        s2 = _scale(key, gamma) ** 2
-        for lo in range(0, n, _GRAM_ROWS):
-            rows, out = slice(lo, lo + _GRAM_ROWS), gram[lo : lo + _GRAM_ROWS]
-            tmp = a[rows] @ b.T
-            tmp *= b[rows] @ a.T
-            tmp *= 2.0 * s2
-            out += tmp
-            np.matmul(a[rows], a.T, out=tmp)
-            tmp *= b[rows] @ b.T
-            tmp *= 2.0 * s2
-            out += tmp
-            np.matmul(diff[rows], diff.T, out=tmp)
-            tmp *= tmp
-            tmp *= s2
-            out += tmp
+    for group in data.groups:
+        for bank_a, bank_b, s in zip(group.a, group.b, group.scale(gamma).ravel()):
+            a, b = bank_a[data.p], bank_b[data.q]
+            diff = a - b
+            s2 = s**2
+            for lo in range(0, n, _GRAM_ROWS):
+                rows, out = slice(lo, lo + _GRAM_ROWS), gram[lo : lo + _GRAM_ROWS]
+                tmp = a[rows] @ b.T
+                tmp *= b[rows] @ a.T
+                tmp *= 2.0 * s2
+                out += tmp
+                np.matmul(a[rows], a.T, out=tmp)
+                tmp *= b[rows] @ b.T
+                tmp *= 2.0 * s2
+                out += tmp
+                np.matmul(diff[rows], diff.T, out=tmp)
+                tmp *= tmp
+                tmp *= s2
+                out += tmp
     return gram
 
 
@@ -529,6 +626,8 @@ def train_model(
     both classes must be present. Weights start at zero (the loss is convex
     in them) and stay symmetric because every gradient is. Line-search
     trials are priced by linearity in O(n_pairs) (see the module docstring).
+    The weights are held as one (W_M, W_B) stack pair per block width until
+    the model is returned.
 
     Each iteration applies two linear maps: weights to pair scores, and pair
     slopes to the gradient. With n pairs over N_a x N_b images, they run at
@@ -536,7 +635,8 @@ def train_model(
 
     - image level (n^2 > N_a N_b, e.g. :func:`sample_pairs`): pair scores are
       entries of the score matrix from the core behind :func:`score_gallery`,
-      and gradients come from the (N_a, N_b) slope matrix (:func:`_gradient`);
+      and gradients come from the (N_a, N_b) slope matrix (:func:`_gradient`),
+      each map a few batched products per width group;
     - pair space (n^2 <= N_a N_b, e.g. one row per pair): every step is
       ``W <- (1 - 2 lam t) W - t Psi^T c`` from W = 0, so W = Psi^T alpha
       exactly. Each iteration is one product with the (n, n) pair Gram, and
@@ -591,7 +691,7 @@ def train_model(
             stop = "converged"
             break
     return SimilarityModel(
-        rep_id=rep.rep_id, gamma=gamma, bias=bias, blocks=maps.blocks(),
+        rep_id=rep.rep_id, gamma=gamma, bias=bias, blocks=data.unstack(maps.final()),
         iterations=iterations, stop_reason=stop,
     )
 
@@ -604,7 +704,7 @@ def pair_accuracy(
 ) -> float:
     """Fraction of pairs whose score side of the bias matches the label."""
     data = _PairData(bank_a, bank_b, pairs, model.block_keys())
-    z = _pair_scores(data, model.blocks, model.gamma) - model.bias
+    z = _pair_scores(data, data.stack(model.blocks), model.gamma) - model.bias
     return float(np.mean(np.where(z > 0, 1.0, -1.0) == data.y))
 
 

@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reidpipe
 from conftest import build_synthetic_dataset
 from reidpipe.cli import main
 from reidpipe.config import load_config
@@ -449,8 +451,13 @@ def test_cli_model_for_other_representation_is_exit_3(tmp_path, capsys):
 
 
 def test_cli_module_entry_point():
+    # the child imports reidpipe from where this process did, with or without
+    # PYTHONPATH set for the test run
+    src = str(Path(reidpipe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "reidpipe", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "reidpipe", "--help"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "extract" in proc.stdout and "aggregate" in proc.stdout

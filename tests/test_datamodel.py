@@ -121,7 +121,7 @@ def test_identities_errors_name_the_physical_line(tmp_path):
     # the quoted id spans lines 2-3, so the bad person_id is on line 4
     path = tmp_path / "ids.csv"
     path.write_text('image_id,person_id,camera\n"a\nb",1,A\nimg2,x,B\n')
-    with pytest.raises(FormatError, match=r"ids.csv:4: bad person_id 'x'"):
+    with pytest.raises(FormatError, match=r"ids.csv: line 4: bad person_id 'x'"):
         load_identities(path)
 
 
@@ -145,7 +145,7 @@ def test_unreadable_input_is_data_error(tmp_path, load):
 def test_identities_header_only_on_the_first_row(tmp_path):
     path = tmp_path / "ids.csv"
     path.write_text("\nimage_id,person_id,camera\n")
-    with pytest.raises(FormatError, match=r"ids.csv:2: bad person_id 'person_id'"):
+    with pytest.raises(FormatError, match=r"ids.csv: line 2: bad person_id 'person_id'"):
         load_identities(path)
 
 

@@ -128,3 +128,24 @@ def test_load_dataset_row_mismatch(tmp_path):
     )
     with pytest.raises(DataError):
         load_dataset(config)
+
+
+def test_dcia_computes_each_neighbor_window_once(synthetic_config, monkeypatch):
+    # every DCIA call of a stage reads windows from one gallery x gallery
+    # matrix; a gallery image's window is computed at most once per matrix
+    from reidpipe import postrank
+
+    member_window = postrank._member_window
+    asked, matrices = [], []
+
+    def spy(g, gallery_scores, window):
+        matrices.append(gallery_scores)  # alive, so no id is reused
+        asked.append((id(gallery_scores), g))
+        return member_window(g, gallery_scores, window)
+
+    monkeypatch.setattr(postrank, "_member_window", spy)
+    config = load_config(synthetic_config)
+    assert config.postrank_enabled
+    run_experiment(config)
+    assert asked
+    assert len(asked) == len(set(asked))

@@ -8,6 +8,7 @@ from reidpipe.postrank import (
     ContextSet,
     DciaResult,
     DiscriminantBlock,
+    NeighborWindows,
     _member_window,
     apply_dcia,
     content_set,
@@ -212,6 +213,40 @@ def test_context_geometric_integration():
         assert len(members) <= 13
 
 
+def test_neighbor_windows_compute_each_window_once(monkeypatch):
+    from reidpipe import postrank as module
+
+    pts = rng.standard_normal((12, 3))
+    gallery_scores = score_gallery(neg_distance_model(3), {KEY: pts}, {KEY: pts})
+    asked = []
+
+    def spy(g, scores, window):
+        asked.append(g)
+        return _member_window(g, scores, window)
+
+    monkeypatch.setattr(module, "_member_window", spy)
+    windows = NeighborWindows(gallery_scores, 5)
+    for g in (3, 7, 3, 0, 7, 3):
+        assert windows[g] == _member_window(g, gallery_scores, 5)
+    assert asked == [3, 7, 0]
+
+
+def test_shared_windows_give_the_same_dcia_results():
+    # one NeighborWindows for every probe of a gallery, as experiment._dcia_all
+    # uses it, against a fresh one per probe
+    probes, _, gallery, _ = shared_ambiguity_world()
+    gallery_scores = score_gallery(neg_distance_model(gallery.shape[1]),
+                                   {KEY: gallery}, {KEY: gallery})
+    shared = NeighborWindows(gallery_scores, 9)
+    for p in range(len(probes)):
+        ranking = ranking_from_scores(-((gallery - probes[p]) ** 2).sum(axis=1), probe_index=p)
+        got = apply_dcia(ranking, probes[p], gallery, shared)
+        want = apply_dcia(ranking, probes[p], gallery, NeighborWindows(gallery_scores, 9))
+        assert got.content == want.content and got.context == want.context
+        np.testing.assert_array_equal(got.block.d_p_star, want.block.d_p_star)
+        assert got.content == content_set(ranking, 9)
+
+
 # ---------------------------------------------------------------------------
 # Discriminant removal
 # ---------------------------------------------------------------------------
@@ -353,7 +388,7 @@ def run_dcia_on_world(probes, probe_labels, gallery, gallery_labels):
     for p in range(len(probes)):
         scores = -((gallery - probes[p]) ** 2).sum(axis=1)
         ranking = ranking_from_scores(scores, probe_index=p)
-        results.append(apply_dcia(ranking, probes[p], gallery, gallery_scores))
+        results.append(apply_dcia(ranking, probes[p], gallery, NeighborWindows(gallery_scores)))
     return results
 
 

@@ -597,7 +597,7 @@ def test_pair_scores_match_score_pair():
     pairs = np.vstack([pairs, pairs[:3]])
     model = random_model(rep, 4, r=r)
     data = _PairData(bank_a, bank_b, pairs, rep.block_keys())
-    scores = simlearn._pair_scores(data, model.blocks, model.gamma)
+    scores = simlearn._pair_scores(data, data.stack(model.blocks), model.gamma)
     assert scores.shape == (len(pairs),)
     for (p, q, _), got in zip(pairs, scores):
         want = score_pair(model, bank_row(bank_a, p), bank_row(bank_b, q))
@@ -621,6 +621,120 @@ def test_loss_and_gradient_matches_per_pair_oracle():
     for key, ref in ref_grads.items():
         for got, want in zip(grads[key], ref):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# Blocks of two widths: the scoring core and the trainer group blocks by width
+# ---------------------------------------------------------------------------
+
+# Global blocks 6 wide and local blocks 4 wide, as a PCA block clamped to its
+# row count would give; in sorted key order the widths interleave (C1 G, C1 r0,
+# C1 r1, C2 G), so each width group gathers blocks that are not adjacent.
+MIXED_REP = Representation("mixed", {"C1": "GL", "C2": "G"}, n_regions=2)
+
+
+def mixed_width(key):
+    return 6 if key[1] == "G" else 4
+
+
+def mixed_banks(n_a, n_b, r):
+    bank_a = {k: r.standard_normal((n_a, mixed_width(k))) for k in MIXED_REP.block_keys()}
+    bank_b = {k: r.standard_normal((n_b, mixed_width(k))) for k in MIXED_REP.block_keys()}
+    return bank_a, bank_b
+
+
+def mixed_model(r, symmetric=True):
+    blocks = {}
+    for key in MIXED_REP.block_keys():
+        d = mixed_width(key)
+        w_m, w_b = r.standard_normal((d, d)), r.standard_normal((d, d))
+        if symmetric:
+            w_m, w_b = 0.5 * (w_m + w_m.T), 0.5 * (w_b + w_b.T)
+        blocks[key] = (w_m, w_b)
+    return SimilarityModel(rep_id="mixed", gamma=1.1, bias=0.0, blocks=blocks)
+
+
+def test_score_gallery_over_two_block_widths():
+    r = np.random.default_rng(53)
+    probes, gallery = mixed_banks(5, 7, r)
+    for model in (mixed_model(r), mixed_model(r, symmetric=False)):
+        scores = score_gallery(model, probes, gallery)
+        assert scores.shape == (5, 7)
+        for p in range(5):
+            for g in range(7):
+                want = score_pair(model, bank_row(probes, p), bank_row(gallery, g))
+                assert abs(scores[p, g] - want) <= 1e-9
+
+
+def test_score_gallery_of_empty_banks():
+    r = np.random.default_rng(57)
+    model = mixed_model(r)
+    probes, gallery = mixed_banks(0, 7, r)
+    assert score_gallery(model, probes, gallery).shape == (0, 7)
+    assert score_gallery(model, gallery, probes).shape == (7, 0)
+
+
+def test_pair_scores_over_two_block_widths():
+    r = np.random.default_rng(59)
+    bank_a, bank_b = mixed_banks(6, 5, r)
+    pairs = np.array([[p, q, 1 if p == q else -1] for p in range(6) for q in range(5)])
+    model = mixed_model(r)
+    data = _PairData(bank_a, bank_b, pairs, MIXED_REP.block_keys())
+    assert sorted(len(group.keys) for group in data.groups) == [2, 2]
+    scores = simlearn._pair_scores(data, data.stack(model.blocks), model.gamma)
+    for (p, q, _), got in zip(pairs, scores):
+        want = score_pair(model, bank_row(bank_a, p), bank_row(bank_b, q))
+        assert abs(got - want) <= 1e-9
+
+
+def test_loss_and_gradient_over_two_block_widths():
+    r = np.random.default_rng(61)
+    bank_a, bank_b = mixed_banks(9, 9, r)
+    pairs = sample_pairs(np.arange(9), np.arange(9), r, neg_ratio=3)
+    model = mixed_model(r)
+    data = _PairData(bank_a, bank_b, pairs, MIXED_REP.block_keys())
+    loss, grads, grad_bias = loss_and_gradient(data, model.blocks, 0.2, 1.1, 1e-2)
+    ref_loss, ref_grads, ref_grad_bias = per_pair_loss_and_gradient(
+        bank_a, bank_b, pairs, model.blocks, 0.2, 1.1, 1e-2
+    )
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert grad_bias == pytest.approx(ref_grad_bias, rel=1e-12)
+    assert set(grads) == set(ref_grads)
+    for key, ref in ref_grads.items():
+        for got, want in zip(grads[key], ref):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("pair_space", [False, True], ids=["image", "pair_space"])
+def test_training_over_two_block_widths_matches_reference(pair_space, monkeypatch):
+    r = np.random.default_rng(67)
+    if pair_space:
+        bank_a, bank_b = mixed_banks(40, 40, r)
+        labels = np.where(r.random(40) < 0.3, 1, -1)
+        pairs = np.column_stack([np.arange(40), np.arange(40), labels])
+    else:
+        bank_a, bank_b = mixed_banks(12, 12, r)
+        pairs = sample_pairs(np.arange(12), np.arange(12), r, neg_ratio=10)
+    grams = count_pair_grams(monkeypatch)
+    assert_matches_reference(bank_a, bank_b, pairs, MIXED_REP, gamma=1.1)
+    assert grams == ([len(pairs)] if pair_space else [])
+
+
+def test_simw_round_trip_over_two_block_widths(tmp_path):
+    model = mixed_model(np.random.default_rng(71))
+    path = tmp_path / "mixed.simw"
+    save_model(model, path)
+    loaded = load_model(path, rep_id="mixed")
+    assert set(loaded.blocks) == set(model.blocks)
+    for key, (w_m, w_b) in model.blocks.items():
+        assert loaded.blocks[key][0].shape == (mixed_width(key),) * 2
+        np.testing.assert_allclose(loaded.blocks[key][0], w_m, atol=1e-6)
+        np.testing.assert_allclose(loaded.blocks[key][1], w_b, atol=1e-6)
+    probes, gallery = mixed_banks(3, 4, np.random.default_rng(73))
+    np.testing.assert_allclose(
+        score_gallery(loaded, probes, gallery), score_gallery(model, probes, gallery), atol=1e-4
+    )
 
 
 def test_pair_gram_matches_explicit_feature_map():
