@@ -41,6 +41,7 @@ from .postrank import (
 )
 from .rankagg import aggregate, best_n_select
 from .simlearn import (
+    BlockKey,
     FeatureBank,
     RankingList,
     Representation,
@@ -90,6 +91,15 @@ def _scope_keys(scopes: tuple[str, ...], n_regions: int) -> list[str]:
     return keys
 
 
+def _used_blocks(config: ExperimentConfig) -> set[BlockKey]:
+    """The blocks of the run's representations."""
+    return {
+        key
+        for rep_id in config.representations
+        for key in config.representation(rep_id).block_keys()
+    }
+
+
 def compute_cue_bank(
     records: list[ImageRecord],
     config: ExperimentConfig,
@@ -136,14 +146,18 @@ def load_ingested_bank(
     records: list[ImageRecord],
     config: ExperimentConfig,
 ) -> FeatureBank:
-    """Load FEAT files for ingested cues; rows must align with the records."""
+    """Load the FEAT files of the ingested blocks the run's representations
+    use; rows must align with the records. Other files are not opened."""
     bank: FeatureBank = {}
     if not config.ingested_cues:
         return bank
     if config.features_dir is None:
         raise ConfigError("ingested cues require features_dir")
+    used = _used_blocks(config)
     for cue, scopes in config.ingested_cues.items():
         for scope in _scope_keys(scopes, config.n_regions):
+            if (cue, scope) not in used:
+                continue
             path = Path(config.features_dir) / f"{cue}_{scope_filename(scope)}.feat"
             matrix = load_feature_matrix(path)
             if matrix.rows != len(records) or matrix.cols == 0:
@@ -156,13 +170,17 @@ def load_ingested_bank(
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
+    """The records and the raw blocks of the cues the run's representations
+    use: only their FEAT files are read and only their cues computed."""
     if config.identities is None:
         raise ConfigError("config is missing [data] identities")
+    if not config.ingested_cues and not config.computed_cues:
+        raise ConfigError("no cues configured: set computed_cues and/or [cues]")
     records = load_identities(config.identities)
     raw_bank = load_ingested_bank(records, config)
-    raw_bank.update(compute_cue_bank(records, config))
-    if not raw_bank:
-        raise ConfigError("no cues configured: set computed_cues and/or [cues]")
+    used_cues = {cue for cue, _ in _used_blocks(config)}
+    computed = tuple(cue for cue in config.computed_cues if cue in used_cues)
+    raw_bank.update(compute_cue_bank(records, replace(config, computed_cues=computed)))
     return Dataset(records=records, raw_bank=raw_bank)
 
 
@@ -286,8 +304,7 @@ def run_stage(
     fit = _stage_sides(fit_ids, split, row_index)
     eval_side = _stage_sides(eval_ids, split, row_index)
     reps = [config.representation(rep_id) for rep_id in config.representations]
-    used = {key for rep in reps for key in rep.block_keys()}
-    reduced = reduce_bank(dataset.raw_bank, used, _stage_rows(fit), config.pca_dim)
+    reduced = reduce_bank(dataset.raw_bank, _used_blocks(config), _stage_rows(fit), config.pca_dim)
     records = dataset.records
     outcome = StageOutcome(
         truth=_truth_map(eval_side.labels_a, eval_side.labels_b),
@@ -422,6 +439,7 @@ def run_single_rep(
     It is trained as the first representation of ``eval`` would be, unless a
     frozen ``model`` is given; post-ranking follows ``config.postrank_enabled``.
     """
+    config = replace(config, representations=(rep_id,))
     dataset = load_dataset(config)
     split = make_split(dataset.records, seed)
     return run_stage(
@@ -429,7 +447,7 @@ def run_single_rep(
         split,
         split.train_ids,
         split.test_ids,
-        replace(config, representations=(rep_id,)),
+        config,
         seed,
         _STAGE_FINAL,
         models={rep_id: model} if model is not None else None,

@@ -157,12 +157,56 @@ def test_cli_model_width_mismatch_is_exit_3(tmp_path, capsys):
 
 
 def test_cli_rank_missing_feat_file_is_exit_3(tmp_path, capsys):
-    # R1 reads only S1, but every configured cue is loaded
+    # R1 reads only S1, so only a missing S1 file stops it
     config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)
-    (tmp_path / "d" / "S3_global.feat").unlink()
+    (tmp_path / "d" / "S1_global.feat").unlink()
     code = main(["rank", "-c", str(config_path), "--rep", "R1", "--out", str(tmp_path / "r.csv")])
     assert code == 3
-    assert "S3_global.feat: cannot read: No such file or directory" in capsys.readouterr().err
+    assert "S1_global.feat: cannot read: No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,read",
+    [
+        (["rank", "--rep", "R1"], ["S1_global.feat", "identities.csv"]),
+        (["eval"], ["S1_global.feat", "S2_global.feat", "identities.csv"]),
+    ],
+)
+def test_cli_reads_only_the_feat_files_its_representations_use(tmp_path, monkeypatch, argv, read):
+    # S1 is configured with local blocks and S3 as a third cue, but R1 and
+    # R2 use only the S1 and S2 global blocks; the other files are not opened
+    from reidpipe import datamodel
+
+    config_path = build_synthetic_dataset(
+        tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4, postrank=False, best_n=False
+    )
+    for r in range(4):
+        save_feature_matrix(np.ones((16, 3), np.float32), tmp_path / "d" / f"S1_local_r{r}.feat")
+    text = config_path.read_text().replace("S1 = G\n", "S1 = GL\n", 1)
+    config_path.write_text(text.replace("representations = R1,R2,R3", "representations = R1,R2"))
+    opened = []
+    read_bytes = datamodel.read_bytes
+
+    def counted(path):
+        opened.append(Path(path).name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(datamodel, "read_bytes", counted)
+    out = ["--out", str(tmp_path / "r.csv")] if argv[0] == "rank" else []
+    assert main([*argv, "-c", str(config_path), *out]) == 0
+    assert sorted(opened) == read
+
+
+def test_cli_pca_lapack_failure_is_exit_4(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)
+    code = main(["rank", "-c", str(config_path), "--rep", "R1", "--out", str(tmp_path / "r.csv")])
+    assert code == 4
+    assert "numeric error: PCA of a" in capsys.readouterr().err
 
 
 def test_cli_rank_missing_model_file_is_exit_3(tmp_path, capsys):

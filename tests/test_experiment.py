@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_synthetic_dataset
+from conftest import build_synthetic_dataset, write_color_dataset
 from reidpipe.config import load_config
 from reidpipe.errors import ConfigError, DataError
 from reidpipe.experiment import (
@@ -115,6 +115,30 @@ def test_load_dataset_requires_cues(tmp_path):
     config.computed_cues = ()
     with pytest.raises(ConfigError):
         load_dataset(config)
+
+
+def test_load_dataset_computes_only_the_cues_its_representations_use(tmp_path, monkeypatch):
+    from reidpipe import experiment
+
+    write_color_dataset(tmp_path, n_ids=3)
+    config_path = tmp_path / "c.ini"
+    config_path.write_text(
+        "[data]\nidentities = identities.csv\nimages_dir = imgs\nmasks_dir = imgs\n"
+        "[features]\ncomputed_cues = C1,C2,C3,C4,C5,C6\npca_dim = 4\n"
+        "[representations]\nSC = C5:G, C6:L\n"
+        "[eval]\nseeds = 0\nrepresentations = SC\n"
+    )
+    asked = []
+    extract_cues = experiment.extract_cues
+
+    def spy(image, cue_ids, *args, **kwargs):
+        asked.append(cue_ids)
+        return extract_cues(image, cue_ids, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "extract_cues", spy)
+    dataset = load_dataset(load_config(config_path))
+    assert asked == [("C5", "C6")] * 6
+    assert {cue for cue, _ in dataset.raw_bank} == {"C5", "C6"}
 
 
 def test_load_dataset_row_mismatch(tmp_path):

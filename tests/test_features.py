@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from reidpipe import kernels
 from reidpipe.datamodel import ForegroundMask
-from reidpipe.errors import ConfigError
+from reidpipe.errors import ConfigError, NumericError
 from reidpipe.features import (
+    PcaModel,
     CUE_IDS,
     assemble_cue,
     channel_histogram,
@@ -576,3 +577,140 @@ def test_pca_deterministic_signs():
     np.testing.assert_array_equal(m1.basis, m2.basis)
     lead = np.argmax(np.abs(m1.basis), axis=0)
     assert np.all(m1.basis[lead, np.arange(4)] > 0)
+
+
+def svd_pca_oracle(x: np.ndarray, k: int) -> PcaModel:
+    """The thin-SVD fit: sign-fixed top-k right singular vectors of the
+    centred rows."""
+    mean = x.mean(axis=0)
+    _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
+    basis = vt[:k].T.copy()
+    lead = np.argmax(np.abs(basis), axis=0)
+    signs = np.sign(basis[lead, np.arange(k)])
+    signs[signs == 0] = 1.0
+    return PcaModel(mean=mean, basis=basis * signs)
+
+
+def _forbid(monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{name} called")
+
+    monkeypatch.setattr(np.linalg, name, fail)
+
+
+def _count_calls(monkeypatch, name) -> list:
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def decaying_rows(gen, n: int, d: int, decay: float = 0.92, unseen: int = 0) -> np.ndarray:
+    """n rows of d columns whose centred rows have the singular values
+    ``decay**i`` (i < n - 1), like the spectra of descriptor blocks, then
+    ``unseen`` more rows drawn from the same components. Each component is set
+    apart from the next, so its direction is defined well below 1e-12 (i.i.d.
+    Gaussian rows have nearly equal variances, and even two SVD algorithms
+    differ on them by 2e-12)."""
+    directions, _ = np.linalg.qr(gen.standard_normal((d, n - 1)))
+    # orthonormal columns orthogonal to the ones vector: centred already
+    coords, _ = np.linalg.qr(np.column_stack([np.ones(n), gen.standard_normal((n, n - 1))]))
+    latent = np.vstack([coords[:, 1:], gen.standard_normal((unseen, n - 1)) / np.sqrt(n)])
+    return (latent * decay ** np.arange(n - 1)) @ directions.T + 2.0
+
+
+@pytest.mark.parametrize("n,d", [(20, 5000), (40, 3000)])
+@pytest.mark.parametrize("k", [1, 16, -1])
+def test_pca_wide_gram_path_matches_svd_oracle(monkeypatch, n, d, k):
+    k = n - 1 if k == -1 else k
+    gen = np.random.default_rng(n * d + k)
+    rows = decaying_rows(gen, n, d, unseen=7)
+    data, unseen = rows[:n], rows[n:]
+    oracle = svd_pca_oracle(data, k)
+    _forbid(monkeypatch, "svd")  # the Gram path alone
+    model = fit_pca(data, d_out=k)
+    assert model.basis.shape == (d, k)
+    np.testing.assert_array_equal(model.mean, oracle.mean)
+    assert np.max(np.abs(model.basis - oracle.basis)) <= 1e-12
+    for batch in (data, unseen, data[0]):
+        assert np.max(np.abs(apply_pca(model, batch) - apply_pca(oracle, batch))) <= 1e-12
+    lead = np.argmax(np.abs(model.basis), axis=0)
+    assert np.all(model.basis[lead, np.arange(k)] > 0)
+    assert np.max(np.abs(model.basis.T @ model.basis - np.eye(k))) <= 1e-12
+
+
+@pytest.mark.parametrize("n,d,k", [(50, 20, 7), (30, 30, 12), (600, 128, 120), (9, 9, 9)])
+def test_pca_tall_blocks_are_bit_identical_to_svd(monkeypatch, n, d, k):
+    data = np.random.default_rng(n + d).standard_normal((n, d))
+    oracle = svd_pca_oracle(data, k)
+    _forbid(monkeypatch, "eigh")
+    model = fit_pca(data, d_out=k)
+    np.testing.assert_array_equal(model.mean, oracle.mean)
+    np.testing.assert_array_equal(model.basis, oracle.basis)
+
+
+def test_pca_wide_clamped_to_rows_takes_svd_and_warns(monkeypatch):
+    data = np.random.default_rng(3).standard_normal((20, 5000))
+    oracle = svd_pca_oracle(data, 20)
+    _forbid(monkeypatch, "eigh")
+    with pytest.warns(UserWarning, match="clamped from 25 to 20"):
+        model = fit_pca(data, d_out=25)
+    np.testing.assert_array_equal(model.basis, oracle.basis)
+    assert fit_pca(data, d_out=0).basis.shape == (5000, 0)
+
+
+def test_pca_wide_rank_deficient_rows_take_svd(monkeypatch):
+    # ten distinct rows twice: the centred rank is 9, so the 16th eigenvalue
+    # of the Gram is rounding noise and the fit falls back to the SVD
+    base = np.random.default_rng(4).standard_normal((10, 3000))
+    data = np.vstack([base, base])
+    oracle = svd_pca_oracle(data, 16)
+    calls = _count_calls(monkeypatch, "eigh")
+    model = fit_pca(data, d_out=16)
+    np.testing.assert_array_equal(model.basis, oracle.basis)
+    assert calls == ["eigh"]
+
+
+@pytest.mark.parametrize("decay", [0.7, 0.85])
+def test_pca_wide_ill_conditioned_rows_take_svd(monkeypatch, decay):
+    # the 39th variance is decay**76 (2e-12 or 4e-6) of the first: the Gram
+    # would lose accuracy there, so the fit falls back to the SVD
+    data = decaying_rows(np.random.default_rng(9), 40, 3000, decay=decay)
+    oracle = svd_pca_oracle(data, 39)
+    calls = _count_calls(monkeypatch, "eigh")
+    model = fit_pca(data, d_out=39)
+    np.testing.assert_array_equal(model.basis, oracle.basis)
+    assert calls == ["eigh"]
+
+
+def test_pca_wide_rank_within_centred_rank_keeps_gram(monkeypatch):
+    base = np.random.default_rng(5).standard_normal((10, 3000))
+    data = np.vstack([base, base])
+    oracle = svd_pca_oracle(data, 5)
+    _forbid(monkeypatch, "svd")
+    model = fit_pca(data, d_out=5)
+    assert np.max(np.abs(apply_pca(model, data) - apply_pca(oracle, data))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape,routine", [((20, 500), "eigh"), ((40, 10), "svd")])
+def test_pca_lapack_failure_is_numeric_error(monkeypatch, shape, routine):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    data = np.random.default_rng(6).standard_normal(shape)
+    with pytest.raises(NumericError, match="did not converge"):
+        fit_pca(data, d_out=4)
+
+
+@pytest.mark.parametrize("shape", [(20, 500), (40, 10)])
+def test_pca_never_writes_the_callers_array(shape):
+    data = np.random.default_rng(8).standard_normal(shape)
+    data.setflags(write=False)  # any write into it raises
+    model = fit_pca(data, d_out=4)
+    assert not np.shares_memory(model.basis, data)
