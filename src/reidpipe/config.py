@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if not self.representations:
             raise ConfigError("at least one representation is required")
+        if self.pca_dim < 1:
+            raise ConfigError(f"pca_dim must be at least 1, got {self.pca_dim}")
         for rep in self.representations:
             self.representation(rep)
 

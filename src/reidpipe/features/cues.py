@@ -13,6 +13,7 @@ intermediates; :func:`assemble_cue` is its single-cue entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from ..errors import ConfigError
 from .colorspace import convert, to_gray
 from .grid import IMAGE_H, IMAGE_W, N_STRIPES, patch_grid, patch_stripe_indices, stripe_bounds
 from .histograms import patch_channel_histograms, patch_joint_histograms
-from .scncd import assign_color_names, scncd_regions
+from .scncd import SCNCD_SPACES, assign_color_names, scncd_regions
 from .texture import patch_hog_histograms, patch_siltp_histograms
 
 CUE_IDS = ("C1", "C2", "C3", "C4", "C5", "C6")
@@ -36,6 +37,8 @@ _RECIPES = {
     "C6": (None, "scncd", "siltp"),
 }
 
+_GRID = patch_grid(IMAGE_W, IMAGE_H)
+_GRID.rects.flags.writeable = False
 _TEXTURES = {"hog": patch_hog_histograms, "siltp": patch_siltp_histograms}
 _COLOR_HISTOGRAMS = {"joint": patch_joint_histograms, "channel": patch_channel_histograms}
 
@@ -47,6 +50,22 @@ class CueDescriptor:
     cue_id: str
     local: tuple[np.ndarray, ...]
     global_: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _stripe_layout(n_stripes: int) -> tuple[tuple[np.ndarray, ...], tuple[tuple[int, int], ...]]:
+    """The patch indices of each stripe, and the SCNCD regions as pixel
+    ranges: the stripes, then each stripe's sub-stripes."""
+    stripes = patch_stripe_indices(_GRID, n_stripes)
+    members = tuple(np.flatnonzero(stripes == r) for r in range(n_stripes))
+    for m in members:
+        m.flags.writeable = False
+    bounds = stripe_bounds(IMAGE_H, n_stripes)
+    subs = [
+        (y0 + s0, y0 + s1) for y0, y1 in bounds for s0, s1 in stripe_bounds(y1 - y0, n_stripes)
+    ]
+    regions = tuple((y0 * IMAGE_W, y1 * IMAGE_W) for y0, y1 in bounds + subs)
+    return members, regions
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -83,10 +102,12 @@ def extract_cues(
 
     The image must be (128, 48, 3) RGB in [0, 1]. The gray image, each
     texture grid, each color space and the per-pixel SCNCD assignment are
-    computed once and shared by the cues that use them. A foreground mask
-    weights the color histograms of the cues in ``masked_cues`` only;
-    ``mask_blend`` mixes the unmasked histogram back in. Texture blocks ignore
-    the mask.
+    computed once and shared by the cues that use them; HSV serves both the
+    color histograms and SCNCD. The patch grid, the stripes and the SCNCD
+    regions depend on ``n_stripes`` alone and are built once per process. A
+    foreground mask weights the color histograms of the cues in
+    ``masked_cues`` only; ``mask_blend`` mixes the unmasked histogram back
+    in. Texture blocks ignore the mask.
     """
     unknown = [cue for cue in cue_ids if cue not in _RECIPES]
     if unknown:
@@ -96,24 +117,17 @@ def extract_cues(
         raise ConfigError(f"expected a {IMAGE_H}x{IMAGE_W}x3 image, got {image.shape}")
 
     recipes = {cue: _RECIPES[cue] for cue in cue_ids}
-    grid = patch_grid(IMAGE_W, IMAGE_H)
-    stripes = patch_stripe_indices(grid, n_stripes)
+    members, regions = _stripe_layout(n_stripes)
     gray = to_gray(image)
     textures = {
-        kind: _l2_rows(_TEXTURES[kind](gray, grid.rects))
+        kind: _l2_rows(_TEXTURES[kind](gray, _GRID.rects))
         for kind in {texture for _, _, texture in recipes.values()}
     }
-    spaces = {
-        space: convert(image, space)
-        for space in {space for space, _, _ in recipes.values() if space is not None}
-    }
-
-    # SCNCD regions: the stripes, then each stripe's sub-stripes, as pixel ranges.
-    bounds = stripe_bounds(IMAGE_H, n_stripes)
-    subs = [
-        (y0 + s0, y0 + s1) for y0, y1 in bounds for s0, s1 in stripe_bounds(y1 - y0, n_stripes)
-    ]
-    regions = [(y0 * IMAGE_W, y1 * IMAGE_W) for y0, y1 in bounds + subs]
+    # every color space once, HSV shared by the histograms and SCNCD
+    needed = {space for space, _, _ in recipes.values() if space is not None}
+    if any(kind == "scncd" for _, kind, _ in recipes.values()):
+        needed.update(SCNCD_SPACES)
+    spaces = {space: convert(image, space) for space in needed}
     assignment = None
     scncd_parts: dict[bool, list[np.ndarray]] = {}  # keyed by "is masked"
 
@@ -123,18 +137,18 @@ def extract_cues(
         weights = mask_weights if cue in masked_cues else None
         texture = textures[texture_kind]
         if color_kind != "scncd":
-            color = _l2_rows(_COLOR_HISTOGRAMS[color_kind](spaces[space], grid.rects, weights))
+            color = _l2_rows(_COLOR_HISTOGRAMS[color_kind](spaces[space], _GRID.rects, weights))
             per_patch = np.hstack([color, texture])
             out[cue] = CueDescriptor(
                 cue,
-                tuple(l2_normalize(per_patch[stripes == r].ravel()) for r in range(n_stripes)),
+                tuple(l2_normalize(per_patch[m].ravel()) for m in members),
                 l2_normalize(per_patch.ravel()),
             )
             continue
 
         # SCNCD cues: color at region level, texture per patch as above.
         if assignment is None:
-            assignment = assign_color_names(image)
+            assignment = assign_color_names(spaces)
         masked = weights is not None
         if masked not in scncd_parts:
             scncd_parts[masked] = scncd_regions(assignment, regions, weights)
@@ -142,9 +156,9 @@ def extract_cues(
         local = tuple(
             _fuse(
                 np.concatenate(parts[n_stripes * (r + 1) : n_stripes * (r + 2)]),
-                texture[stripes == r].ravel(),
+                texture[m].ravel(),
             )
-            for r in range(n_stripes)
+            for r, m in enumerate(members)
         )
         out[cue] = CueDescriptor(
             cue, local, _fuse(np.concatenate(parts[:n_stripes]), texture.ravel())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,31 +43,33 @@ class ColorNameAssignment:
     n_pixels: int
 
 
-def assign_color_names(pixels: np.ndarray) -> ColorNameAssignment:
+# each color name converted to each space, once per process
+_PALETTES = tuple(np.ascontiguousarray(convert(SCNCD_NAMES, space)) for space in SCNCD_SPACES)
+for _palette in _PALETTES:
+    _palette.flags.writeable = False
+
+
+def assign_color_names(spaces: Mapping[str, np.ndarray]) -> ColorNameAssignment:
     """Soft-assign and bin every pixel once per space.
 
-    The spaces convert elementwise, so the terms of a sub-range of pixels
-    equal those computed from that sub-range alone.
+    ``spaces`` maps each of ``SCNCD_SPACES`` to the pixels converted to it,
+    (..., 3) arrays of one shape; other entries are ignored. The spaces
+    convert elementwise, so the terms of a sub-range of pixels equal those
+    computed from that sub-range alone.
     """
-    rgb = np.asarray(pixels, dtype=np.float64).reshape(-1, 3)
     nn, kw, bins = [], [], []
-    for space in SCNCD_SPACES:
-        px = convert(rgb, space)
-        space_nn, space_kw = kernels.scncd_assign(
-            np.ascontiguousarray(px),
-            np.ascontiguousarray(convert(SCNCD_NAMES, space)),
-            SCNCD_BANDWIDTH,
-            SCNCD_KNN,
-        )
+    for space, palette in zip(SCNCD_SPACES, _PALETTES):
+        px = np.ascontiguousarray(spaces[space], dtype=np.float64).reshape(-1, 3)
+        space_nn, space_kw = kernels.scncd_assign(px, palette, SCNCD_BANDWIDTH, SCNCD_KNN)
         nn.append(space_nn)
         kw.append(space_kw)
         bins.append(quantize(px, SCNCD_HIST_BINS))
-    return ColorNameAssignment(tuple(nn), tuple(kw), tuple(bins), rgb.shape[0])
+    return ColorNameAssignment(tuple(nn), tuple(kw), tuple(bins), px.shape[0])
 
 
 def scncd_regions(
     assignment: ColorNameAssignment,
-    bounds: list[tuple[int, int]],
+    bounds: Sequence[tuple[int, int]],
     weights: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """The SCNCD descriptor of each pixel range ``[start, stop)`` in ``bounds``.
@@ -101,5 +104,6 @@ def scncd_regions(
 def scncd_descriptor(pixels: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Color-name distributions fused with channel histograms across spaces:
     :func:`scncd_regions` of one region covering every pixel."""
-    assignment = assign_color_names(pixels)
+    rgb = np.asarray(pixels, dtype=np.float64)
+    assignment = assign_color_names({space: convert(rgb, space) for space in SCNCD_SPACES})
     return scncd_regions(assignment, [(0, assignment.n_pixels)], weights)[0]

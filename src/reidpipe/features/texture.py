@@ -46,9 +46,9 @@ def patch_hog_histograms(gray: np.ndarray, rects: np.ndarray) -> np.ndarray:
     w, h = rects[0, 2], rects[0, 3]
     if np.any(rects[:, 2] != w) or np.any(rects[:, 3] != h):
         raise ContractError("patch_hog_histograms needs equally sized patches")
-    rows = rects[:, 1, None, None] + np.arange(h)[:, None]
-    cols = rects[:, 0, None, None] + np.arange(w)
-    idx, mag = hog_orientation_grid(np.asarray(gray, dtype=np.float64)[rows, cols])
+    gray = np.asarray(gray, dtype=np.float64)
+    index, _ = kernels.patch_gather_plan(rects, gray.shape)
+    idx, mag = hog_orientation_grid(gray.take(index).reshape(n, h, w))
     # the (n, h, w) stack as one (n * h, w) grid with one rectangle per patch
     tiles = np.column_stack(
         [np.zeros(n, dtype=np.int64), h * np.arange(n), np.full(n, w), np.full(n, h)]

@@ -7,6 +7,13 @@ image, ``scncd_assign`` on every pixel once per SCNCD color space, and
 histogram), all 165 patches in one offset ``bincount``. ``scncd_accumulate``
 is assignment followed by accumulation over one pixel set.
 
+Each call does only the work that depends on its image. The flat pixel index
+of every rectangle and the rectangle id of every gathered pixel depend on the
+rectangles and the grid shape alone; :func:`patch_gather_plan` builds them
+once per rectangle set and grid shape and keeps the last few. ``scncd_assign``
+selects the ``knn`` nearest names by successive ``argmin`` passes instead of
+sorting all of them.
+
 The ``images`` workload of ``perfbench/run.py --trace 1`` times each kernel
 on fixed shapes (``kernels.fixed.*_us``); ``tests/test_kernels.py`` checks
 them against plain-Python loop oracles.
@@ -14,7 +21,11 @@ them against plain-Python loop oracles.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+from .errors import ContractError
 
 # perfbench/layers.py reads this flag; there is no compiled kernel path.
 USE_NUMBA = False
@@ -23,6 +34,43 @@ USE_NUMBA = False
 # ---------------------------------------------------------------------------
 # Patch histogram accumulation
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _cached_plan(
+    rects_key: bytes, grid_shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    rects = np.frombuffer(rects_key, dtype=np.int64).reshape(-1, 4)
+    x0, y0, w, h = rects.T
+    height, width = grid_shape
+    if np.any((w < 0) | (h < 0) | (x0 < 0) | (y0 < 0) | (x0 + w > width) | (y0 + h > height)):
+        raise ContractError(f"patch rectangles must lie inside the {height}x{width} grid")
+    sizes = w * h
+    patch_id = np.repeat(np.arange(rects.shape[0]), sizes)
+    # each pixel's row-major position inside its rectangle, then in the grid
+    pos = np.arange(patch_id.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rect_w = np.maximum(w, 1)[patch_id]
+    index = (y0[patch_id] + pos // rect_w) * width + x0[patch_id] + pos % rect_w
+    index.flags.writeable = False
+    patch_id.flags.writeable = False
+    return index, patch_id
+
+
+def patch_gather_plan(
+    rects: np.ndarray, grid_shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flat gather index of ``rects`` (an (N, 4) array of ``x0, y0, w,
+    h``) over a grid of ``grid_shape`` (H, W), and the rectangle id of each
+    gathered pixel.
+
+    Rectangles follow one another, each one's pixels in row-major order.
+    Plans are kept for the last few rectangle sets and grid shapes, so a
+    caller with a fixed geometry builds its plan once per process; the
+    returned arrays are read-only. A rectangle that is not inside the grid
+    raises ``ContractError``.
+    """
+    key = np.ascontiguousarray(rects, dtype=np.int64).reshape(-1, 4).tobytes()
+    return _cached_plan(key, (int(grid_shape[0]), int(grid_shape[1])))
+
 
 def patch_histograms(
     bin_idx: np.ndarray,
@@ -35,22 +83,21 @@ def patch_histograms(
     ``bin_idx`` is an HxW integer grid of per-pixel bin indices (all in
     ``[0, n_bins)``), ``weights`` the matching per-pixel weights and ``rects``
     an (N, 4) array of ``x0, y0, w, h`` rectangles. Returns (N, n_bins).
-    Each rectangle's pixels are summed in row-major order; rectangles of one
-    size are gathered into a stack and binned by one offset ``bincount``.
+    Every rectangle's pixels are gathered by its :func:`patch_gather_plan`,
+    offset by ``n_bins`` times the rectangle id and binned by one
+    ``bincount``, so each rectangle's pixels are summed in row-major order.
     """
-    out = np.zeros((rects.shape[0], n_bins), dtype=np.float64)
-    sizes = rects[:, 2:]
-    for w, h in np.unique(sizes, axis=0):
-        sel = np.flatnonzero((sizes[:, 0] == w) & (sizes[:, 1] == h))
-        rows = rects[sel, 1, None, None] + np.arange(h)[:, None]
-        cols = rects[sel, 0, None, None] + np.arange(w)
-        offset = n_bins * np.arange(sel.size)[:, None, None]
-        out[sel] = np.bincount(
-            (bin_idx[rows, cols] + offset).ravel(),
-            weights=weights[rows, cols].ravel(),
-            minlength=sel.size * n_bins,
-        ).reshape(sel.size, n_bins)
-    return out
+    if np.shape(weights) != np.shape(bin_idx):
+        raise ContractError(
+            f"weights of shape {np.shape(weights)} do not match the bin grid's {np.shape(bin_idx)}"
+        )
+    index, patch_id = patch_gather_plan(rects, np.shape(bin_idx))
+    n = rects.shape[0]
+    return np.bincount(
+        np.take(bin_idx, index) + n_bins * patch_id,
+        weights=np.take(weights, index),
+        minlength=n * n_bins,
+    ).reshape(n, n_bins)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +144,16 @@ def scncd_assign(
     d2 = (pixels[:, None, 0] - palette[None, :, 0]) ** 2
     for c in range(1, pixels.shape[1]):
         d2 = d2 + (pixels[:, None, c] - palette[None, :, c]) ** 2
-    nn = np.argsort(d2, axis=1, kind="stable")[:, :knn]
-    nd2 = np.take_along_axis(d2, nn, axis=1)
+    # the knn nearest in order: argmin takes the first of tied minima, so a
+    # tie goes to the smaller palette index, as a stable sort would
+    k = min(knn, palette.shape[0])
+    rows = np.arange(d2.shape[0])
+    nn = np.empty((d2.shape[0], k), dtype=np.intp)
+    nd2 = np.empty((d2.shape[0], k), dtype=np.float64)
+    for i in range(k):
+        nn[:, i] = d2.argmin(axis=1)
+        nd2[:, i] = d2[rows, nn[:, i]]
+        d2[rows, nn[:, i]] = np.inf
     kw = np.exp(-(nd2 - nd2[:, :1]) / (sigma * sigma))
     kw /= kw.sum(axis=1, keepdims=True)
     return nn, kw

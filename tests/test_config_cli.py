@@ -156,6 +156,15 @@ def test_cli_model_width_mismatch_is_exit_3(tmp_path, capsys):
     assert "W (4, 4)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pca_dim", [0, -3])
+def test_cli_pca_dim_below_one_is_exit_2(tmp_path, capsys, pca_dim):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=pca_dim)
+    code = main(["rank", "-c", str(config_path), "--rep", "R1", "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert f"pca_dim must be at least 1, got {pca_dim}" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_cli_rank_missing_feat_file_is_exit_3(tmp_path, capsys):
     # R1 reads only S1, so only a missing S1 file stops it
     config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)
