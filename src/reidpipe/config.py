@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ConfigError("at least one representation is required")
         if self.pca_dim < 1:
             raise ConfigError(f"pca_dim must be at least 1, got {self.pca_dim}")
+        if self.n_regions < 1:
+            raise ConfigError(f"regions must be at least 1, got {self.n_regions}")
         for rep in self.representations:
             self.representation(rep)
 

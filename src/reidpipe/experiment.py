@@ -105,7 +105,8 @@ def compute_cue_bank(
     config: ExperimentConfig,
 ) -> FeatureBank:
     """Extract the configured hand-crafted cues for every record, each
-    block's rows written in place into one preallocated matrix."""
+    block's rows written in place into one preallocated float32 matrix: the
+    precision of FEAT files, so computed and ingested cues reduce alike."""
     bank: FeatureBank = {}
     if not config.computed_cues:
         return bank
@@ -137,7 +138,7 @@ def compute_cue_bank(
             scoped = [("G", desc.global_)] + [(f"r{r}", v) for r, v in enumerate(desc.local)]
             for scope, vec in scoped:
                 if i == 0:
-                    bank[(cue, scope)] = np.empty((len(records), vec.size))
+                    bank[(cue, scope)] = np.empty((len(records), vec.size), np.float32)
                 bank[(cue, scope)][i] = vec
     return bank
 
@@ -147,7 +148,8 @@ def load_ingested_bank(
     config: ExperimentConfig,
 ) -> FeatureBank:
     """Load the FEAT files of the ingested blocks the run's representations
-    use; rows must align with the records. Other files are not opened."""
+    use, as their float32 values; rows must align with the records. Other
+    files are not opened."""
     bank: FeatureBank = {}
     if not config.ingested_cues:
         return bank
@@ -165,7 +167,7 @@ def load_ingested_bank(
                     f"{path}: {matrix.rows}x{matrix.cols} matrix for"
                     f" {len(records)} identity records"
                 )
-            bank[(cue, scope)] = matrix.values.astype(np.float64)
+            bank[(cue, scope)] = matrix.values
     return bank
 
 
@@ -197,7 +199,7 @@ def extract_to_feat_files(config: ExperimentConfig, out_dir: str | Path) -> list
     written = []
     for (cue, scope), matrix in sorted(bank.items()):
         path = out_dir / f"{cue}_{scope_filename(scope)}.feat"
-        save_feature_matrix(matrix.astype(np.float32), path)
+        save_feature_matrix(matrix, path)
         written.append(path)
     return written
 
@@ -234,7 +236,8 @@ def _stage_sides(ids: frozenset[int], split, row_index) -> StageSides:
 
 
 def _stage_rows(sides: StageSides) -> np.ndarray:
-    return np.unique(np.concatenate([sides.rows_a, sides.rows_b]))
+    """The stage's image rows in order; the two cameras' rows are distinct."""
+    return np.sort(np.concatenate([sides.rows_a, sides.rows_b]))
 
 
 def _truth_map(labels_a: np.ndarray, labels_b: np.ndarray) -> dict[int, int]:
@@ -246,7 +249,9 @@ def reduce_bank(
     raw_bank: FeatureBank, keys: set[tuple[str, str]], fit_rows: np.ndarray, pca_dim: int
 ) -> FeatureBank:
     """Per-block PCA fit on the training rows, applied to every row, for the
-    blocks of ``keys`` the bank holds (a missing one fails where it is used)."""
+    blocks of ``keys`` the bank holds (a missing one fails where it is used).
+    A float32 block stays float32: only its fit rows and one row block at a
+    time are converted to float64."""
     reduced: FeatureBank = {}
     for key in sorted(keys & raw_bank.keys()):
         model = fit_pca(raw_bank[key][fit_rows], pca_dim)

@@ -112,6 +112,8 @@ def extract_cues(
     unknown = [cue for cue in cue_ids if cue not in _RECIPES]
     if unknown:
         raise ConfigError(f"unknown cue {unknown[0]!r}")
+    if n_stripes < 1:
+        raise ConfigError(f"n_stripes must be at least 1, got {n_stripes}")
     image = np.asarray(image, dtype=np.float64)
     if image.shape != (IMAGE_H, IMAGE_W, 3):
         raise ConfigError(f"expected a {IMAGE_H}x{IMAGE_W}x3 image, got {image.shape}")

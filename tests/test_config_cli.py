@@ -425,6 +425,20 @@ def test_cli_extract_round_trip(tmp_path):
     np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("regions", [0, -1])
+def test_cli_regions_below_one_is_exit_2(tmp_path, capsys, regions):
+    config_path = _image_dataset(tmp_path)
+    config_path.write_text(
+        config_path.read_text().replace("[features]\n", f"[features]\nregions = {regions}\n")
+    )
+    out_dir = tmp_path / "feats"
+    assert main(["extract", "-c", str(config_path), "--out", str(out_dir)]) == 2
+    assert f"regions must be at least 1, got {regions}" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert main(["eval", "-c", str(config_path)]) == 2
+    assert f"regions must be at least 1, got {regions}" in capsys.readouterr().err
+
+
 def test_cli_zero_size_mask_is_exit_3(tmp_path, capsys):
     config_path = _image_dataset(tmp_path)
     (tmp_path / "imgs" / "a0.pgm").write_bytes(b"P5\n0 0\n255\n")

@@ -173,3 +173,72 @@ def test_dcia_computes_each_neighbor_window_once(synthetic_config, monkeypatch):
     run_experiment(config)
     assert asked
     assert len(asked) == len(set(asked))
+
+
+def test_stage_rows_sort_the_distinct_rows_of_both_cameras(synthetic_config):
+    from reidpipe.datamodel import make_split
+    from reidpipe.experiment import _stage_rows, _stage_sides
+
+    dataset = load_dataset(load_config(synthetic_config))
+    for seed in (0, 1, 5):
+        split = make_split(dataset.records, seed)
+        for ids in (split.train_ids, split.test_ids):
+            sides = _stage_sides(ids, split, dataset.row_index)
+            rows = _stage_rows(sides)
+            both = np.concatenate([sides.rows_a, sides.rows_b])
+            np.testing.assert_array_equal(rows, np.unique(both))
+            assert rows.size == both.size
+
+
+def test_computed_cues_reduce_as_extracted_and_ingested_ones(tmp_path):
+    # the bank holds computed cues at FEAT precision, so extracting them to
+    # FEAT files and ingesting those gives the same reduced blocks, bit for bit
+    from reidpipe.cli import main
+    from reidpipe.experiment import reduce_bank
+
+    write_color_dataset(tmp_path, n_ids=5)
+    features = "[features]\ncomputed_cues = C1,C5\npca_dim = 4\n"
+    (tmp_path / "computed.ini").write_text(
+        "[data]\nidentities = identities.csv\nimages_dir = imgs\nmasks_dir = imgs\n"
+        f"{features}[representations]\nX = C1:GL, C5:GL\n[eval]\nrepresentations = X\n"
+    )
+    assert main(["extract", "-c", str(tmp_path / "computed.ini"), "--out", str(tmp_path / "feats")]) == 0
+    (tmp_path / "ingested.ini").write_text(
+        "[data]\nidentities = identities.csv\nfeatures_dir = feats\n"
+        "[cues]\nC1 = GL\nC5 = GL\n[features]\npca_dim = 4\n"
+        "[representations]\nX = C1:GL, C5:GL\n[eval]\nrepresentations = X\n"
+    )
+    computed = load_dataset(load_config(tmp_path / "computed.ini")).raw_bank
+    ingested = load_dataset(load_config(tmp_path / "ingested.ini")).raw_bank
+    assert computed.keys() == ingested.keys() and len(computed) == 10
+    for key in computed:
+        assert computed[key].dtype == ingested[key].dtype == np.float32
+        np.testing.assert_array_equal(computed[key], ingested[key])
+    keys, fit_rows = set(computed), np.array([0, 2, 3, 5, 6, 9])
+    reduced_computed = reduce_bank(computed, keys, fit_rows, 4)
+    reduced_ingested = reduce_bank(ingested, keys, fit_rows, 4)
+    for key in keys:
+        assert reduced_computed[key].shape == (10, 4)
+        np.testing.assert_array_equal(reduced_computed[key], reduced_ingested[key])
+
+
+def test_reduce_bank_makes_no_full_size_float64_copy():
+    import tracemalloc
+
+    from reidpipe.experiment import reduce_bank
+    from reidpipe.features import pca
+
+    n, d, k = 100, 40000, 4
+    raw = {("C1", "G"): np.random.default_rng(3).standard_normal((n, d)).astype(np.float32)}
+    fit_rows = np.arange(0, n, 5)
+    # one float64 copy of the fit rows, the basis and one row block; a
+    # float64 copy of the whole block alone (32 MB) is twice that
+    bound = 8 * fit_rows.size * d + 8 * d * k + pca._APPLY_BYTES + (1 << 20)
+    tracemalloc.start()
+    try:
+        reduced = reduce_bank(raw, {("C1", "G")}, fit_rows, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reduced[("C1", "G")].shape == (n, k)
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from reidpipe import kernels
 from reidpipe.datamodel import ForegroundMask
-from reidpipe.errors import ConfigError, NumericError
+from reidpipe.errors import ConfigError, DataError, NumericError
 from reidpipe.features import (
     PcaModel,
     CUE_IDS,
@@ -26,6 +26,7 @@ from reidpipe.features import (
     to_l1l2l3,
     to_normalized_rgb,
 )
+from reidpipe.features import pca
 from reidpipe.features.scncd import SCNCD_BANDWIDTH, SCNCD_KNN, SCNCD_NAMES, SCNCD_SPACES
 from reidpipe.features.texture import patch_hog_histograms
 
@@ -518,6 +519,12 @@ def test_extract_cues_rejects_unknown_cue():
         extract_cues(full_image(), ("C1", "C9"))
 
 
+@pytest.mark.parametrize("n_stripes", [0, -1])
+def test_extract_cues_rejects_fewer_than_one_stripe(n_stripes):
+    with pytest.raises(ConfigError, match=f"n_stripes must be at least 1, got {n_stripes}"):
+        extract_cues(full_image(), ("C1", "C5"), n_stripes=n_stripes)
+
+
 # ---------------------------------------------------------------------------
 # PCA
 # ---------------------------------------------------------------------------
@@ -714,3 +721,90 @@ def test_pca_never_writes_the_callers_array(shape):
     data.setflags(write=False)  # any write into it raises
     model = fit_pca(data, d_out=4)
     assert not np.shares_memory(model.basis, data)
+
+
+def unblocked_apply(model: PcaModel, x: np.ndarray) -> np.ndarray:
+    """apply_pca as one product over all rows, every row in float64 at once."""
+    proj = (np.asarray(x, dtype=np.float64) - model.mean) @ model.basis
+    norms = np.linalg.norm(proj, axis=1, keepdims=True)
+    return proj / np.where(norms > 0, norms, 1.0)
+
+
+@pytest.mark.parametrize("n", [24, 48, 49, 55, 73, 95])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_apply_pca_row_blocks_equal_one_product(monkeypatch, n, dtype):
+    # 24 rows per product; 49 and 73 rows leave a one-row last block, which
+    # is projected as the last 24 rows, and 55 and 95 a short one
+    gen = np.random.default_rng(n)
+    d = 20000
+    model = fit_pca(gen.standard_normal((40, d)), d_out=16)
+    x = gen.standard_normal((n, d)).astype(dtype)
+    monkeypatch.setattr(pca, "_APPLY_BYTES", 24 * 8 * d)
+    out = apply_pca(model, x)
+    np.testing.assert_array_equal(out, unblocked_apply(model, x))
+    assert out.dtype == np.float64
+    monkeypatch.setattr(pca, "_APPLY_BYTES", 8 * d * n)  # one block of every row
+    np.testing.assert_array_equal(apply_pca(model, x), out)
+
+
+def test_apply_pca_empty_and_single_rows():
+    model = fit_pca(rng.standard_normal((12, 30)), d_out=4)
+    assert apply_pca(model, np.zeros((0, 30), np.float32)).shape == (0, 4)
+    row = rng.standard_normal(30).astype(np.float32)
+    np.testing.assert_array_equal(apply_pca(model, row), apply_pca(model, row.astype(np.float64)))
+
+
+def argmax_signs(basis: np.ndarray) -> np.ndarray:
+    """The sign of each column's first largest-magnitude entry, +1 for zero."""
+    lead = np.argmax(np.abs(basis), axis=0)
+    signs = np.sign(basis[lead, np.arange(basis.shape[1])])
+    signs[signs == 0] = 1.0
+    return signs
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [[0.5, -0.5, 0.1]],  # +v before -v
+        [[-0.5, 0.2, 0.5]],  # -v before +v
+        [[0.0, 0.0, 0.0]],  # all zero
+        [[-0.1, -0.3, -0.2]],  # all negative
+        [[0.3, -0.3, 0.3, -0.3], [-0.3, 0.3, -0.3, 0.3], [0.0, 0.0, 0.0, 0.0], [0.1, 0.0, -0.9, 0.9]],
+        [[-0.0, 0.0, -0.0]],  # signed zeros
+    ],
+)
+def test_pca_sign_rule_matches_argmax_of_magnitudes(columns):
+    basis = np.array(columns, dtype=np.float64).T.copy()
+    expected = basis * argmax_signs(basis)
+    pca._fix_signs(basis)
+    np.testing.assert_array_equal(basis, expected)
+    np.testing.assert_array_equal(np.signbit(basis), np.signbit(expected))
+
+
+def test_pca_sign_rule_random_and_empty_bases():
+    gen = np.random.default_rng(11)
+    for shape in [(50, 7), (1, 5), (3000, 16), (8, 0), (0, 3)]:
+        basis = np.round(gen.standard_normal(shape), 1)  # many ties
+        expected = basis * argmax_signs(basis) if 0 not in shape else basis.copy()
+        pca._fix_signs(basis)
+        np.testing.assert_array_equal(basis, expected)
+    model = fit_pca(gen.standard_normal((20, 300)), d_out=0)
+    assert model.basis.shape == (300, 0)
+
+
+@pytest.mark.parametrize("shape", [(20, 500), (40, 10)])
+def test_pca_fits_a_read_only_float32_block_as_its_float64_values(shape):
+    data = np.random.default_rng(12).standard_normal(shape).astype(np.float32)
+    before = data.copy()
+    data.setflags(write=False)
+    model = fit_pca(data, d_out=4)
+    np.testing.assert_array_equal(data, before)
+    oracle = fit_pca(data.astype(np.float64), d_out=4)
+    assert model.mean.dtype == model.basis.dtype == np.float64
+    np.testing.assert_array_equal(model.mean, oracle.mean)
+    np.testing.assert_array_equal(model.basis, oracle.basis)
+
+
+def test_pca_rejects_a_block_without_columns():
+    with pytest.raises(DataError, match="non-empty"):
+        fit_pca(np.zeros((5, 0)), d_out=2)
