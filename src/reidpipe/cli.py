@@ -21,6 +21,7 @@ from .evaluation import (
     save_content_csv,
     save_rankings_csv,
     save_truth_csv,
+    stat_items,
 )
 from .experiment import extract_to_feat_files, run_experiment, run_single_rep, write_report
 from .rankagg import aggregate
@@ -130,12 +131,8 @@ def _cmd_stats(args) -> int:
     gallery_index = {g: i for i, g in enumerate(gallery_ids)}
     contents = load_content_csv(args.content, probe_index, gallery_index)
     truth = load_truth_csv(args.truth, probe_index, gallery_index)
-    stats = postrank_stats(before, after, contents, truth)
-    print(f"in_content       {stats.pct_in_content:.2f}%")
-    print(f"improved         {stats.pct_improved:.2f}%")
-    print(f"improved_to_top1 {stats.pct_improved_to_top1:.2f}%")
-    print(f"unchanged        {stats.pct_unchanged:.2f}%")
-    print(f"worsened         {stats.pct_worsened:.2f}%")
+    for name, pct, _ in stat_items(postrank_stats(before, after, contents, truth)):
+        print(f"{name:<17}{pct:.2f}%")
     return 0
 
 

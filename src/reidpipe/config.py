@@ -62,12 +62,18 @@ class ExperimentConfig:
             raise ConfigError("seeds must be distinct")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if not self.representations:
             raise ConfigError("at least one representation is required")
         if self.pca_dim < 1:
             raise ConfigError(f"pca_dim must be at least 1, got {self.pca_dim}")
         if self.n_regions < 1:
             raise ConfigError(f"regions must be at least 1, got {self.n_regions}")
+        if self.neg_ratio < 1:
+            raise ConfigError(f"neg_ratio must be at least 1, got {self.neg_ratio}")
+        if self.n_max < 2:
+            raise ConfigError(f"n_max must be at least 2, got {self.n_max}")
         for rep in self.representations:
             self.representation(rep)
 

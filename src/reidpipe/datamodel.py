@@ -45,28 +45,6 @@ class ImageRecord:
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
-    """Dense descriptor matrix, one row per image."""
-
-    values: np.ndarray
-    descriptor_name: str = ""
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise DataError(f"feature matrix must be 2-D, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError(f"feature matrix {self.descriptor_name!r} has non-finite values")
-
-
-@dataclass(frozen=True)
 class ForegroundMask:
     """Per-pixel foreground weights in [0, 1], shaped (height, width)."""
 
@@ -143,9 +121,9 @@ class BinaryReader:
 # FEAT binary descriptor files
 # ---------------------------------------------------------------------------
 
-def save_feature_matrix(matrix: FeatureMatrix | np.ndarray, path: str | Path) -> None:
+def save_feature_matrix(values: np.ndarray, path: str | Path) -> None:
     """Write a FEAT file: magic, u32 version/rows/cols, little-endian f32 payload."""
-    values = matrix.values if isinstance(matrix, FeatureMatrix) else np.asarray(matrix)
+    values = np.asarray(values)
     if values.ndim != 2:
         raise DataError(f"feature matrix must be 2-D, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
@@ -157,15 +135,16 @@ def save_feature_matrix(matrix: FeatureMatrix | np.ndarray, path: str | Path) ->
         fh.write(payload.tobytes())
 
 
-def load_feature_matrix(path: str | Path) -> FeatureMatrix:
-    """Read a FEAT file written by :func:`save_feature_matrix`."""
+def load_feature_matrix(path: str | Path) -> np.ndarray:
+    """Read a FEAT file written by :func:`save_feature_matrix` as its
+    (rows, cols) float32 values, all finite."""
     reader = BinaryReader(path, FEAT_MAGIC)
     version, rows, cols = reader.unpack("<III")
     if version != FEAT_VERSION:
         raise FormatError(f"{reader.path}: unsupported FEAT version {version}")
     values = reader.floats(rows, cols).copy()
     reader.finish()
-    return FeatureMatrix(values=values, descriptor_name=reader.path.stem)
+    return values
 
 
 # ---------------------------------------------------------------------------

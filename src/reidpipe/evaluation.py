@@ -126,13 +126,17 @@ def postrank_stats(
     )
 
 
-_STAT_FIELDS = (
-    ("pct_in_content", "std_in_content"),
-    ("pct_improved", "std_improved"),
-    ("pct_improved_to_top1", "std_improved_to_top1"),
-    ("pct_unchanged", "std_unchanged"),
-    ("pct_worsened", "std_worsened"),
-)
+# The statistics in report order; each is the field ``pct_<name>`` with its
+# deviation ``std_<name>``.
+POSTRANK_STATS = ("in_content", "improved", "improved_to_top1", "unchanged", "worsened")
+
+
+def stat_items(stats: PostrankStats) -> list[tuple[str, float, float]]:
+    """Each statistic's name, percentage and deviation, in report order."""
+    return [
+        (name, getattr(stats, f"pct_{name}"), getattr(stats, f"std_{name}"))
+        for name in POSTRANK_STATS
+    ]
 
 
 def summarize_postrank_stats(runs: list[PostrankStats]) -> PostrankStats:
@@ -140,10 +144,10 @@ def summarize_postrank_stats(runs: list[PostrankStats]) -> PostrankStats:
     if not runs:
         raise DataError("no runs to summarize")
     values = {}
-    for mean_field, std_field in _STAT_FIELDS:
-        samples = np.array([getattr(run, mean_field) for run in runs])
-        values[mean_field] = float(samples.mean())
-        values[std_field] = float(samples.std())
+    for name in POSTRANK_STATS:
+        samples = np.array([getattr(run, f"pct_{name}") for run in runs])
+        values[f"pct_{name}"] = float(samples.mean())
+        values[f"std_{name}"] = float(samples.std())
     return PostrankStats(**values)
 
 

@@ -26,6 +26,7 @@ from .evaluation import (
     cmc_curve,
     mean_cmc,
     postrank_stats,
+    stat_items,
     summarize_postrank_stats,
 )
 from .features import IMAGE_H, IMAGE_W, extract_cues
@@ -161,29 +162,31 @@ def load_ingested_bank(
             if (cue, scope) not in used:
                 continue
             path = Path(config.features_dir) / f"{cue}_{scope_filename(scope)}.feat"
-            matrix = load_feature_matrix(path)
-            if matrix.rows != len(records) or matrix.cols == 0:
-                raise DataError(
-                    f"{path}: {matrix.rows}x{matrix.cols} matrix for"
-                    f" {len(records)} identity records"
-                )
-            bank[(cue, scope)] = matrix.values
+            values = load_feature_matrix(path)
+            rows, cols = values.shape
+            if rows != len(records) or cols == 0:
+                raise DataError(f"{path}: {rows}x{cols} matrix for {len(records)} identity records")
+            bank[(cue, scope)] = values
     return bank
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
-    """The records and the raw blocks of the cues the run's representations
-    use: only their FEAT files are read and only their cues computed."""
+    """The records and exactly the raw blocks the run's representations use:
+    only their FEAT files are read and only their cues computed. A block
+    that neither supplies is a ConfigError."""
     if config.identities is None:
         raise ConfigError("config is missing [data] identities")
     if not config.ingested_cues and not config.computed_cues:
         raise ConfigError("no cues configured: set computed_cues and/or [cues]")
     records = load_identities(config.identities)
+    used = _used_blocks(config)
     raw_bank = load_ingested_bank(records, config)
-    used_cues = {cue for cue, _ in _used_blocks(config)}
-    computed = tuple(cue for cue in config.computed_cues if cue in used_cues)
+    computed = tuple(cue for cue in config.computed_cues if cue in {c for c, _ in used})
     raw_bank.update(compute_cue_bank(records, replace(config, computed_cues=computed)))
-    return Dataset(records=records, raw_bank=raw_bank)
+    missing = sorted(used - raw_bank.keys())
+    if missing:
+        raise ConfigError(f"descriptor bank is missing blocks: {missing}")
+    return Dataset(records=records, raw_bank={key: raw_bank[key] for key in sorted(used)})
 
 
 def extract_to_feat_files(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
@@ -245,30 +248,29 @@ def _truth_map(labels_a: np.ndarray, labels_b: np.ndarray) -> dict[int, int]:
     return {p: gallery_of[int(label)] for p, label in enumerate(labels_a)}
 
 
-def reduce_bank(
-    raw_bank: FeatureBank, keys: set[tuple[str, str]], fit_rows: np.ndarray, pca_dim: int
-) -> FeatureBank:
-    """Per-block PCA fit on the training rows, applied to every row, for the
-    blocks of ``keys`` the bank holds (a missing one fails where it is used).
-    A float32 block stays float32: only its fit rows and one row block at a
-    time are converted to float64."""
+def reduce_bank(raw_bank: FeatureBank, fit_rows: np.ndarray, pca_dim: int) -> FeatureBank:
+    """Per-block PCA fit on the training rows, applied to every row, for
+    every block of the bank. A float32 block stays float32: only its fit rows
+    and one row block at a time are converted to float64."""
     reduced: FeatureBank = {}
-    for key in sorted(keys & raw_bank.keys()):
+    for key in sorted(raw_bank):
         model = fit_pca(raw_bank[key][fit_rows], pca_dim)
         reduced[key] = apply_pca(model, raw_bank[key])
     return reduced
 
 
-def concat_rep_features(bank: FeatureBank, rep: Representation, rows: np.ndarray) -> np.ndarray:
-    """Concatenated per-image vectors over the representation's blocks."""
-    return np.hstack([bank[key][rows] for key in rep.block_keys()])
+def concat_rep_features(bank: FeatureBank, rep: Representation) -> np.ndarray:
+    """Each row's vectors over the representation's blocks, concatenated."""
+    return np.hstack([bank[key] for key in rep.block_keys()])
 
 
 def _sub_bank(bank: FeatureBank, keys, rows: np.ndarray) -> FeatureBank:
-    missing = [key for key in keys if key not in bank]
-    if missing:
-        raise ConfigError(f"descriptor bank is missing blocks: {missing}")
     return {key: bank[key][rows] for key in keys}
+
+
+def _gather(bank: FeatureBank, keys, sides: StageSides) -> tuple[FeatureBank, FeatureBank]:
+    """The probe and gallery banks of ``sides`` over the blocks ``keys``."""
+    return _sub_bank(bank, keys, sides.rows_a), _sub_bank(bank, keys, sides.rows_b)
 
 
 @dataclass
@@ -309,7 +311,7 @@ def run_stage(
     fit = _stage_sides(fit_ids, split, row_index)
     eval_side = _stage_sides(eval_ids, split, row_index)
     reps = [config.representation(rep_id) for rep_id in config.representations]
-    reduced = reduce_bank(dataset.raw_bank, _used_blocks(config), _stage_rows(fit), config.pca_dim)
+    reduced = reduce_bank(dataset.raw_bank, _stage_rows(fit), config.pca_dim)
     records = dataset.records
     outcome = StageOutcome(
         truth=_truth_map(eval_side.labels_a, eval_side.labels_b),
@@ -324,21 +326,19 @@ def run_stage(
         if model is not None and model.block_keys() != sorted(keys):
             odd = sorted(set(model.blocks) ^ set(keys))
             raise DataError(f"model {model.rep_id}: blocks {odd} do not match {rep_id}")
+        # each side is gathered once, for training, ranking and DCIA alike
+        trains_or_postranks = model is None or config.postrank_enabled
+        fit_banks = _gather(reduced, keys, fit) if trains_or_postranks else None
         if model is None:
-            bank_a = _sub_bank(reduced, keys, fit.rows_a)
-            bank_b = _sub_bank(reduced, keys, fit.rows_b)
             rng = np.random.default_rng([seed, stage, rep_idx])
             pairs = sample_pairs(fit.labels_a, fit.labels_b, rng, config.neg_ratio)
-            model = train_model(bank_a, bank_b, pairs, rep, config.gamma, train_cfg)
+            model = train_model(*fit_banks, pairs, rep, config.gamma, train_cfg)
 
-        initial = rank_gallery(
-            model,
-            _sub_bank(reduced, keys, eval_side.rows_a),
-            _sub_bank(reduced, keys, eval_side.rows_b),
-        )
+        eval_banks = _gather(reduced, keys, eval_side)
+        initial = rank_gallery(model, *eval_banks)
         if config.postrank_enabled:
             rep_out = _postrank_stage(
-                model, rep, reduced, fit, eval_side, initial, config, train_cfg
+                model, rep, fit, fit_banks, eval_banks, initial, config, train_cfg
             )
         else:
             rep_out = _initial_only(model, initial, config)
@@ -361,15 +361,18 @@ def _initial_only(
 
 def _dcia_all(
     rankings: list[RankingList],
-    probe_vectors: np.ndarray,
-    gallery_vectors: np.ndarray,
-    gallery_bank: FeatureBank,
+    rep: Representation,
+    probes: FeatureBank,
+    gallery: FeatureBank,
     model: SimilarityModel,
     config: ExperimentConfig,
 ) -> list[DciaResult]:
-    """DCIA for every ranking; the neighbor windows of all of them come from
-    one gallery x gallery score matrix, each window computed once."""
-    windows = NeighborWindows(score_gallery(model, gallery_bank, gallery_bank), config.window)
+    """DCIA for every ranking of the ``probes`` against the ``gallery``; the
+    neighbor windows of all of them come from one gallery x gallery score
+    matrix, each window computed once."""
+    windows = NeighborWindows(score_gallery(model, gallery, gallery), config.window)
+    probe_vectors = concat_rep_features(probes, rep)
+    gallery_vectors = concat_rep_features(gallery, rep)
     return [
         apply_dcia(
             ranking,
@@ -386,9 +389,9 @@ def _dcia_all(
 def _postrank_stage(
     model: SimilarityModel,
     rep: Representation,
-    reduced: FeatureBank,
     fit: StageSides,
-    eval_side: StageSides,
+    fit_banks: tuple[FeatureBank, FeatureBank],
+    eval_banks: tuple[FeatureBank, FeatureBank],
     initial: list[RankingList],
     config: ExperimentConfig,
     train_cfg: TrainConfig,
@@ -399,30 +402,14 @@ def _postrank_stage(
     singleton) or single-class pairs, post-ranking degrades to the identity
     so the pipeline still completes.
     """
-    keys = rep.block_keys()
-    fit_gallery_bank = _sub_bank(reduced, keys, fit.rows_b)
-    fit_rankings = rank_gallery(model, _sub_bank(reduced, keys, fit.rows_a), fit_gallery_bank)
-    fit_results = _dcia_all(
-        fit_rankings,
-        concat_rep_features(reduced, rep, fit.rows_a),
-        concat_rep_features(reduced, rep, fit.rows_b),
-        fit_gallery_bank,
-        model,
-        config,
-    )
+    fit_rankings = rank_gallery(model, *fit_banks)
+    fit_results = _dcia_all(fit_rankings, rep, *fit_banks, model, config)
     try:
         prm = train_postrank_model(fit_results, fit.labels_a, fit.labels_b, train_cfg)
     except DataError:
         return _initial_only(model, initial, config)
 
-    eval_results = _dcia_all(
-        initial,
-        concat_rep_features(reduced, rep, eval_side.rows_a),
-        concat_rep_features(reduced, rep, eval_side.rows_b),
-        _sub_bank(reduced, keys, eval_side.rows_b),
-        model,
-        config,
-    )
+    eval_results = _dcia_all(initial, rep, *eval_banks, model, config)
     return RepStageOutcome(
         model=model,
         initial=initial,
@@ -444,7 +431,8 @@ def run_single_rep(
     It is trained as the first representation of ``eval`` would be, unless a
     frozen ``model`` is given; post-ranking follows ``config.postrank_enabled``.
     """
-    config = replace(config, representations=(rep_id,))
+    # as the config's one seed, ``seed`` passes the config's checks
+    config = replace(config, representations=(rep_id,), seeds=(seed,))
     dataset = load_dataset(config)
     split = make_split(dataset.records, seed)
     return run_stage(
@@ -629,17 +617,8 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
         if report.stats_overall is not None:
             entries.append(("overall", report.stats_overall))
         for rep, stats in entries:
-            for metric, mean_field, std_field in (
-                ("in_content", "pct_in_content", "std_in_content"),
-                ("improved", "pct_improved", "std_improved"),
-                ("improved_to_top1", "pct_improved_to_top1", "std_improved_to_top1"),
-                ("unchanged", "pct_unchanged", "std_unchanged"),
-                ("worsened", "pct_worsened", "std_worsened"),
-            ):
-                fh.write(
-                    f"{rep},{metric},{_fmt(getattr(stats, mean_field))},"
-                    f"{_fmt(getattr(stats, std_field))}\n"
-                )
+            for metric, mean, std in stat_items(stats):
+                fh.write(f"{rep},{metric},{_fmt(mean)},{_fmt(std)}\n")
     paths.append(stats_path)
 
     summary_path = out_dir / "summary.txt"
@@ -661,14 +640,9 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
                     order = ",".join(report.orderings[seed])
                     fh.write(f"  seed {seed}: n={report.chosen_n[seed]} order={order}\n")
         if report.stats_overall is not None:
-            s = report.stats_overall
-            fh.write(
-                "\npost-ranking stats (mean +/- std over runs):\n"
-                f"  in content      {_fmt(s.pct_in_content)} +/- {_fmt(s.std_in_content)}\n"
-                f"  improved        {_fmt(s.pct_improved)} +/- {_fmt(s.std_improved)}\n"
-                f"  improved->top1  {_fmt(s.pct_improved_to_top1)} +/- {_fmt(s.std_improved_to_top1)}\n"
-                f"  unchanged       {_fmt(s.pct_unchanged)} +/- {_fmt(s.std_unchanged)}\n"
-                f"  worsened        {_fmt(s.pct_worsened)} +/- {_fmt(s.std_worsened)}\n"
-            )
+            fh.write("\npost-ranking stats (mean +/- std over runs):\n")
+            for name, mean, std in stat_items(report.stats_overall):
+                label = name.replace("_to_", "->").replace("_", " ")
+                fh.write(f"  {label:<16}{_fmt(mean)} +/- {_fmt(std)}\n")
     paths.append(summary_path)
     return paths

@@ -69,13 +69,11 @@ def _stripe_layout(n_stripes: int) -> tuple[tuple[np.ndarray, ...], tuple[tuple[
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    return v / norm if norm > 0 else v
-
-
-def _l2_rows(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return m / np.where(norms > 0, norms, 1.0)
+    """``v`` scaled to unit L2 norm along its last axis; a zero vector stays
+    zero. The norm is numpy's pairwise sum, not a BLAS dot, so its bits do
+    not depend on the BLAS thread count."""
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    return v / np.where(norms > 0, norms, 1.0)
 
 
 def _color_weights(mask: ForegroundMask | None, mask_blend: float) -> np.ndarray | None:
@@ -122,7 +120,7 @@ def extract_cues(
     members, regions = _stripe_layout(n_stripes)
     gray = to_gray(image)
     textures = {
-        kind: _l2_rows(_TEXTURES[kind](gray, _GRID.rects))
+        kind: l2_normalize(_TEXTURES[kind](gray, _GRID.rects))
         for kind in {texture for _, _, texture in recipes.values()}
     }
     # every color space once, HSV shared by the histograms and SCNCD
@@ -139,7 +137,7 @@ def extract_cues(
         weights = mask_weights if cue in masked_cues else None
         texture = textures[texture_kind]
         if color_kind != "scncd":
-            color = _l2_rows(_COLOR_HISTOGRAMS[color_kind](spaces[space], _GRID.rects, weights))
+            color = l2_normalize(_COLOR_HISTOGRAMS[color_kind](spaces[space], _GRID.rects, weights))
             per_patch = np.hstack([color, texture])
             out[cue] = CueDescriptor(
                 cue,

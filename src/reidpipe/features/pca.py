@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..datamodel import FeatureMatrix
 from ..errors import DataError, NumericError
+from .cues import l2_normalize
 
 PCA_DIM = 120
 
@@ -74,7 +74,7 @@ def _fix_signs(basis: np.ndarray) -> None:
     basis *= np.where(flip, -1.0, 1.0)
 
 
-def fit_pca(training: FeatureMatrix | np.ndarray, d_out: int = PCA_DIM) -> PcaModel:
+def fit_pca(x: np.ndarray, d_out: int = PCA_DIM) -> PcaModel:
     """Fit the top ``d_out`` principal directions of mean-centered data.
 
     No whitening. Components are sign-fixed so their largest-magnitude entry
@@ -83,7 +83,7 @@ def fit_pca(training: FeatureMatrix | np.ndarray, d_out: int = PCA_DIM) -> PcaMo
     raises NumericError. The rows are centred in one float64 copy, so the
     caller's array, of any float dtype, is never written.
     """
-    x = training.values if isinstance(training, FeatureMatrix) else np.asarray(training)
+    x = np.asarray(x)
     if x.ndim != 2 or 0 in x.shape:
         raise DataError(f"PCA needs a non-empty 2-D matrix, got shape {x.shape}")
     n, d = x.shape
@@ -119,9 +119,7 @@ def apply_pca(model: PcaModel, v: np.ndarray) -> np.ndarray:
     """
     arr = np.asarray(v)
     if arr.ndim == 1:
-        proj = (arr - model.mean) @ model.basis
-        norm = np.linalg.norm(proj)
-        return proj / norm if norm > 0 else proj
+        return l2_normalize((arr - model.mean) @ model.basis)
     n, d = arr.shape
     rows = max(1, min(n, _APPLY_BYTES // (8 * max(d, 1))))
     block = np.empty((rows, d))
@@ -130,5 +128,4 @@ def apply_pca(model: PcaModel, v: np.ndarray) -> np.ndarray:
         lo = min(lo, n - rows)
         np.subtract(arr[lo : lo + rows], model.mean, out=block)
         np.matmul(block, model.basis, out=proj[lo : lo + rows])
-    norms = np.linalg.norm(proj, axis=1, keepdims=True)
-    return proj / np.where(norms > 0, norms, 1.0)
+    return l2_normalize(proj)

@@ -165,6 +165,52 @@ def test_cli_pca_dim_below_one_is_exit_2(tmp_path, capsys, pca_dim):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("seeds = 0", "seeds = -1", "seeds must be non-negative, got -1"),
+        ("best_n = true", "best_n = true\nn_max = 1", "n_max must be at least 2, got 1"),
+        ("[eval]", "[simlearn]\nneg_ratio = -1\n[eval]", "neg_ratio must be at least 1, got -1"),
+        ("[eval]", "[simlearn]\nneg_ratio = 0\n[eval]", "neg_ratio must be at least 1, got 0"),
+    ],
+    ids=["seeds", "n_max", "neg_ratio_negative", "neg_ratio_zero"],
+)
+def test_cli_out_of_range_protocol_value_is_exit_2(tmp_path, capsys, old, new, message):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)
+    text = config_path.read_text()
+    assert old in text
+    config_path.write_text(text.replace(old, new))
+    assert main(["eval", "-c", str(config_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "d" / "report").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "rank"])
+def test_cli_negative_seed_is_exit_2(tmp_path, capsys, command):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)
+    out = tmp_path / "out"
+    argv = [command, "-c", str(config_path), "--rep", "R1", "--seed", "-3", "--out", str(out)]
+    assert main(argv) == 2
+    assert "seeds must be non-negative, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_block_no_cue_supplies_is_exit_2_before_any_fit(tmp_path, capsys, monkeypatch):
+    from reidpipe import experiment
+
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)
+    text = config_path.read_text()
+    assert "S1 = G\n" in text and "R1 = S1:G\n" in text
+    config_path.write_text(text.replace("R1 = S1:G\n", "R1 = S1:GL\n"))
+    called = []
+    for name in ("fit_pca", "train_model"):
+        monkeypatch.setattr(experiment, name, lambda *a, name=name, **k: called.append(name))
+    assert main(["eval", "-c", str(config_path)]) == 2
+    missing = [("S1", f"r{r}") for r in range(4)]
+    assert f"descriptor bank is missing blocks: {missing}" in capsys.readouterr().err
+    assert called == []
+
+
 def test_cli_rank_missing_feat_file_is_exit_3(tmp_path, capsys):
     # R1 reads only S1, so only a missing S1 file stops it
     config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)
@@ -419,9 +465,8 @@ def test_cli_extract_round_trip(tmp_path):
         "C1_local_r3.feat",
     ]
     matrix = load_feature_matrix(out_dir / "C1_global.feat")
-    assert matrix.rows == 6
-    assert matrix.cols == 165 * (512 + 9)
-    norms = np.linalg.norm(matrix.values, axis=1)
+    assert matrix.shape == (6, 165 * (512 + 9))
+    norms = np.linalg.norm(matrix, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
 

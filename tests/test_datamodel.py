@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reidpipe.datamodel import (
-    FeatureMatrix,
     ImageRecord,
     load_feature_matrix,
     load_identities,
@@ -30,17 +29,17 @@ from reidpipe.simlearn import load_model
 def test_feat_round_trip_known_values(tmp_path):
     path = tmp_path / "m.feat"
     values = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.float32)
-    save_feature_matrix(FeatureMatrix(values=values, descriptor_name="m"), path)
+    save_feature_matrix(values, path)
     loaded = load_feature_matrix(path)
-    assert loaded.rows == 2 and loaded.cols == 3
-    np.testing.assert_array_equal(loaded.values, values)
+    assert loaded.shape == (2, 3) and loaded.dtype == np.float32
+    np.testing.assert_array_equal(loaded, values)
 
 
 def test_feat_zero_rows_valid(tmp_path):
     path = tmp_path / "empty.feat"
     save_feature_matrix(np.zeros((0, 5), dtype=np.float32), path)
     loaded = load_feature_matrix(path)
-    assert loaded.rows == 0 and loaded.cols == 5
+    assert loaded.shape == (0, 5)
 
 
 def test_feat_truncated_payload(tmp_path):
@@ -88,7 +87,7 @@ def test_feat_round_trip_bit_exact(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("feat") / "x.feat"
     save_feature_matrix(values, path)
     loaded = load_feature_matrix(path)
-    np.testing.assert_array_equal(loaded.values, values)
+    np.testing.assert_array_equal(loaded, values)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,35 @@ def test_load_dataset_computes_only_the_cues_its_representations_use(tmp_path, m
     assert {cue for cue, _ in dataset.raw_bank} == {"C5", "C6"}
 
 
+def test_run_stage_gathers_each_side_once_per_representation(tmp_path, monkeypatch):
+    # fit A/B and eval A/B, shared by training, ranking and DCIA; a frozen
+    # model without post-ranking needs the eval sides alone
+    from reidpipe import experiment
+    from reidpipe.cli import main
+
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=12, pca_dim=4)
+    calls = []
+    sub_bank = experiment._sub_bank
+
+    def spy(bank, keys, rows):
+        calls.append(rows)
+        return sub_bank(bank, keys, rows)
+
+    monkeypatch.setattr(experiment, "_sub_bank", spy)
+    config = load_config(config_path)
+    assert config.postrank_enabled and config.best_n_enabled
+    run_experiment(config)
+    assert len(calls) == 4 * len(config.representations) * 2  # validation and final stage
+    calls.clear()
+    model = tmp_path / "R1.simw"
+    assert main(["train", "-c", str(config_path), "--rep", "R1", "--out", str(model)]) == 0
+    assert len(calls) == 4
+    calls.clear()
+    argv = ["rank", "-c", str(config_path), "--rep", "R1", "--model", str(model)]
+    assert main([*argv, "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(calls) == 2
+
+
 def test_load_dataset_row_mismatch(tmp_path):
     config_path = build_synthetic_dataset(tmp_path / "d", n_ids=10)
     config = load_config(config_path)
@@ -214,10 +243,11 @@ def test_computed_cues_reduce_as_extracted_and_ingested_ones(tmp_path):
     for key in computed:
         assert computed[key].dtype == ingested[key].dtype == np.float32
         np.testing.assert_array_equal(computed[key], ingested[key])
-    keys, fit_rows = set(computed), np.array([0, 2, 3, 5, 6, 9])
-    reduced_computed = reduce_bank(computed, keys, fit_rows, 4)
-    reduced_ingested = reduce_bank(ingested, keys, fit_rows, 4)
-    for key in keys:
+    fit_rows = np.array([0, 2, 3, 5, 6, 9])
+    reduced_computed = reduce_bank(computed, fit_rows, 4)
+    reduced_ingested = reduce_bank(ingested, fit_rows, 4)
+    assert reduced_computed.keys() == computed.keys()
+    for key in computed:
         assert reduced_computed[key].shape == (10, 4)
         np.testing.assert_array_equal(reduced_computed[key], reduced_ingested[key])
 
@@ -236,7 +266,7 @@ def test_reduce_bank_makes_no_full_size_float64_copy():
     bound = 8 * fit_rows.size * d + 8 * d * k + pca._APPLY_BYTES + (1 << 20)
     tracemalloc.start()
     try:
-        reduced = reduce_bank(raw, {("C1", "G")}, fit_rows, k)
+        reduced = reduce_bank(raw, fit_rows, k)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -423,8 +423,9 @@ def per_cue_reference(image, cue, mask=None, n_stripes=4, mask_blend=0.0):
     patch from each cropped patch, SCNCD region by region from each cropped
     stripe and sub-stripe."""
 
-    def unit(v):
-        return v / np.linalg.norm(v) if np.linalg.norm(v) > 0 else v
+    def unit(v):  # the pairwise sum of squares, as extract_cues takes it
+        norm = np.sqrt(np.add.reduce(v * v))
+        return v / norm if norm > 0 else v
 
     def unit_rows(rows):
         norms = np.linalg.norm(np.array(rows), axis=1, keepdims=True)
