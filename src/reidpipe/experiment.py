@@ -250,8 +250,9 @@ def _truth_map(labels_a: np.ndarray, labels_b: np.ndarray) -> dict[int, int]:
 
 def reduce_bank(raw_bank: FeatureBank, fit_rows: np.ndarray, pca_dim: int) -> FeatureBank:
     """Per-block PCA fit on the training rows, applied to every row, for
-    every block of the bank. A float32 block stays float32: only its fit rows
-    and one row block at a time are converted to float64."""
+    every block of the bank. A float32 block stays float32: the fit gathers
+    its fit rows as float32, and PCA converts one column chunk at a time to
+    float64 (the SVD path of a narrow block, its fit rows at once)."""
     reduced: FeatureBank = {}
     for key in sorted(raw_bank):
         model = fit_pca(raw_bank[key][fit_rows], pca_dim)

@@ -7,9 +7,11 @@ block is fitted by a thin SVD, and so is a wide one that keeps all n
 components or whose k-th eigenvalue is not clearly positive (rank-deficient
 or ill-conditioned rows). Both paths give the same features to 1e-12.
 
-The input may be float32, as raw descriptor blocks are: the fit converts its
-rows to float64 once, and :func:`apply_pca` converts one row block at a time,
-so no float64 copy of a whole block is made.
+The input may be float32, as raw descriptor blocks are. The Gram fit and
+:func:`apply_pca` read it one column chunk at a time, centred in float64 into
+one buffer of ``_CHUNK_BYTES``: the Gram and the projection are sums over the
+chunks, and each basis chunk is written or read once. So neither makes a
+float64 copy of its rows; only the SVD path converts the fit rows at once.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ PCA_DIM = 120
 # to the SVD.
 _GRAM_RTOL = 1e-4
 
-# float64 bytes of the rows apply_pca centres and projects per product: 10
-# rows of a 98k-wide block, 2,600 rows of a 400-wide one.
-_APPLY_BYTES = 8 << 20
+# float64 bytes of one centred column chunk: 3,276 columns of 40 rows, 207
+# of 632.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -47,15 +49,38 @@ class PcaModel:
         return self.basis.shape[1]
 
 
-def _gram_basis(xc: np.ndarray, k: int) -> np.ndarray | None:
-    """The top ``k`` principal directions of the wide centred rows ``xc``
-    from their Gram, or None when the k-th eigenvalue is not clearly
-    positive."""
-    eigvals, eigvecs = np.linalg.eigh(xc @ xc.T)
+def _centred_chunks(x: np.ndarray, mean: np.ndarray):
+    """``(columns, chunk)`` for each column chunk of ``x``, left to right:
+    ``chunk`` is ``x[:, columns] - mean[columns]`` in float64, written into
+    one reused buffer of at most ``_CHUNK_BYTES`` (one column at least)."""
+    n, d = x.shape
+    width = max(1, _CHUNK_BYTES // (8 * max(n, 1)))
+    buffer = np.empty(n * min(width, d))
+    for lo in range(0, d, width):
+        hi = min(lo + width, d)
+        chunk = buffer[: n * (hi - lo)].reshape(n, hi - lo)
+        columns = slice(lo, hi)
+        np.subtract(x[:, columns], mean[columns], out=chunk)
+        yield columns, chunk
+
+
+def _gram_basis(x: np.ndarray, mean: np.ndarray, k: int) -> np.ndarray | None:
+    """The top ``k`` principal directions of the wide rows ``x`` from the
+    Gram of their centred rows, or None when the k-th eigenvalue is not
+    clearly positive."""
+    n, d = x.shape
+    gram, part = np.zeros((n, n)), np.empty((n, n))
+    for _, chunk in _centred_chunks(x, mean):
+        gram += np.matmul(chunk, chunk.T, out=part)
+    del chunk, part  # before the basis pass allocates its own chunk buffer
+    eigvals, eigvecs = np.linalg.eigh(gram)
     top = eigvals[::-1][:k]
     if not top[-1] > _GRAM_RTOL * top[0]:
         return None
-    basis = xc.T @ eigvecs[:, ::-1][:, :k]
+    u = np.ascontiguousarray(eigvecs[:, ::-1][:, :k])
+    basis = np.empty((d, k))
+    for columns, chunk in _centred_chunks(x, mean):
+        np.matmul(chunk.T, u, out=basis[columns])
     basis /= np.sqrt(top)
     return basis
 
@@ -80,8 +105,9 @@ def fit_pca(x: np.ndarray, d_out: int = PCA_DIM) -> PcaModel:
     No whitening. Components are sign-fixed so their largest-magnitude entry
     is positive. ``d_out`` silently cannot exceed the data's row or column
     count; a warning is emitted and the dimension clamped. A LAPACK failure
-    raises NumericError. The rows are centred in one float64 copy, so the
-    caller's array, of any float dtype, is never written.
+    raises NumericError. The caller's array, of any float dtype, is never
+    written: the Gram path centres one column chunk at a time, the SVD path
+    the rows in one float64 copy.
     """
     x = np.asarray(x)
     if x.ndim != 2 or 0 in x.shape:
@@ -93,17 +119,14 @@ def fit_pca(x: np.ndarray, d_out: int = PCA_DIM) -> PcaModel:
             f"PCA dimension clamped from {d_out} to {k} ({n} rows, {d} columns)",
             stacklevel=2,
         )
-    xc = x.astype(np.float64)
-    mean = xc.mean(axis=0)
-    xc -= mean
+    mean = x.mean(axis=0, dtype=np.float64)
     try:
-        basis = _gram_basis(xc, k) if 0 < k < n < d else None
+        basis = _gram_basis(x, mean, k) if 0 < k < n < d else None
         if basis is None:
-            _, _, vt = np.linalg.svd(xc, full_matrices=False)
+            _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
             basis = vt[:k].T.copy()
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"PCA of a {n}x{d} block failed: {exc}") from None
-    del xc
     _fix_signs(basis)
     return PcaModel(mean=mean, basis=basis)
 
@@ -111,21 +134,13 @@ def fit_pca(x: np.ndarray, d_out: int = PCA_DIM) -> PcaModel:
 def apply_pca(model: PcaModel, v: np.ndarray) -> np.ndarray:
     """Center, project and re-normalize to unit L2 (rows of a matrix, or one vector).
 
-    The rows of a matrix are centred in float64 into one buffer of
-    ``_APPLY_BYTES`` and projected from it, a block at a time. A short last
-    block is moved back to end at the last row, so every product has the
-    buffer's row count: BLAS may round a product of another shape, such as
-    one row, differently.
+    The projection of a matrix is summed over its column chunks, left to
+    right (see :func:`_centred_chunks`), so each basis chunk is read once.
     """
     arr = np.asarray(v)
     if arr.ndim == 1:
         return l2_normalize((arr - model.mean) @ model.basis)
-    n, d = arr.shape
-    rows = max(1, min(n, _APPLY_BYTES // (8 * max(d, 1))))
-    block = np.empty((rows, d))
-    proj = np.empty((n, model.d_out))
-    for lo in range(0, n, rows):
-        lo = min(lo, n - rows)
-        np.subtract(arr[lo : lo + rows], model.mean, out=block)
-        np.matmul(block, model.basis, out=proj[lo : lo + rows])
+    proj = np.zeros((arr.shape[0], model.d_out))
+    for columns, chunk in _centred_chunks(arr, model.mean):
+        proj += chunk @ model.basis[columns]
     return l2_normalize(proj)

@@ -747,7 +747,7 @@ def load_model(path: str | Path, rep_id: str = "") -> SimilarityModel:
     for _ in range(count):
         region, cue_len = reader.unpack("<II")
         try:
-            cue = reader.take(cue_len).decode("utf-8")
+            cue = bytes(reader.take(cue_len)).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{reader.path}: cue name is not UTF-8") from None
         (d,) = reader.unpack("<I")

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from reidpipe.datamodel import (
     ImageRecord,
+    csv_reader,
     load_feature_matrix,
     load_identities,
     load_image,
@@ -90,6 +91,28 @@ def test_feat_round_trip_bit_exact(tmp_path_factory, values):
     np.testing.assert_array_equal(loaded, values)
 
 
+def traced_peak(call):
+    """``call()``'s result and the peak bytes tracemalloc saw while it ran."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_feat_load_holds_one_copy_beside_the_file_bytes(tmp_path):
+    path = tmp_path / "wide.feat"
+    values = np.random.default_rng(0).standard_normal((40, 100_000)).astype(np.float32)
+    save_feature_matrix(values, path)
+    loaded, peak = traced_peak(lambda: load_feature_matrix(path))
+    np.testing.assert_array_equal(loaded, values)
+    assert loaded.flags.writeable
+    # the file's bytes and the array; a third copy of the 16 MB payload is more
+    assert peak <= 2 * values.nbytes + (1 << 20), f"peak {peak / 2**20:.1f} MB"
+
+
 # ---------------------------------------------------------------------------
 # Identities CSV
 # ---------------------------------------------------------------------------
@@ -129,6 +152,21 @@ def test_identities_over_long_field_is_format_error(tmp_path):
     path.write_text(f"image_id,person_id,camera\nimg1,1,A\n{'i' * 140_000},2,B\n")
     with pytest.raises(FormatError, match=r"ids.csv: line 3: field larger than field limit"):
         load_identities(path)
+
+
+def test_csv_reader_makes_no_wide_copy_of_the_text(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = (b"probe%d,%d,gallery%d,0.%09d\r\n" % (i, i % 600, i, i) for i in range(60_000))
+    path.write_bytes(b"".join(rows))
+    size = path.stat().st_size
+
+    def count_rows():
+        return sum(len(block) for block in csv_reader(path).blocks(1000))
+
+    rows, peak = traced_peak(count_rows)
+    assert rows == 60_000
+    # the bytes and one decode of them; the text at 4 bytes per character is more
+    assert peak <= 2 * size + (1 << 20), f"peak {peak / 2**20:.1f} MB, file {size / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize(

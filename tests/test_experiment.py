@@ -261,9 +261,9 @@ def test_reduce_bank_makes_no_full_size_float64_copy():
     n, d, k = 100, 40000, 4
     raw = {("C1", "G"): np.random.default_rng(3).standard_normal((n, d)).astype(np.float32)}
     fit_rows = np.arange(0, n, 5)
-    # one float64 copy of the fit rows, the basis and one row block; a
-    # float64 copy of the whole block alone (32 MB) is twice that
-    bound = 8 * fit_rows.size * d + 8 * d * k + pca._APPLY_BYTES + (1 << 20)
+    # the float32 fit rows, the basis and one chunk; a float64 copy of the
+    # fit rows alone (6.4 MB) is more than that
+    bound = 4 * fit_rows.size * d + 8 * d * k + pca._CHUNK_BYTES + (1 << 20)
     tracemalloc.start()
     try:
         reduced = reduce_bank(raw, fit_rows, k)

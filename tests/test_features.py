@@ -724,28 +724,71 @@ def test_pca_never_writes_the_callers_array(shape):
     assert not np.shares_memory(model.basis, data)
 
 
-def unblocked_apply(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """apply_pca as one product over all rows, every row in float64 at once."""
+def whole_copy_gram_fit(x: np.ndarray, k: int) -> PcaModel:
+    """The Gram fit from one float64 copy of the rows: one Gram product and
+    one basis product over every column, signs by ``argmax(|basis|)``."""
+    xc = x.astype(np.float64)
+    mean = xc.mean(axis=0)
+    xc -= mean
+    eigvals, eigvecs = np.linalg.eigh(xc @ xc.T)
+    basis = xc.T @ eigvecs[:, ::-1][:, :k] / np.sqrt(eigvals[::-1][:k])
+    return PcaModel(mean=mean, basis=basis * argmax_signs(basis))
+
+
+def test_pca_wide_fit_makes_no_float64_copy_of_its_rows(monkeypatch):
+    import tracemalloc
+
+    n, d, k = 40, 200_000, 8
+    x = decaying_rows(np.random.default_rng(13), n, d).astype(np.float32)
+    oracle = whole_copy_gram_fit(x, k)
+    _forbid(monkeypatch, "svd")
+    # the basis, the mean and one chunk; a float64 copy of the rows is 64 MB
+    bound = 8 * d * k + 8 * d + pca._CHUNK_BYTES + (1 << 20)
+    tracemalloc.start()
+    try:
+        model = fit_pca(x, d_out=k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
+    np.testing.assert_array_equal(model.mean, oracle.mean)
+    assert np.max(np.abs(model.basis - oracle.basis)) <= 1e-12
+    lead = np.argmax(np.abs(oracle.basis), axis=0)
+    np.testing.assert_array_equal(np.sign(model.basis[lead, np.arange(k)]), np.ones(k))
+
+
+def unchunked_apply(model: PcaModel, x: np.ndarray) -> np.ndarray:
+    """apply_pca as one product over all columns, every row in float64 at once."""
     proj = (np.asarray(x, dtype=np.float64) - model.mean) @ model.basis
     norms = np.linalg.norm(proj, axis=1, keepdims=True)
     return proj / np.where(norms > 0, norms, 1.0)
 
 
-@pytest.mark.parametrize("n", [24, 48, 49, 55, 73, 95])
+def chunk_sum_apply(model: PcaModel, x: np.ndarray) -> np.ndarray:
+    """apply_pca's arithmetic written out: the products of the centred
+    ``_CHUNK_BYTES`` column chunks, summed left to right, then unit rows."""
+    n, d = x.shape
+    width = pca._CHUNK_BYTES // (8 * n)
+    proj = np.zeros((n, model.d_out))
+    for lo in range(0, d, width):
+        chunk = x[:, lo : lo + width].astype(np.float64) - model.mean[lo : lo + width]
+        proj += chunk @ model.basis[lo : lo + width]
+    norms = np.sqrt(np.add.reduce(proj * proj, axis=-1, keepdims=True))
+    return proj / np.where(norms > 0, norms, 1.0)
+
+
+@pytest.mark.parametrize("chunks", [1, 3, 3.5])  # one, several, a short last one
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_apply_pca_row_blocks_equal_one_product(monkeypatch, n, dtype):
-    # 24 rows per product; 49 and 73 rows leave a one-row last block, which
-    # is projected as the last 24 rows, and 55 and 95 a short one
-    gen = np.random.default_rng(n)
-    d = 20000
+def test_apply_pca_sums_column_chunks(chunks, dtype):
+    n = 24
+    d = int(chunks * (pca._CHUNK_BYTES // (8 * n)))
+    gen = np.random.default_rng(d)
     model = fit_pca(gen.standard_normal((40, d)), d_out=16)
     x = gen.standard_normal((n, d)).astype(dtype)
-    monkeypatch.setattr(pca, "_APPLY_BYTES", 24 * 8 * d)
     out = apply_pca(model, x)
-    np.testing.assert_array_equal(out, unblocked_apply(model, x))
     assert out.dtype == np.float64
-    monkeypatch.setattr(pca, "_APPLY_BYTES", 8 * d * n)  # one block of every row
-    np.testing.assert_array_equal(apply_pca(model, x), out)
+    np.testing.assert_array_equal(out, chunk_sum_apply(model, x))
+    np.testing.assert_allclose(out, unchunked_apply(model, x), rtol=0, atol=1e-12)
 
 
 def test_apply_pca_empty_and_single_rows():
