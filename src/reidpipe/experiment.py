@@ -250,12 +250,14 @@ def _truth_map(labels_a: np.ndarray, labels_b: np.ndarray) -> dict[int, int]:
 
 def reduce_bank(raw_bank: FeatureBank, fit_rows: np.ndarray, pca_dim: int) -> FeatureBank:
     """Per-block PCA fit on the training rows, applied to every row, for
-    every block of the bank. A float32 block stays float32: the fit gathers
-    its fit rows as float32, and PCA converts one column chunk at a time to
-    float64 (the SVD path of a narrow block, its fit rows at once)."""
+    every block of the bank. A float32 block stays float32: PCA reads the fit
+    rows through ``fit_rows`` and converts one column chunk at a time to
+    float64 (the SVD path of a narrow block, its fit rows at once). A wide
+    block's model holds no basis; ``apply_pca`` builds it from the fit rows
+    chunk by chunk as it projects."""
     reduced: FeatureBank = {}
     for key in sorted(raw_bank):
-        model = fit_pca(raw_bank[key][fit_rows], pca_dim)
+        model = fit_pca(raw_bank[key], pca_dim, rows=fit_rows)
         reduced[key] = apply_pca(model, raw_bank[key])
     return reduced
 

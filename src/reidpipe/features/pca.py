@@ -2,22 +2,27 @@
 
 A block wider than its fit rows (d > n) is fitted from the n×n Gram of the
 centred rows (snapshot PCA; Sirovich 1987, Turk & Pentland 1991): eigh of
-``Xc Xcᵀ`` gives U and Λ, and the basis is ``Xcᵀ U Λ^(-1/2)``. Every other
-block is fitted by a thin SVD, and so is a wide one that keeps all n
-components or whose k-th eigenvalue is not clearly positive (rank-deficient
-or ill-conditioned rows). Both paths give the same features to 1e-12.
+``Xc Xcᵀ`` gives U and Λ, and the basis is ``Xcᵀ U Λ^(-1/2)``, a fixed
+combination of the fit rows. Such a model keeps the mean, U, √Λ and
+references to the fit rows, never the (d, k) basis. Every other block is
+fitted by a thin SVD and keeps its basis, and so is a wide one that keeps
+all n components or whose k-th eigenvalue is not clearly positive
+(rank-deficient or ill-conditioned rows). Both paths give the same features
+to 1e-12.
 
-The input may be float32, as raw descriptor blocks are. The Gram fit and
-:func:`apply_pca` read it one column chunk at a time, centred in float64 into
-one buffer of ``_CHUNK_BYTES``: the Gram and the projection are sums over the
-chunks, and each basis chunk is written or read once. So neither makes a
-float64 copy of its rows; only the SVD path converts the fit rows at once.
+The input may be float32, as raw descriptor blocks are, and the fit rows may
+be an index into it. PCA reads rows one column chunk at a time, centred in
+float64 into one buffer of ``_CHUNK_BYTES``, and never copies them whole;
+only the SVD path gathers and converts its fit rows at once. The Gram is a
+sum over the fit rows' chunks. :func:`apply_pca` sums each chunk of its rows
+times the basis rows of those columns; a Gram model builds them there, in
+the fit rows' chunks, from the arithmetic that built a whole basis, so the
+features are the same bits as from a stored one.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,110 +42,192 @@ _GRAM_RTOL = 1e-4
 _CHUNK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class PcaModel:
-    """Mean plus orthonormal projection basis (columns are components)."""
+def _chunk_width(n: int) -> int:
+    return max(1, _CHUNK_BYTES // (8 * max(n, 1)))
 
-    mean: np.ndarray
-    basis: np.ndarray
+
+class PcaModel:
+    """Mean plus orthonormal projection basis (columns are components).
+
+    A Gram fit stores no basis: it keeps ``x`` and ``rows`` (the caller's
+    arrays, not copies; ``rows`` None is every row) with U and √Λ (``u``,
+    ``root``), and ``basis`` builds ``(x[rows] - mean)ᵀ u / root`` under the
+    sign rule on each access.
+    """
+
+    def __init__(self, mean, basis=None, *, x=None, rows=None, u=None, root=None):
+        self.mean = mean
+        self._basis = basis
+        self.x, self.rows, self.u, self.root = x, rows, u, root
 
     @property
     def d_out(self) -> int:
-        return self.basis.shape[1]
+        return (self.u if self._basis is None else self._basis).shape[1]
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is not None:
+            return self._basis
+        basis = np.vstack(list(self._gram_parts()))
+        _fix_signs(basis)
+        return basis
+
+    def _gram_parts(self):
+        """The unsigned basis rows over the fit rows' column chunks, left to
+        right, each a new array. Any other chunk edges could move the last
+        bits: a one-column chunk's product takes another BLAS kernel."""
+        for _, chunk in _centred_chunks(self.x, self.rows, self.mean, _chunk_width(len(self.u))):
+            part = chunk.T @ self.u
+            part /= self.root
+            yield part
+
+    def _basis_rows(self, width: int):
+        """The basis rows in blocks of ``width``, left to right; a Gram
+        model's are unsigned."""
+        if self._basis is not None:
+            return (self._basis[lo : lo + width] for lo in range(0, len(self._basis), width))
+        return _recut(self._gram_parts(), width)
 
 
-def _centred_chunks(x: np.ndarray, mean: np.ndarray):
-    """``(columns, chunk)`` for each column chunk of ``x``, left to right:
-    ``chunk`` is ``x[:, columns] - mean[columns]`` in float64, written into
-    one reused buffer of at most ``_CHUNK_BYTES`` (one column at least)."""
-    n, d = x.shape
-    width = max(1, _CHUNK_BYTES // (8 * max(n, 1)))
+def _recut(parts, width: int):
+    """The rows of ``parts`` (row blocks, top to bottom) in blocks of
+    ``width`` rows, the last one shorter: a view where a block lies in one
+    part, a copy where it spans more."""
+    held, count = [], 0
+    for part in parts:
+        while len(part):
+            take = part[: width - count]
+            held.append(take)
+            count += len(take)
+            part = part[len(take) :]
+            if count == width:
+                yield held[0] if len(held) == 1 else np.concatenate(held)
+                held, count = [], 0
+    if held:
+        yield held[0] if len(held) == 1 else np.concatenate(held)
+
+
+def _centred_chunks(x: np.ndarray, rows, mean: np.ndarray, width: int):
+    """``(columns, chunk)`` for each chunk of ``width`` columns of the rows
+    ``x[rows]`` (every row when ``rows`` is None), left to right: ``chunk``
+    is ``x[rows, columns] - mean[columns]`` in float64, written into one
+    reused buffer."""
+    n = len(x) if rows is None else len(rows)
+    d = x.shape[1]
     buffer = np.empty(n * min(width, d))
     for lo in range(0, d, width):
         hi = min(lo + width, d)
         chunk = buffer[: n * (hi - lo)].reshape(n, hi - lo)
         columns = slice(lo, hi)
-        np.subtract(x[:, columns], mean[columns], out=chunk)
+        np.subtract(x[:, columns] if rows is None else x[rows, columns], mean[columns], out=chunk)
         yield columns, chunk
 
 
-def _gram_basis(x: np.ndarray, mean: np.ndarray, k: int) -> np.ndarray | None:
-    """The top ``k`` principal directions of the wide rows ``x`` from the
-    Gram of their centred rows, or None when the k-th eigenvalue is not
+def _gram_fit(x: np.ndarray, rows, k: int) -> PcaModel | None:
+    """The top ``k`` principal directions of the wide rows ``x[rows]`` from
+    the Gram of their centred rows, or None when the k-th eigenvalue is not
     clearly positive."""
-    n, d = x.shape
+    fit_rows = range(len(x)) if rows is None else rows
+    n = len(fit_rows)
+    # numpy's mean of the gathered rows, bit for bit: their sum row after row
+    mean = np.zeros(x.shape[1])
+    for r in fit_rows:
+        mean += x[r]
+    mean /= n
     gram, part = np.zeros((n, n)), np.empty((n, n))
-    for _, chunk in _centred_chunks(x, mean):
+    for _, chunk in _centred_chunks(x, rows, mean, _chunk_width(n)):
         gram += np.matmul(chunk, chunk.T, out=part)
-    del chunk, part  # before the basis pass allocates its own chunk buffer
     eigvals, eigvecs = np.linalg.eigh(gram)
     top = eigvals[::-1][:k]
     if not top[-1] > _GRAM_RTOL * top[0]:
         return None
     u = np.ascontiguousarray(eigvecs[:, ::-1][:, :k])
-    basis = np.empty((d, k))
-    for columns, chunk in _centred_chunks(x, mean):
-        np.matmul(chunk.T, u, out=basis[columns])
-    basis /= np.sqrt(top)
-    return basis
+    return PcaModel(mean, x=x, rows=rows, u=u, root=np.sqrt(top))
+
+
+class _SignRule:
+    """The sign of each basis column, read in row blocks, top to bottom: -1
+    where the column's first largest-magnitude entry is negative, else +1
+    (an all-zero column stays)."""
+
+    def __init__(self, k: int):
+        self.lead = np.zeros(k)
+
+    def see(self, part: np.ndarray) -> None:
+        if len(part):
+            columns = np.arange(part.shape[1])
+            hi, lo = part.argmax(axis=0), part.argmin(axis=0)
+            top, bottom = part[hi, columns], part[lo, columns]
+            # the part's first largest-magnitude entry in each column
+            lead = np.where((top > -bottom) | ((top == -bottom) & (hi < lo)), top, bottom)
+            self.lead = np.where(np.abs(lead) > np.abs(self.lead), lead, self.lead)
+
+    def signs(self) -> np.ndarray:
+        return np.where(self.lead < 0, -1.0, 1.0)
 
 
 def _fix_signs(basis: np.ndarray) -> None:
-    """Negate, in place, each column whose largest-magnitude entry is
-    negative; on a tie between +v and -v the first one decides, and an
-    all-zero column stays. The same rule as the sign of
-    ``basis[argmax(|basis|, axis=0)]``, from two row-order reductions."""
-    hi = basis.max(axis=0, initial=0.0)
-    lo = basis.min(axis=0, initial=0.0)
-    flip = -lo > hi
-    for j in np.flatnonzero((-lo == hi) & (hi > 0)):
-        column = basis[:, j]
-        flip[j] = np.argmax(column == lo[j]) < np.argmax(column == hi[j])
-    basis *= np.where(flip, -1.0, 1.0)
+    """Apply the sign rule to ``basis`` in place."""
+    rule = _SignRule(basis.shape[1])
+    rule.see(basis)
+    basis *= rule.signs()
 
 
-def fit_pca(x: np.ndarray, d_out: int = PCA_DIM) -> PcaModel:
-    """Fit the top ``d_out`` principal directions of mean-centered data.
+def fit_pca(x: np.ndarray, d_out: int = PCA_DIM, rows: np.ndarray | None = None) -> PcaModel:
+    """Fit the top ``d_out`` principal directions of the mean-centred rows
+    ``x[rows]`` (every row of ``x`` when ``rows`` is None).
 
     No whitening. Components are sign-fixed so their largest-magnitude entry
-    is positive. ``d_out`` silently cannot exceed the data's row or column
+    is positive. ``d_out`` silently cannot exceed the fit rows' row or column
     count; a warning is emitted and the dimension clamped. A LAPACK failure
     raises NumericError. The caller's array, of any float dtype, is never
-    written: the Gram path centres one column chunk at a time, the SVD path
-    the rows in one float64 copy.
+    written: the Gram path reads the fit rows through ``rows`` one column
+    chunk at a time and keeps references to both, the SVD path gathers the
+    rows in one float64 copy.
     """
     x = np.asarray(x)
-    if x.ndim != 2 or 0 in x.shape:
-        raise DataError(f"PCA needs a non-empty 2-D matrix, got shape {x.shape}")
-    n, d = x.shape
+    shape = x.shape if x.ndim != 2 or rows is None else (len(rows), x.shape[1])
+    if len(shape) != 2 or 0 in shape:
+        raise DataError(f"PCA needs a non-empty 2-D matrix, got shape {shape}")
+    n, d = shape
     k = min(d_out, n, d)
     if k < d_out:
         warnings.warn(
             f"PCA dimension clamped from {d_out} to {k} ({n} rows, {d} columns)",
             stacklevel=2,
         )
-    mean = x.mean(axis=0, dtype=np.float64)
     try:
-        basis = _gram_basis(x, mean, k) if 0 < k < n < d else None
-        if basis is None:
-            _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
-            basis = vt[:k].T.copy()
+        model = _gram_fit(x, rows, k) if 0 < k < n < d else None
+        if model is None:
+            fit = x if rows is None else x[rows]
+            mean = fit.mean(axis=0, dtype=np.float64)
+            _, _, vt = np.linalg.svd(fit - mean, full_matrices=False)
+            model = PcaModel(mean, vt[:k].T.copy())
+            _fix_signs(model.basis)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"PCA of a {n}x{d} block failed: {exc}") from None
-    _fix_signs(basis)
-    return PcaModel(mean=mean, basis=basis)
+    return model
 
 
 def apply_pca(model: PcaModel, v: np.ndarray) -> np.ndarray:
     """Center, project and re-normalize to unit L2 (rows of a matrix, or one vector).
 
     The projection of a matrix is summed over its column chunks, left to
-    right (see :func:`_centred_chunks`), so each basis chunk is read once.
+    right (see :func:`_centred_chunks`), each times the basis rows of its
+    columns. Those of a Gram model are built here, unsigned, and the sign
+    rule is applied to the projection at the end: negating its column is
+    exact, as negating the basis column is. A stored basis is signed, so its
+    rule is all +1.
     """
     arr = np.asarray(v)
     if arr.ndim == 1:
         return l2_normalize((arr - model.mean) @ model.basis)
+    width = _chunk_width(arr.shape[0])
     proj = np.zeros((arr.shape[0], model.d_out))
-    for columns, chunk in _centred_chunks(arr, model.mean):
-        proj += chunk @ model.basis[columns]
+    rule = _SignRule(model.d_out)
+    chunks = _centred_chunks(arr, None, model.mean, width)
+    for (_, chunk), part in zip(chunks, model._basis_rows(width)):
+        proj += chunk @ part
+        rule.see(part)
+    proj *= rule.signs()
     return l2_normalize(proj)

@@ -11,8 +11,8 @@ Each call does only the work that depends on its image. The flat pixel index
 of every rectangle and the rectangle id of every gathered pixel depend on the
 rectangles and the grid shape alone; :func:`patch_gather_plan` builds them
 once per rectangle set and grid shape and keeps the last few. ``scncd_assign``
-selects the ``knn`` nearest names by successive ``argmin`` passes instead of
-sorting all of them.
+selects the ``knn`` nearest names by successive minimum passes over its
+(names, pixels) distances instead of sorting all of them.
 
 The ``images`` workload of ``perfbench/run.py --trace 1`` times each kernel
 on fixed shapes (``kernels.fixed.*_us``); ``tests/test_kernels.py`` checks
@@ -140,20 +140,21 @@ def scncd_assign(
     normalization is unchanged). Distance ties select the smaller palette
     index. Returns the (N, knn) palette indices and their weights.
     """
-    # squared distances summed channel by channel, left to right
-    d2 = (pixels[:, None, 0] - palette[None, :, 0]) ** 2
+    # squared distances as (names, pixels), summed channel by channel, left
+    # to right, so each reduction over the names runs along whole rows
+    d2 = (palette[:, None, 0] - pixels[None, :, 0]) ** 2
     for c in range(1, pixels.shape[1]):
-        d2 = d2 + (pixels[:, None, c] - palette[None, :, c]) ** 2
-    # the knn nearest in order: argmin takes the first of tied minima, so a
+        d2 = d2 + (palette[:, None, c] - pixels[None, :, c]) ** 2
+    # the knn nearest in order: the first name at each pixel's minimum, so a
     # tie goes to the smaller palette index, as a stable sort would
     k = min(knn, palette.shape[0])
-    rows = np.arange(d2.shape[0])
-    nn = np.empty((d2.shape[0], k), dtype=np.intp)
-    nd2 = np.empty((d2.shape[0], k), dtype=np.float64)
+    columns = np.arange(d2.shape[1])
+    nn = np.empty((d2.shape[1], k), dtype=np.intp)
+    nd2 = np.empty((d2.shape[1], k), dtype=np.float64)
     for i in range(k):
-        nn[:, i] = d2.argmin(axis=1)
-        nd2[:, i] = d2[rows, nn[:, i]]
-        d2[rows, nn[:, i]] = np.inf
+        nd2[:, i] = nearest = d2.min(axis=0)
+        nn[:, i] = (d2 == nearest).argmax(axis=0)
+        d2[nn[:, i], columns] = np.inf
     kw = np.exp(-(nd2 - nd2[:, :1]) / (sigma * sigma))
     kw /= kw.sum(axis=1, keepdims=True)
     return nn, kw

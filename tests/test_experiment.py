@@ -261,9 +261,11 @@ def test_reduce_bank_makes_no_full_size_float64_copy():
     n, d, k = 100, 40000, 4
     raw = {("C1", "G"): np.random.default_rng(3).standard_normal((n, d)).astype(np.float32)}
     fit_rows = np.arange(0, n, 5)
-    # the float32 fit rows, the basis and one chunk; a float64 copy of the
-    # fit rows alone (6.4 MB) is more than that
-    bound = 4 * fit_rows.size * d + 8 * d * k + pca._CHUNK_BYTES + (1 << 20)
+    m = fit_rows.size
+    # two centred chunks (of the rows and of the fit rows), the mean, the
+    # (N, k) output and the m×m Gram, plus 1 MB; a float32 gather of the fit
+    # rows (3.2 MB) or the (d, k) basis (1.3 MB) with a chunk is more
+    bound = 2 * pca._CHUNK_BYTES + 8 * d + 8 * n * k + 8 * m * m + (1 << 20)
     tracemalloc.start()
     try:
         reduced = reduce_bank(raw, fit_rows, k)

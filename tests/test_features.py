@@ -724,10 +724,11 @@ def test_pca_never_writes_the_callers_array(shape):
     assert not np.shares_memory(model.basis, data)
 
 
-def whole_copy_gram_fit(x: np.ndarray, k: int) -> PcaModel:
-    """The Gram fit from one float64 copy of the rows: one Gram product and
-    one basis product over every column, signs by ``argmax(|basis|)``."""
-    xc = x.astype(np.float64)
+def whole_copy_gram_fit(x: np.ndarray, k: int, rows=None) -> PcaModel:
+    """The Gram fit from one float64 copy of the rows ``x[rows]``: one Gram
+    product and one basis product over every column, signs by
+    ``argmax(|basis|)``."""
+    xc = (x if rows is None else x[rows]).astype(np.float64)
     mean = xc.mean(axis=0)
     xc -= mean
     eigvals, eigvecs = np.linalg.eigh(xc @ xc.T)
@@ -742,8 +743,9 @@ def test_pca_wide_fit_makes_no_float64_copy_of_its_rows(monkeypatch):
     x = decaying_rows(np.random.default_rng(13), n, d).astype(np.float32)
     oracle = whole_copy_gram_fit(x, k)
     _forbid(monkeypatch, "svd")
-    # the basis, the mean and one chunk; a float64 copy of the rows is 64 MB
-    bound = 8 * d * k + 8 * d + pca._CHUNK_BYTES + (1 << 20)
+    # the mean and one chunk; the (d, k) basis is 12.8 MB, a float64 copy of
+    # the rows 64 MB
+    bound = 8 * d + pca._CHUNK_BYTES + (1 << 20)
     tracemalloc.start()
     try:
         model = fit_pca(x, d_out=k)
@@ -789,6 +791,82 @@ def test_apply_pca_sums_column_chunks(chunks, dtype):
     assert out.dtype == np.float64
     np.testing.assert_array_equal(out, chunk_sum_apply(model, x))
     np.testing.assert_allclose(out, unchunked_apply(model, x), rtol=0, atol=1e-12)
+
+
+def chunk_sum_gram_fit(x: np.ndarray, k: int) -> PcaModel:
+    """The Gram fit's arithmetic written out on the gathered fit rows ``x``:
+    numpy's mean, the Grams of the centred ``_CHUNK_BYTES`` column chunks
+    summed left to right, each chunk's basis rows by one product, divided by
+    √λ, signs by ``argmax(|basis|)``."""
+    n, d = x.shape
+    width = pca._CHUNK_BYTES // (8 * n)
+    mean = x.mean(axis=0, dtype=np.float64)
+    chunks = [x[:, lo : lo + width] - mean[lo : lo + width] for lo in range(0, d, width)]
+    gram = np.zeros((n, n))
+    for chunk in chunks:
+        gram += chunk @ chunk.T
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    u = np.ascontiguousarray(eigvecs[:, ::-1][:, :k])
+    basis = np.vstack([chunk.T @ u for chunk in chunks]) / np.sqrt(eigvals[::-1][:k])
+    return PcaModel(mean=mean, basis=basis * argmax_signs(basis))
+
+
+@pytest.mark.parametrize(
+    "n,d,rows",
+    [
+        # apply chunks of 3,276 columns end in a one-column chunk (the fit
+        # rows' chunk of 6,553 does not), as on a 40-image block 3,277 wide
+        (40, 3277, np.arange(0, 40, 2)),
+        # the fit rows' chunks end in a one-column chunk, the apply chunks not
+        (40, 6554, np.arange(1, 40, 2)),
+        # unsorted rows, several chunks of both
+        (60, 9000, np.random.default_rng(0).permutation(60)[:25]),
+    ],
+)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pca_fit_through_rows_is_bit_identical_to_gathered_rows(monkeypatch, n, d, rows, dtype):
+    gen = np.random.default_rng(d)
+    x = decaying_rows(gen, len(rows), d, unseen=n - len(rows))[gen.permutation(n)].astype(dtype)
+    oracle = chunk_sum_gram_fit(x[rows], 8)
+    _forbid(monkeypatch, "svd")
+    model = fit_pca(x, 8, rows=rows)
+    assert model.x is x and model.rows is rows  # references, not copies
+    np.testing.assert_array_equal(model.mean, oracle.mean)
+    np.testing.assert_array_equal(model.basis, oracle.basis)
+    out = apply_pca(model, x)
+    np.testing.assert_array_equal(out, chunk_sum_apply(oracle, x))
+    np.testing.assert_array_equal(out, chunk_sum_apply(model, x))
+    np.testing.assert_array_equal(apply_pca(model, x[3]), apply_pca(oracle, x[3]))
+    assert np.max(np.abs(model.basis - whole_copy_gram_fit(x, 8, rows).basis)) <= 1e-12
+
+
+def test_pca_svd_fit_through_rows_is_bit_identical_to_gathered_rows(monkeypatch):
+    x = np.random.default_rng(14).standard_normal((90, 30)).astype(np.float32)
+    rows = np.arange(0, 90, 2)
+    oracle = fit_pca(x[rows], d_out=12)
+    _forbid(monkeypatch, "eigh")
+    model = fit_pca(x, 12, rows=rows)
+    np.testing.assert_array_equal(model.mean, oracle.mean)
+    np.testing.assert_array_equal(model.basis, oracle.basis)
+    np.testing.assert_array_equal(apply_pca(model, x), apply_pca(oracle, x))
+
+
+@pytest.mark.parametrize("first", [1.0, -1.0])
+def test_gram_model_sign_ties_agree_between_apply_and_basis(first):
+    # two fit rows r and -r: the mean is 0 and, with u = I and √λ = 1, the
+    # basis columns are r and -r exactly. r holds +0.5 and -0.5 in different
+    # apply chunks, so each column ties, and its first entry decides
+    width = pca._CHUNK_BYTES // (8 * 40)
+    d = 2 * width + 5
+    r = np.random.default_rng(15).uniform(-0.25, 0.25, d)
+    r[5], r[width + 7] = 0.5 * first, -0.5 * first
+    x = np.vstack([r, -r, np.random.default_rng(16).standard_normal((38, d))])
+    rows = np.array([0, 1])
+    model = PcaModel(np.zeros(d), x=x, rows=rows, u=np.eye(2), root=np.ones(2))
+    expected = np.column_stack([r, -r]) * [first, -first]
+    np.testing.assert_array_equal(model.basis, expected)
+    np.testing.assert_array_equal(model.basis, expected * argmax_signs(expected))
+    np.testing.assert_array_equal(apply_pca(model, x), chunk_sum_apply(PcaModel(np.zeros(d), expected), x))
 
 
 def test_apply_pca_empty_and_single_rows():
