@@ -1,11 +1,12 @@
 """Dataset structures and on-disk formats.
 
 Owns the one read of input files, the bounds-checked binary reader, the
-UTF-8 CSV reader, the FEAT binary descriptor format, the identities CSV,
+UTF-8 CSV reader, the FEAT binary descriptor format, the layout of raw
+descriptor blocks (dense, or by their nonzero entries), the identities CSV,
 binary PGM/PPM image reading, foreground masks and identity-disjoint
 train/test splits.
-All structures are immutable after construction and safe to share across
-concurrent readers.
+All structures but ``BlockRows``, which collects a block row by row, are
+immutable after construction and safe to share across concurrent readers.
 """
 
 from __future__ import annotations
@@ -122,9 +123,10 @@ class BinaryReader:
 # FEAT binary descriptor files
 # ---------------------------------------------------------------------------
 
-def save_feature_matrix(values: np.ndarray, path: str | Path) -> None:
-    """Write a FEAT file: magic, u32 version/rows/cols, little-endian f32 payload."""
-    values = np.asarray(values)
+def save_feature_matrix(values: np.ndarray | SparseBlock, path: str | Path) -> None:
+    """Write a FEAT file: magic, u32 version/rows/cols, little-endian f32
+    payload. A compressed block is written from its dense form."""
+    values = np.asarray(dense_block(values))
     if values.ndim != 2:
         raise DataError(f"feature matrix must be 2-D, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
@@ -147,6 +149,147 @@ def load_feature_matrix(path: str | Path) -> np.ndarray:
     values = reader.floats(rows, cols).copy()
     reader.finish()
     return values
+
+
+# ---------------------------------------------------------------------------
+# Raw descriptor blocks held by their nonzero entries
+# ---------------------------------------------------------------------------
+
+def _compressed_is_smaller(n: int, d: int, nnz: int) -> bool:
+    """The layout rule: an (n, d) float32 block with ``nnz`` kept entries is
+    held compressed when that takes fewer bytes (a 4-byte value and a 4-byte
+    column per entry, an 8-byte start per row and one) than dense."""
+    return 8 * nnz + 8 * (n + 1) < 4 * n * d
+
+
+# A chunk whose rows hold this many of its entries each, on average, is
+# gathered one row slice at a time; a sparser one by one index over all of
+# them, which costs more per entry but nothing per row.
+_SLICED_ROW_ENTRIES = 128
+
+
+def _kept(values: np.ndarray) -> np.ndarray:
+    """Where float32 ``values`` are not +0.0: a -0.0 is kept, so the dense
+    form of a compressed block has the same bytes."""
+    return values.view(np.int32) != 0
+
+
+class SparseBlock:
+    """An (N, d) float32 descriptor block held row by row by its kept
+    entries (compressed sparse rows): row ``r`` has the values
+    ``values[starts[r]:starts[r + 1]]`` in the ascending columns
+    ``columns[...]``, and +0.0 everywhere else.
+
+    It is read by :meth:`column_entries`, a chunk of columns of chosen rows
+    at a time, and by :meth:`dense`.
+    """
+
+    dtype = np.dtype(np.float32)
+    ndim = 2
+
+    def __init__(self, shape: tuple[int, int], starts, columns, values):
+        self.shape = shape
+        self.starts, self.columns, self.values = starts, columns, values
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return self.starts.nbytes + self.columns.nbytes + self.values.nbytes
+
+    @classmethod
+    def from_dense(cls, values: np.ndarray) -> SparseBlock:
+        values = np.ascontiguousarray(values, dtype=np.float32)
+        rows, columns = _kept(values).nonzero()
+        starts = np.zeros(len(values) + 1, np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(values)), out=starts[1:])
+        return cls(values.shape, starts, columns.astype(np.int32), values[rows, columns])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, np.float32)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.starts))
+        out[rows, self.columns] = self.values
+        return out
+
+    def column_entries(self, rows, width: int):
+        """``(columns, at, local, values)`` for each chunk of ``width``
+        columns, left to right: the kept entries of the rows ``rows`` (every
+        row when None; any order, repeats too) in those columns, as float64
+        ``values`` with their flat positions ``at`` in the C-ordered
+        (len(rows), chunk width) chunk and their columns ``local`` within
+        it. Every other entry of the chunk is +0.0."""
+        n_rows, d = self.shape
+        picked = np.arange(n_rows)[slice(None) if rows is None else rows]
+        edges = np.minimum(np.arange(0, d + width, width), d).astype(np.int32)
+        # bounds[j, i]: the first entry of row picked[i] at or right of edges[j]
+        bounds = np.empty((len(edges), len(picked)), np.intp)
+        for i, r in enumerate(picked):
+            lo, hi = self.starts[r], self.starts[r + 1]
+            bounds[:, i] = lo + np.searchsorted(self.columns[lo:hi], edges)
+        for j in range(len(edges) - 1):
+            yield self._chunk_entries(bounds[j], bounds[j + 1], int(edges[j]), int(edges[j + 1]))
+
+    def _chunk_entries(self, first, last, lo: int, hi: int):
+        """One chunk of :meth:`column_entries`: the entries ``first[i]`` up
+        to ``last[i]`` of each picked row ``i``, in columns ``lo`` to
+        ``hi``."""
+        n = len(first)
+        counts = last - first
+        total = int(counts.sum())
+        if total >= _SLICED_ROW_ENTRIES * n:
+            spans = [slice(a, z) for a, z in zip(first.tolist(), last.tolist())]
+            columns = np.concatenate([self.columns[span] for span in spans])
+            values = np.concatenate([self.values[span] for span in spans])
+        else:
+            ends = np.cumsum(counts)
+            entries = np.arange(total) + np.repeat(first - ends + counts, counts)
+            columns, values = self.columns[entries], self.values[entries]
+        local = np.subtract(columns, lo, dtype=np.intp)
+        at = np.repeat(np.arange(0, n * (hi - lo), hi - lo), counts)
+        at += local
+        return slice(lo, hi), at, local, values.astype(np.float64)
+
+
+def dense_block(block: np.ndarray | SparseBlock) -> np.ndarray:
+    """The values of a block in either layout, as a dense array."""
+    return block.dense() if isinstance(block, SparseBlock) else block
+
+
+def held_block(values: np.ndarray) -> np.ndarray | SparseBlock:
+    """The float32 block ``values`` in the layout of fewer bytes."""
+    if _compressed_is_smaller(*values.shape, int(np.count_nonzero(_kept(values)))):
+        return SparseBlock.from_dense(values)
+    return values
+
+
+class BlockRows:
+    """A block collected one float32 row at a time by its kept entries;
+    :meth:`block` returns it in the layout of fewer bytes. No (N, d) array
+    is held unless that layout is dense."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.columns: list[np.ndarray] = []
+        self.values: list[np.ndarray] = []
+
+    def add(self, row: np.ndarray) -> None:
+        row = np.asarray(row, dtype=np.float32)
+        columns = _kept(row).nonzero()[0]
+        self.columns.append(columns.astype(np.int32))
+        self.values.append(row[columns])
+
+    def block(self) -> np.ndarray | SparseBlock:
+        """The collected block; the rows are dropped as it is built."""
+        n = len(self.columns)
+        starts = np.zeros(n + 1, np.int64)
+        np.cumsum([len(c) for c in self.columns], out=starts[1:])
+        columns = np.concatenate(self.columns)
+        self.columns = []
+        values = np.concatenate(self.values)
+        self.values = []
+        block = SparseBlock((n, self.width), starts, columns, values)
+        return block if _compressed_is_smaller(n, self.width, len(values)) else block.dense()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .datamodel import (
+    BlockRows,
     ForegroundMask,
     ImageRecord,
+    SparseBlock,
+    held_block,
     load_feature_matrix,
     load_identities,
     load_image,
@@ -60,6 +63,9 @@ _SUBSPLIT_STREAM = 9999
 
 SCOPE_FILENAMES = {"G": "global"}
 
+# Raw (pre-PCA) float32 blocks, each dense or compressed, whichever is smaller.
+RawBank = dict[BlockKey, np.ndarray | SparseBlock]
+
 
 def scope_filename(scope: str) -> str:
     return SCOPE_FILENAMES.get(scope, f"local_{scope}")
@@ -70,7 +76,7 @@ class Dataset:
     """Identity records plus the raw (pre-PCA) descriptor bank."""
 
     records: list[ImageRecord]
-    raw_bank: FeatureBank
+    raw_bank: RawBank
 
     @property
     def row_index(self) -> dict[str, int]:
@@ -104,16 +110,19 @@ def _used_blocks(config: ExperimentConfig) -> set[BlockKey]:
 def compute_cue_bank(
     records: list[ImageRecord],
     config: ExperimentConfig,
-) -> FeatureBank:
-    """Extract the configured hand-crafted cues for every record, each
-    block's rows written in place into one preallocated float32 matrix: the
-    precision of FEAT files, so computed and ingested cues reduce alike."""
-    bank: FeatureBank = {}
+) -> RawBank:
+    """Extract the configured hand-crafted cues for every record. Each
+    block's rows are collected at float32, the precision of FEAT files, by
+    their nonzero entries, with no (N, d) array, and one image's descriptors
+    are dropped before the next is extracted. Once every image is in, each
+    block takes the layout of fewer bytes, as an ingested one does, so
+    computed and ingested cues reduce alike."""
     if not config.computed_cues:
-        return bank
+        return {}
     if config.images_dir is None:
         raise ConfigError("computed_cues requires images_dir")
-    for i, rec in enumerate(records):
+    collected: dict[BlockKey, BlockRows] = {}
+    for rec in records:
         image_path = Path(config.images_dir) / f"{rec.image_id}.ppm"
         image = load_image(image_path)
         if image.shape != (IMAGE_H, IMAGE_W, 3):
@@ -138,20 +147,19 @@ def compute_cue_bank(
             desc = descs[cue]
             scoped = [("G", desc.global_)] + [(f"r{r}", v) for r, v in enumerate(desc.local)]
             for scope, vec in scoped:
-                if i == 0:
-                    bank[(cue, scope)] = np.empty((len(records), vec.size), np.float32)
-                bank[(cue, scope)][i] = vec
-    return bank
+                collected.setdefault((cue, scope), BlockRows(vec.size)).add(vec)
+        del descs, desc, scoped, vec  # not held while the next image is extracted
+    return {key: rows.block() for key, rows in collected.items()}
 
 
 def load_ingested_bank(
     records: list[ImageRecord],
     config: ExperimentConfig,
-) -> FeatureBank:
+) -> RawBank:
     """Load the FEAT files of the ingested blocks the run's representations
-    use, as their float32 values; rows must align with the records. Other
-    files are not opened."""
-    bank: FeatureBank = {}
+    use, as their float32 values in the layout of fewer bytes; rows must
+    align with the records. Other files are not opened."""
+    bank: RawBank = {}
     if not config.ingested_cues:
         return bank
     if config.features_dir is None:
@@ -166,7 +174,7 @@ def load_ingested_bank(
             rows, cols = values.shape
             if rows != len(records) or cols == 0:
                 raise DataError(f"{path}: {rows}x{cols} matrix for {len(records)} identity records")
-            bank[(cue, scope)] = values
+            bank[(cue, scope)] = held_block(values)
     return bank
 
 
@@ -248,13 +256,13 @@ def _truth_map(labels_a: np.ndarray, labels_b: np.ndarray) -> dict[int, int]:
     return {p: gallery_of[int(label)] for p, label in enumerate(labels_a)}
 
 
-def reduce_bank(raw_bank: FeatureBank, fit_rows: np.ndarray, pca_dim: int) -> FeatureBank:
+def reduce_bank(raw_bank: RawBank, fit_rows: np.ndarray, pca_dim: int) -> FeatureBank:
     """Per-block PCA fit on the training rows, applied to every row, for
-    every block of the bank. A float32 block stays float32: PCA reads the fit
-    rows through ``fit_rows`` and converts one column chunk at a time to
-    float64 (the SVD path of a narrow block, its fit rows at once). A wide
-    block's model holds no basis; ``apply_pca`` builds it from the fit rows
-    chunk by chunk as it projects."""
+    every block of the bank. Dense and compressed float32 blocks are read
+    alike: PCA reads the fit rows through ``fit_rows`` one float64 column
+    chunk at a time (the SVD path of a narrow block, its fit rows at once).
+    A wide block's model holds no basis; ``apply_pca`` builds it from the
+    fit rows chunk by chunk as it projects."""
     reduced: FeatureBank = {}
     for key in sorted(raw_bank):
         model = fit_pca(raw_bank[key], pca_dim, rows=fit_rows)

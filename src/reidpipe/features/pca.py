@@ -10,10 +10,14 @@ all n components or whose k-th eigenvalue is not clearly positive
 (rank-deficient or ill-conditioned rows). Both paths give the same features
 to 1e-12.
 
-The input may be float32, as raw descriptor blocks are, and the fit rows may
-be an index into it. PCA reads rows one column chunk at a time, centred in
-float64 into one buffer of ``_CHUNK_BYTES``, and never copies them whole;
-only the SVD path gathers and converts its fit rows at once. The Gram is a
+The input may be float32, as raw descriptor blocks are, dense or a
+:class:`~reidpipe.datamodel.SparseBlock` held by its nonzero entries, and the
+fit rows may be an index into it (any order, repeats too). PCA reads rows
+one column chunk at a time, centred in float64 into one buffer of
+``_CHUNK_BYTES``, and never copies them whole; only the SVD path writes its
+centred fit rows as one chunk as wide as the block. Both layouts give every
+chunk the same bits, so every product, and the features, are the same. A
+fit takes the mean from the same chunks, in the same pass, and the Gram is a
 sum over the fit rows' chunks. :func:`apply_pca` sums each chunk of its rows
 times the basis rows of those columns; a Gram model builds them there, in
 the fit rows' chunks, from the arithmetic that built a whole basis, so the
@@ -26,6 +30,7 @@ import warnings
 
 import numpy as np
 
+from ..datamodel import SparseBlock
 from ..errors import DataError, NumericError
 from .cues import l2_normalize
 
@@ -50,9 +55,9 @@ class PcaModel:
     """Mean plus orthonormal projection basis (columns are components).
 
     A Gram fit stores no basis: it keeps ``x`` and ``rows`` (the caller's
-    arrays, not copies; ``rows`` None is every row) with U and √Λ (``u``,
-    ``root``), and ``basis`` builds ``(x[rows] - mean)ᵀ u / root`` under the
-    sign rule on each access.
+    block and index, not copies; ``rows`` None is every row) with U and √Λ
+    (``u``, ``root``), and ``basis`` builds ``(x[rows] - mean)ᵀ u / root``
+    under the sign rule on each access.
     """
 
     def __init__(self, mean, basis=None, *, x=None, rows=None, u=None, root=None):
@@ -107,35 +112,64 @@ def _recut(parts, width: int):
         yield held[0] if len(held) == 1 else np.concatenate(held)
 
 
-def _centred_chunks(x: np.ndarray, rows, mean: np.ndarray, width: int):
+def _centred_chunks(x, rows, mean: np.ndarray, width: int, *, fit: bool = False):
     """``(columns, chunk)`` for each chunk of ``width`` columns of the rows
     ``x[rows]`` (every row when ``rows`` is None), left to right: ``chunk``
     is ``x[rows, columns] - mean[columns]`` in float64, written into one
-    reused buffer."""
+    reused buffer. With ``fit``, ``mean[columns]`` is first set to the
+    chunk's column means: its sum over the rows in order, over their count,
+    as numpy's mean of the gathered rows.
+
+    This is PCA's one reader of a block. A dense block's rows are copied
+    into the chunk as float64, then summed and centred in place. A
+    :class:`SparseBlock`'s chunk is written from its kept entries: with
+    ``fit`` as the entries on zeros, summed and centred the same way,
+    without it as ``0.0 - mean`` with each entry's ``value - mean`` over
+    it. Every element is the same float64 operation on the same value in
+    both layouts, so every product sees the same chunk. Nothing but the
+    buffer is held while a chunk is used.
+    """
     n = len(x) if rows is None else len(rows)
     d = x.shape[1]
     buffer = np.empty(n * min(width, d))
+    if isinstance(x, SparseBlock):
+        for columns, at, local, values in x.column_entries(rows, width):
+            span = columns.stop - columns.start
+            chunk = buffer[: n * span].reshape(n, span)
+            if fit:
+                chunk.fill(0.0)
+                chunk.reshape(-1)[at] = values
+                np.sum(chunk, axis=0, out=mean[columns])
+                mean[columns] /= n
+                np.subtract(chunk, mean[columns], out=chunk)
+            else:
+                np.copyto(chunk, 0.0 - mean[columns])
+                values -= mean[columns][local]
+                chunk.reshape(-1)[at] = values
+            del at, local, values
+            yield columns, chunk
+        return
     for lo in range(0, d, width):
-        hi = min(lo + width, d)
-        chunk = buffer[: n * (hi - lo)].reshape(n, hi - lo)
-        columns = slice(lo, hi)
-        np.subtract(x[:, columns] if rows is None else x[rows, columns], mean[columns], out=chunk)
+        columns = slice(lo, min(lo + width, d))
+        span = columns.stop - lo
+        chunk = buffer[: n * span].reshape(n, span)
+        # copied first: one subtract of mixed dtypes takes longer
+        np.copyto(chunk, x[:, columns] if rows is None else x[rows, columns])
+        if fit:
+            np.sum(chunk, axis=0, out=mean[columns])
+            mean[columns] /= n
+        np.subtract(chunk, mean[columns], out=chunk)
         yield columns, chunk
 
 
-def _gram_fit(x: np.ndarray, rows, k: int) -> PcaModel | None:
+def _gram_fit(x, rows, k: int) -> PcaModel | None:
     """The top ``k`` principal directions of the wide rows ``x[rows]`` from
     the Gram of their centred rows, or None when the k-th eigenvalue is not
-    clearly positive."""
-    fit_rows = range(len(x)) if rows is None else rows
-    n = len(fit_rows)
-    # numpy's mean of the gathered rows, bit for bit: their sum row after row
-    mean = np.zeros(x.shape[1])
-    for r in fit_rows:
-        mean += x[r]
-    mean /= n
+    clearly positive. The mean is taken in the same pass, chunk by chunk."""
+    n = len(x) if rows is None else len(rows)
+    mean = np.empty(x.shape[1])
     gram, part = np.zeros((n, n)), np.empty((n, n))
-    for _, chunk in _centred_chunks(x, rows, mean, _chunk_width(n)):
+    for _, chunk in _centred_chunks(x, rows, mean, _chunk_width(n), fit=True):
         gram += np.matmul(chunk, chunk.T, out=part)
     eigvals, eigvecs = np.linalg.eigh(gram)
     top = eigvals[::-1][:k]
@@ -173,19 +207,22 @@ def _fix_signs(basis: np.ndarray) -> None:
     basis *= rule.signs()
 
 
-def fit_pca(x: np.ndarray, d_out: int = PCA_DIM, rows: np.ndarray | None = None) -> PcaModel:
+def fit_pca(
+    x: np.ndarray | SparseBlock, d_out: int = PCA_DIM, rows: np.ndarray | None = None
+) -> PcaModel:
     """Fit the top ``d_out`` principal directions of the mean-centred rows
     ``x[rows]`` (every row of ``x`` when ``rows`` is None).
 
     No whitening. Components are sign-fixed so their largest-magnitude entry
-    is positive. ``d_out`` silently cannot exceed the fit rows' row or column
-    count; a warning is emitted and the dimension clamped. A LAPACK failure
-    raises NumericError. The caller's array, of any float dtype, is never
-    written: the Gram path reads the fit rows through ``rows`` one column
-    chunk at a time and keeps references to both, the SVD path gathers the
-    rows in one float64 copy.
+    is positive. ``d_out`` cannot exceed the fit rows' row or column count:
+    it is clamped to it, with a warning. A LAPACK failure raises
+    NumericError. ``x`` is an array of any float dtype or a
+    :class:`SparseBlock`, and is never written: the Gram path reads the fit
+    rows through ``rows`` one column chunk at a time and keeps references to
+    both, the SVD path writes the centred fit rows into one float64 array.
     """
-    x = np.asarray(x)
+    if not isinstance(x, SparseBlock):
+        x = np.asarray(x)
     shape = x.shape if x.ndim != 2 or rows is None else (len(rows), x.shape[1])
     if len(shape) != 2 or 0 in shape:
         raise DataError(f"PCA needs a non-empty 2-D matrix, got shape {shape}")
@@ -199,9 +236,10 @@ def fit_pca(x: np.ndarray, d_out: int = PCA_DIM, rows: np.ndarray | None = None)
     try:
         model = _gram_fit(x, rows, k) if 0 < k < n < d else None
         if model is None:
-            fit = x if rows is None else x[rows]
-            mean = fit.mean(axis=0, dtype=np.float64)
-            _, _, vt = np.linalg.svd(fit - mean, full_matrices=False)
+            # one chunk as wide as the block: the centred fit rows
+            mean = np.empty(d)
+            _, centred = next(_centred_chunks(x, rows, mean, d, fit=True))
+            _, _, vt = np.linalg.svd(centred, full_matrices=False)
             model = PcaModel(mean, vt[:k].T.copy())
             _fix_signs(model.basis)
     except np.linalg.LinAlgError as exc:
@@ -209,7 +247,7 @@ def fit_pca(x: np.ndarray, d_out: int = PCA_DIM, rows: np.ndarray | None = None)
     return model
 
 
-def apply_pca(model: PcaModel, v: np.ndarray) -> np.ndarray:
+def apply_pca(model: PcaModel, v: np.ndarray | SparseBlock) -> np.ndarray:
     """Center, project and re-normalize to unit L2 (rows of a matrix, or one vector).
 
     The projection of a matrix is summed over its column chunks, left to
@@ -219,7 +257,7 @@ def apply_pca(model: PcaModel, v: np.ndarray) -> np.ndarray:
     exact, as negating the basis column is. A stored basis is signed, so its
     rule is all +1.
     """
-    arr = np.asarray(v)
+    arr = v if isinstance(v, SparseBlock) else np.asarray(v)
     if arr.ndim == 1:
         return l2_normalize((arr - model.mean) @ model.basis)
     width = _chunk_width(arr.shape[0])

@@ -12,7 +12,8 @@ import pytest
 from conftest import build_synthetic_dataset, write_color_dataset
 from reidpipe.cli import main
 from reidpipe.config import load_config
-from reidpipe.experiment import run_experiment
+from reidpipe.datamodel import SparseBlock
+from reidpipe.experiment import load_dataset, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -71,6 +72,11 @@ def test_layer_probes_see_computed_cue_extraction(tmp_path, traced):
     # PCA is fitted on exactly the blocks the representations use
     assert traced.stats["features.pca_blocks_fitted"] > 0
     assert traced.stats["features.pca_blocks_used"] == traced.stats["features.pca_blocks_fitted"]
+    # one stage fits each raw block once, and the probe reads a compressed
+    # block's width from its shape as a dense one's
+    raw_bank = load_dataset(load_config(config_path)).raw_bank
+    assert any(isinstance(block, SparseBlock) for block in raw_bank.values())
+    assert traced.stats["features.pca_fit_cols"] == sum(b.shape[1] for b in raw_bank.values())
 
 
 def test_layer_probes_see_both_trainers(tmp_path, traced):

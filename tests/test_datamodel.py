@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reidpipe import datamodel
 from reidpipe.datamodel import (
+    BlockRows,
     ImageRecord,
+    SparseBlock,
     csv_reader,
+    dense_block,
+    held_block,
     load_feature_matrix,
     load_identities,
     load_image,
@@ -360,3 +365,71 @@ def test_feat_huge_header_dimensions(tmp_path):
     path.write_bytes(b"FEAT" + struct.pack("<III", 1, 0xFFFFFFFF, 0xFFFFFFFF) + b"\x00" * 8)
     with pytest.raises(FormatError, match="truncated"):
         load_feature_matrix(path)
+
+
+# ---------------------------------------------------------------------------
+# Raw descriptor blocks: dense or compressed, whichever takes fewer bytes
+# ---------------------------------------------------------------------------
+
+def collected(values: np.ndarray):
+    rows = BlockRows(values.shape[1])
+    for row in values:
+        rows.add(row.astype(np.float64))  # descriptors arrive as float64
+    return rows.block()
+
+
+# 4 rows of 10 columns: dense, 160 bytes; compressed, 8 bytes per kept entry
+# and 8 per row start (5 of them). 14 entries take 152 bytes, 15 take 160,
+# and a tie stays dense.
+@pytest.mark.parametrize("kept,compressed", [(0, True), (14, True), (15, False), (40, False)])
+def test_block_layout_is_the_one_of_fewer_bytes(kept, compressed):
+    values = np.zeros((4, 10), np.float32)
+    values.flat[np.random.default_rng(kept).permutation(40)[:kept]] = np.arange(1, kept + 1)
+    values[values == 1] = -0.0  # a kept entry, though it compares equal to 0
+    for block in (held_block(values.copy()), collected(values)):
+        assert isinstance(block, SparseBlock) is compressed
+        assert block.shape == (4, 10) and len(block) == 4 and block.ndim == 2
+        assert block.dtype == np.float32
+        assert dense_block(block).tobytes() == values.tobytes()
+        if compressed:
+            assert block.nbytes == 8 * kept + 40 < values.nbytes
+
+
+def test_collected_and_converted_blocks_hold_the_same_arrays():
+    gen = np.random.default_rng(1)
+    values = gen.standard_normal((30, 200)).astype(np.float32)
+    values[gen.random(values.shape) < 0.8] = 0.0
+    values[:, 7] = 0.0
+    values[4] = 0.0
+    values[gen.integers(0, 30, 9), gen.integers(0, 200, 9)] = -0.0
+    converted, built = SparseBlock.from_dense(values), collected(values)
+    assert isinstance(built, SparseBlock)
+    for name in ("starts", "columns", "values"):
+        np.testing.assert_array_equal(getattr(built, name), getattr(converted, name))
+        assert getattr(built, name).dtype == getattr(converted, name).dtype
+    assert converted.columns.dtype == np.int32 and converted.values.dtype == np.float32
+    np.testing.assert_array_equal(np.diff(converted.starts)[4], 0)
+    # -0.0 entries are kept, so the dense form has the same bytes
+    assert np.count_nonzero(np.signbit(converted.values)) == np.count_nonzero(np.signbit(values))
+    assert converted.dense().tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("sliced", [False, True])  # each row's entries gathered as one slice
+@pytest.mark.parametrize("rows", [None, [5, 0, 5, 29, 3, 5], [-1, 2]])
+@pytest.mark.parametrize("width", [1, 7, 64, 200, 500])
+def test_sparse_block_column_entries_rebuild_its_rows(monkeypatch, sliced, rows, width):
+    monkeypatch.setattr(datamodel, "_SLICED_ROW_ENTRIES", 0 if sliced else 10**9)
+    gen = np.random.default_rng(width)
+    values = gen.standard_normal((30, 200)).astype(np.float32)
+    values[gen.random(values.shape) < 0.7] = 0.0
+    block = SparseBlock.from_dense(values)
+    picked = values if rows is None else values[rows]
+    edges = []
+    for columns, at, local, entries in block.column_entries(rows, width):
+        chunk = np.zeros((len(picked), columns.stop - columns.start))
+        chunk.reshape(-1)[at] = entries
+        np.testing.assert_array_equal(local, at % chunk.shape[1])
+        assert entries.dtype == np.float64
+        np.testing.assert_array_equal(chunk, picked[:, columns])
+        edges.append((columns.start, columns.stop))
+    assert edges == [(lo, min(lo + width, 200)) for lo in range(0, 200, width)]

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import build_synthetic_dataset, write_color_dataset
 from reidpipe.config import load_config
+from reidpipe.datamodel import SparseBlock, dense_block
 from reidpipe.errors import ConfigError, DataError
 from reidpipe.experiment import (
     load_dataset,
@@ -242,7 +243,10 @@ def test_computed_cues_reduce_as_extracted_and_ingested_ones(tmp_path):
     assert computed.keys() == ingested.keys() and len(computed) == 10
     for key in computed:
         assert computed[key].dtype == ingested[key].dtype == np.float32
-        np.testing.assert_array_equal(computed[key], ingested[key])
+        # both banks chose the block's layout by the same rule from the same values
+        assert type(computed[key]) is type(ingested[key])
+        np.testing.assert_array_equal(dense_block(computed[key]), dense_block(ingested[key]))
+    assert any(isinstance(block, SparseBlock) for block in computed.values())
     fit_rows = np.array([0, 2, 3, 5, 6, 9])
     reduced_computed = reduce_bank(computed, fit_rows, 4)
     reduced_ingested = reduce_bank(ingested, fit_rows, 4)
@@ -273,4 +277,57 @@ def test_reduce_bank_makes_no_full_size_float64_copy():
     finally:
         tracemalloc.stop()
     assert reduced[("C1", "G")].shape == (n, k)
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
+
+
+def test_compute_cue_bank_holds_no_dense_copy_of_a_sparse_block(tmp_path):
+    # each block's rows are collected by their nonzero entries and each block
+    # takes the layout of fewer bytes: no (N, d) array of a block that ends
+    # compressed is held, nor the last image's descriptors while the next is
+    # extracted
+    import tracemalloc
+
+    from reidpipe.datamodel import load_identities, load_image, load_mask
+    from reidpipe.experiment import compute_cue_bank
+    from reidpipe.features import extract_cues
+
+    write_color_dataset(tmp_path, n_ids=6)
+    config_path = tmp_path / "c.ini"
+    config_path.write_text(
+        "[data]\nidentities = identities.csv\nimages_dir = imgs\nmasks_dir = imgs\n"
+        "[features]\ncomputed_cues = C1,C2,C3,C4,C5,C6\n"
+    )
+    config = load_config(config_path)
+    records = load_identities(config.identities)
+    image, mask = load_image(tmp_path / "imgs" / "a0.ppm"), load_mask(tmp_path / "imgs" / "a0.pgm")
+    tracemalloc.start()
+    try:
+        # one image's descriptors, with what their extraction holds at its peak
+        extract_cues(
+            image,
+            config.computed_cues,
+            mask,
+            masked_cues=config.masked_cues,
+            n_stripes=config.n_regions,
+            mask_blend=config.mask_blend,
+        )
+        _, one_image = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        bank = compute_cue_bank(records, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the bytes of each block in its smaller layout: a 4-byte value and
+    # column per nonzero (-0.0 too) and an 8-byte start per row and one, or
+    # dense float32
+    held = dense = 0
+    for block in bank.values():
+        values = dense_block(block)
+        n, d = values.shape
+        smaller = min(4 * n * d, 8 * np.count_nonzero(values.view(np.int32)) + 8 * (n + 1))
+        assert block.nbytes == smaller
+        held += smaller
+        dense += 4 * n * d
+    assert held < dense / 4
+    bound = held + one_image + (1 << 20)
     assert peak <= bound, f"peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"

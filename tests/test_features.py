@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reidpipe import kernels
-from reidpipe.datamodel import ForegroundMask
+from reidpipe import datamodel, kernels
+from reidpipe.datamodel import ForegroundMask, SparseBlock
 from reidpipe.errors import ConfigError, DataError, NumericError
 from reidpipe.features import (
     PcaModel,
@@ -930,3 +930,105 @@ def test_pca_fits_a_read_only_float32_block_as_its_float64_values(shape):
 def test_pca_rejects_a_block_without_columns():
     with pytest.raises(DataError, match="non-empty"):
         fit_pca(np.zeros((5, 0)), d_out=2)
+
+
+# ---------------------------------------------------------------------------
+# PCA of compressed blocks: the same bits as of their dense twins
+# ---------------------------------------------------------------------------
+
+def sparse_twins(gen, n: int, d: int, zeros: float) -> tuple[np.ndarray, SparseBlock]:
+    """A float32 (n, d) block with about the share ``zeros`` of +0.0
+    entries, an all-zero column and row and a few -0.0 entries, and its
+    compressed twin."""
+    x = gen.standard_normal((n, d)).astype(np.float32)
+    x[gen.random((n, d)) < zeros] = 0.0
+    x[:, d // 3] = 0.0
+    x[n // 2] = 0.0
+    x[gen.integers(0, n, 6), gen.integers(0, d, 6)] = -0.0
+    return x, SparseBlock.from_dense(x)
+
+
+def assert_same_pca(model, twin, block, x) -> None:
+    """The same bytes, signed zeros too, of the mean, basis and features."""
+    pairs = [
+        (model.mean, twin.mean),
+        (model.basis, twin.basis),
+        (apply_pca(model, block), apply_pca(twin, x)),
+        (apply_pca(model, x[1]), apply_pca(twin, x[1])),
+    ]
+    for got, expected in pairs:
+        np.testing.assert_array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
+
+
+FIT_ROWS = {
+    "all": None,
+    "sorted": np.arange(0, 30, 2),
+    "unsorted": np.random.default_rng(0).permutation(30)[:12],
+    "repeated": np.array([3, 7, 3, 12, 0, 7, 20, 3, 25, 1, 9, 14, 29]),
+}
+
+
+@pytest.mark.parametrize("sliced", [False, True])  # each row's entries gathered as one slice
+@pytest.mark.parametrize("fit", [False, True])
+@pytest.mark.parametrize("rows", list(FIT_ROWS))
+def test_centred_chunks_of_a_compressed_block_are_its_dense_twins(monkeypatch, sliced, fit, rows):
+    monkeypatch.setattr(datamodel, "_SLICED_ROW_ENTRIES", 0 if sliced else 10**9)
+    gen = np.random.default_rng(7)
+    x, _ = sparse_twins(gen, 30, 97, 0.6)
+    # wide exponents, so float64 sums of the rows round and their order shows
+    x *= np.exp2(gen.integers(-40, 40, x.shape)).astype(np.float32)
+    # signed zeros over means of +0.0 and -0.0
+    x[:, 5:7] = 0.0
+    x[[1, 4, 28], 5:7] = -0.0
+    mean = gen.standard_normal(97)
+    mean[5], mean[6] = 0.0, -0.0
+    block = SparseBlock.from_dense(x)
+    dense_mean, mean = mean.copy(), mean.copy()
+    # chunks of 16 columns: the last one is one column wide
+    got = [(c, ch.tobytes()) for c, ch in pca._centred_chunks(block, FIT_ROWS[rows], mean, 16, fit=fit)]
+    expected = [(c, ch.tobytes()) for c, ch in pca._centred_chunks(x, FIT_ROWS[rows], dense_mean, 16, fit=fit)]
+    assert got == expected and len(got) == 7
+    assert mean.tobytes() == dense_mean.tobytes()
+
+
+@pytest.mark.parametrize("sliced", [False, True])  # each row's entries gathered as one slice
+@pytest.mark.parametrize("zeros", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("rows", list(FIT_ROWS))
+def test_gram_pca_of_a_compressed_block_is_bit_identical_to_its_dense_twin(
+    monkeypatch, sliced, zeros, rows
+):
+    # apply chunks of 16 columns and, for 12 fit rows, Gram chunks of 40:
+    # 481 columns end both in a one-column chunk
+    monkeypatch.setattr(pca, "_CHUNK_BYTES", 8 * 30 * 16)
+    monkeypatch.setattr(datamodel, "_SLICED_ROW_ENTRIES", 0 if sliced else 10**9)
+    x, block = sparse_twins(np.random.default_rng(int(zeros * 100)), 30, 481, zeros)
+    for array in (block.starts, block.columns, block.values):
+        array.flags.writeable = False  # PCA writes no part of the block
+    fit_rows = FIT_ROWS[rows]
+    _forbid(monkeypatch, "svd")  # the Gram path alone
+    model = fit_pca(block, 6, rows=fit_rows)
+    assert model.x is block and model.rows is fit_rows
+    assert_same_pca(model, fit_pca(x, 6, rows=fit_rows), block, x)
+
+
+@pytest.mark.parametrize("zeros", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("case", ["narrow", "rank-deficient", "all-zero"])
+def test_svd_pca_of_a_compressed_block_is_bit_identical_to_its_dense_twin(zeros, case):
+    gen = np.random.default_rng(int(zeros * 100))
+    if case == "narrow":
+        x, block = sparse_twins(gen, 40, 9, zeros)
+        rows = np.array([1, 5, 3, 5, 9, 11, 39, 20, 21, 30, 2, 0, 17, 16, 8])
+    elif case == "rank-deficient":
+        # ten distinct rows twice: a centred rank of 9 is short of 16, so the
+        # wide block falls back to the SVD
+        base, _ = sparse_twins(gen, 10, 300, zeros)
+        x = np.vstack([base, base])
+        block, rows = SparseBlock.from_dense(x), None
+    else:
+        x = np.zeros((12, 50), np.float32)
+        block, rows = datamodel.held_block(x), np.arange(0, 12, 3)
+        assert isinstance(block, SparseBlock) and block.values.size == 0
+    model = fit_pca(block, 16 if case == "rank-deficient" else 4, rows=rows)
+    assert model._basis is not None  # the SVD path keeps its basis
+    assert_same_pca(model, fit_pca(x, model.d_out, rows=rows), block, x)
