@@ -13,6 +13,10 @@ module, e.g.::
     [eval]
     seeds = 0,1,2
     representations = F1
+
+The sections and keys are those :func:`load_config` takes; any other is a
+ConfigError naming it. Only ``[cues]`` and ``[representations]`` take free
+keys, the cue and representation names they define.
 """
 
 from __future__ import annotations
@@ -132,8 +136,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         return p if p.is_absolute() else base / p
 
     kwargs: dict = {}
+    known: dict[str, set[str]] = {}
 
     def take(section: str, key: str, parse) -> None:
+        known.setdefault(section, set()).add(key)
         if parser.has_option(section, key):
             kwargs_key, convert = parse
             try:
@@ -167,6 +173,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
     take("eval", "representations", ("representations", lambda v: tuple(_split_tokens(v))))
     take("eval", "report_dir", ("report_dir", resolve))
+
+    free = ("cues", "representations")  # their keys name cues and representations
+    unknown = [f"[{s}]" for s in parser.sections() if s not in known and s not in free]
+    if parser.defaults():
+        unknown.insert(0, f"[{parser.default_section}]")
+    unknown += [
+        f"[{s}] {key}"
+        for s in known
+        if parser.has_section(s)
+        for key in parser[s]
+        if key not in known[s]
+    ]
+    if unknown:
+        raise ConfigError(f"{path}: unknown config section or key: {', '.join(unknown)}")
 
     if parser.has_section("cues"):
         kwargs["ingested_cues"] = {

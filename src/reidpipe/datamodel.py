@@ -2,9 +2,9 @@
 
 Owns the one read of input files, the bounds-checked binary reader, the
 UTF-8 CSV reader, the FEAT binary descriptor format, the layout of raw
-descriptor blocks (dense, or by their nonzero entries), the identities CSV,
-binary PGM/PPM image reading, foreground masks and identity-disjoint
-train/test splits.
+descriptor blocks (dense, or by their nonzero entries) and their one
+column-chunk reader, the identities CSV, binary PGM/PPM image reading,
+foreground masks and identity-disjoint train/test splits.
 All structures but ``BlockRows``, which collects a block row by row, are
 immutable after construction and safe to share across concurrent readers.
 """
@@ -180,7 +180,7 @@ class SparseBlock:
     ``values[starts[r]:starts[r + 1]]`` in the ascending columns
     ``columns[...]``, and +0.0 everywhere else.
 
-    It is read by :meth:`column_entries`, a chunk of columns of chosen rows
+    It is read by :func:`column_chunks`, a chunk of columns of chosen rows
     at a time, and by :meth:`dense`.
     """
 
@@ -212,29 +212,21 @@ class SparseBlock:
         out[rows, self.columns] = self.values
         return out
 
-    def column_entries(self, rows, width: int):
-        """``(columns, at, local, values)`` for each chunk of ``width``
-        columns, left to right: the kept entries of the rows ``rows`` (every
-        row when None; any order, repeats too) in those columns, as float64
-        ``values`` with their flat positions ``at`` in the C-ordered
-        (len(rows), chunk width) chunk and their columns ``local`` within
-        it. Every other entry of the chunk is +0.0."""
-        n_rows, d = self.shape
-        picked = np.arange(n_rows)[slice(None) if rows is None else rows]
-        edges = np.minimum(np.arange(0, d + width, width), d).astype(np.int32)
-        # bounds[j, i]: the first entry of row picked[i] at or right of edges[j]
+    def _entry_bounds(self, rows, edges: list[int]) -> np.ndarray:
+        """``bounds[j, i]``: the first kept entry of the picked row ``i`` at
+        or right of column ``edges[j]``."""
+        picked = np.arange(self.shape[0])[slice(None) if rows is None else rows]
+        edges = np.array(edges, np.int32)
         bounds = np.empty((len(edges), len(picked)), np.intp)
         for i, r in enumerate(picked):
             lo, hi = self.starts[r], self.starts[r + 1]
             bounds[:, i] = lo + np.searchsorted(self.columns[lo:hi], edges)
-        for j in range(len(edges) - 1):
-            yield self._chunk_entries(bounds[j], bounds[j + 1], int(edges[j]), int(edges[j + 1]))
+        return bounds
 
-    def _chunk_entries(self, first, last, lo: int, hi: int):
-        """One chunk of :meth:`column_entries`: the entries ``first[i]`` up
-        to ``last[i]`` of each picked row ``i``, in columns ``lo`` to
-        ``hi``."""
-        n = len(first)
+    def _write(self, chunk: np.ndarray, first, last, lo: int) -> None:
+        """Write into ``chunk`` the columns from ``lo`` of the picked rows:
+        +0.0, but the entries ``first[i]`` up to ``last[i]`` of row ``i``."""
+        n, span = chunk.shape
         counts = last - first
         total = int(counts.sum())
         if total >= _SLICED_ROW_ENTRIES * n:
@@ -245,10 +237,35 @@ class SparseBlock:
             ends = np.cumsum(counts)
             entries = np.arange(total) + np.repeat(first - ends + counts, counts)
             columns, values = self.columns[entries], self.values[entries]
-        local = np.subtract(columns, lo, dtype=np.intp)
-        at = np.repeat(np.arange(0, n * (hi - lo), hi - lo), counts)
-        at += local
-        return slice(lo, hi), at, local, values.astype(np.float64)
+        at = np.repeat(np.arange(-lo, n * span - lo, span), counts)
+        at += columns
+        chunk.fill(0.0)
+        chunk.reshape(-1)[at] = values
+
+
+def column_chunks(block: np.ndarray | SparseBlock, rows, width: int):
+    """``(columns, chunk)`` for each chunk of ``width`` columns of the rows
+    ``block[rows]`` (every row when ``rows`` is None; any order, repeats
+    and negative indices too), left to right: ``chunk`` holds them as
+    float64, written into one reused buffer that is all the reader holds.
+
+    This is the one reader of a block in either layout. A dense block's
+    rows are copied in; a :class:`SparseBlock`'s chunk is +0.0 but at its
+    kept entries. Both give every chunk the same bytes.
+    """
+    n = len(block) if rows is None else len(rows)
+    d = block.shape[1]
+    edges = [*range(0, d, width), d]
+    buffer = np.empty(n * min(width, d))
+    if isinstance(block, SparseBlock):
+        bounds = block._entry_bounds(rows, edges)
+    for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        chunk = buffer[: n * (hi - lo)].reshape(n, hi - lo)
+        if isinstance(block, SparseBlock):
+            block._write(chunk, bounds[j], bounds[j + 1], lo)
+        else:
+            np.copyto(chunk, block[:, lo:hi] if rows is None else block[rows, lo:hi])
+        yield slice(lo, hi), chunk
 
 
 def dense_block(block: np.ndarray | SparseBlock) -> np.ndarray:

@@ -45,6 +45,7 @@ from .postrank import (
 )
 from .rankagg import aggregate, best_n_select
 from .simlearn import (
+    SCOPES,
     BlockKey,
     FeatureBank,
     RankingList,
@@ -52,6 +53,7 @@ from .simlearn import (
     SimilarityModel,
     TrainConfig,
     rank_gallery,
+    role_scopes,
     sample_pairs,
     score_gallery,
     train_model,
@@ -84,18 +86,10 @@ class Dataset:
 
 
 def _scope_keys(scopes: tuple[str, ...], n_regions: int) -> list[str]:
-    keys: list[str] = []
     for token in scopes:
-        if token == "G":
-            keys.append("G")
-        elif token == "L":
-            keys.extend(f"r{r}" for r in range(n_regions))
-        elif token == "GL":
-            keys.append("G")
-            keys.extend(f"r{r}" for r in range(n_regions))
-        else:
+        if token not in SCOPES:
             raise ConfigError(f"invalid ingested scope {token!r}")
-    return keys
+    return [scope for token in scopes for scope in role_scopes(token, n_regions)]
 
 
 def _used_blocks(config: ExperimentConfig) -> set[BlockKey]:

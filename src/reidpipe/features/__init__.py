@@ -11,10 +11,7 @@ from .grid import (
     patch_stripe_indices,
     stripe_bounds,
 )
-from .histograms import channel_histogram, joint_color_histogram
 from .pca import PCA_DIM, PcaModel, apply_pca, fit_pca
-from .scncd import scncd_descriptor
-from .texture import hog_descriptor, siltp_descriptor
 
 __all__ = [
     "CUE_IDS",
@@ -27,17 +24,12 @@ __all__ = [
     "PcaModel",
     "apply_pca",
     "assemble_cue",
-    "channel_histogram",
     "convert",
     "extract_cues",
     "fit_pca",
-    "hog_descriptor",
-    "joint_color_histogram",
     "l2_normalize",
     "patch_grid",
     "patch_stripe_indices",
-    "scncd_descriptor",
-    "siltp_descriptor",
     "stripe_bounds",
     "to_gray",
     "to_hsv",

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
-from .colorspace import convert
 
 JOINT_BINS = 8  # per axis: a joint histogram has 8**3 bins
 CHANNEL_BINS = 16
@@ -23,31 +22,10 @@ def joint_bin_grid(space_img: np.ndarray) -> np.ndarray:
     return (q[..., 0] * JOINT_BINS + q[..., 1]) * JOINT_BINS + q[..., 2]
 
 
-def _full_rect(shape: tuple[int, int]) -> np.ndarray:
-    return np.array([[0, 0, shape[1], shape[0]]], dtype=np.int64)
-
-
 def _weights_grid(shape: tuple[int, int], weights: np.ndarray | None) -> np.ndarray:
     if weights is None:
         return np.ones(shape, dtype=np.float64)
     return np.asarray(weights, dtype=np.float64)
-
-
-def joint_color_histogram(
-    pixels: np.ndarray, space: str, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Joint ``JOINT_BINS``^3 histogram of an RGB patch in the given space."""
-    space_img = convert(pixels, space)
-    return patch_joint_histograms(space_img, _full_rect(space_img.shape[:2]), weights)[0]
-
-
-def channel_histogram(
-    pixels: np.ndarray, space: str, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Concatenated per-channel ``CHANNEL_BINS`` histograms of an RGB patch in
-    the given space."""
-    space_img = convert(pixels, space)
-    return patch_channel_histograms(space_img, _full_rect(space_img.shape[:2]), weights)[0]
 
 
 def patch_joint_histograms(

@@ -10,18 +10,20 @@ all n components or whose k-th eigenvalue is not clearly positive
 (rank-deficient or ill-conditioned rows). Both paths give the same features
 to 1e-12.
 
-The input may be float32, as raw descriptor blocks are, dense or a
-:class:`~reidpipe.datamodel.SparseBlock` held by its nonzero entries, and the
-fit rows may be an index into it (any order, repeats too). PCA reads rows
-one column chunk at a time, centred in float64 into one buffer of
-``_CHUNK_BYTES``, and never copies them whole; only the SVD path writes its
-centred fit rows as one chunk as wide as the block. Both layouts give every
-chunk the same bits, so every product, and the features, are the same. A
-fit takes the mean from the same chunks, in the same pass, and the Gram is a
-sum over the fit rows' chunks. :func:`apply_pca` sums each chunk of its rows
-times the basis rows of those columns; a Gram model builds them there, in
-the fit rows' chunks, from the arithmetic that built a whole basis, so the
-features are the same bits as from a stored one.
+The input may be float32, as raw descriptor blocks are, in either layout:
+dense, or a :class:`~reidpipe.datamodel.SparseBlock` held by its nonzero
+entries. The fit rows may be an index into it (any order, repeats too). PCA
+reads a block only through :func:`~reidpipe.datamodel.column_chunks`, one
+column chunk at a time in float64 in one buffer of ``_CHUNK_BYTES``, and
+centres each chunk in place; it never copies the rows whole, and only the
+SVD path reads its fit rows as one chunk as wide as the block. The reader
+gives both layouts the same chunk bits, so both take one code path to the
+same features. A fit takes the mean from the same chunks, in the same pass,
+and the Gram is a sum over the fit rows' chunks. :func:`apply_pca` takes a
+matrix and sums each chunk of its rows times the basis rows of those
+columns; a Gram model builds them there, in the fit rows' chunks, from the
+arithmetic that built a whole basis, so the features are the same bits as
+from a stored one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from ..datamodel import SparseBlock
+from ..datamodel import SparseBlock, column_chunks
 from ..errors import DataError, NumericError
 from .cues import l2_normalize
 
@@ -115,46 +117,13 @@ def _recut(parts, width: int):
 def _centred_chunks(x, rows, mean: np.ndarray, width: int, *, fit: bool = False):
     """``(columns, chunk)`` for each chunk of ``width`` columns of the rows
     ``x[rows]`` (every row when ``rows`` is None), left to right: ``chunk``
-    is ``x[rows, columns] - mean[columns]`` in float64, written into one
-    reused buffer. With ``fit``, ``mean[columns]`` is first set to the
-    chunk's column means: its sum over the rows in order, over their count,
-    as numpy's mean of the gathered rows.
-
-    This is PCA's one reader of a block. A dense block's rows are copied
-    into the chunk as float64, then summed and centred in place. A
-    :class:`SparseBlock`'s chunk is written from its kept entries: with
-    ``fit`` as the entries on zeros, summed and centred the same way,
-    without it as ``0.0 - mean`` with each entry's ``value - mean`` over
-    it. Every element is the same float64 operation on the same value in
-    both layouts, so every product sees the same chunk. Nothing but the
-    buffer is held while a chunk is used.
-    """
+    is ``x[rows, columns] - mean[columns]`` in float64, in the reused buffer
+    of :func:`~reidpipe.datamodel.column_chunks`. With ``fit``,
+    ``mean[columns]`` is first set to the chunk's column means: its sum over
+    the rows in order, over their count, as numpy's mean of the gathered
+    rows."""
     n = len(x) if rows is None else len(rows)
-    d = x.shape[1]
-    buffer = np.empty(n * min(width, d))
-    if isinstance(x, SparseBlock):
-        for columns, at, local, values in x.column_entries(rows, width):
-            span = columns.stop - columns.start
-            chunk = buffer[: n * span].reshape(n, span)
-            if fit:
-                chunk.fill(0.0)
-                chunk.reshape(-1)[at] = values
-                np.sum(chunk, axis=0, out=mean[columns])
-                mean[columns] /= n
-                np.subtract(chunk, mean[columns], out=chunk)
-            else:
-                np.copyto(chunk, 0.0 - mean[columns])
-                values -= mean[columns][local]
-                chunk.reshape(-1)[at] = values
-            del at, local, values
-            yield columns, chunk
-        return
-    for lo in range(0, d, width):
-        columns = slice(lo, min(lo + width, d))
-        span = columns.stop - lo
-        chunk = buffer[: n * span].reshape(n, span)
-        # copied first: one subtract of mixed dtypes takes longer
-        np.copyto(chunk, x[:, columns] if rows is None else x[rows, columns])
+    for columns, chunk in column_chunks(x, rows, width):
         if fit:
             np.sum(chunk, axis=0, out=mean[columns])
             mean[columns] /= n
@@ -248,9 +217,9 @@ def fit_pca(
 
 
 def apply_pca(model: PcaModel, v: np.ndarray | SparseBlock) -> np.ndarray:
-    """Center, project and re-normalize to unit L2 (rows of a matrix, or one vector).
+    """Center, project and re-normalize the rows of a matrix to unit L2.
 
-    The projection of a matrix is summed over its column chunks, left to
+    The projection is summed over the matrix's column chunks, left to
     right (see :func:`_centred_chunks`), each times the basis rows of its
     columns. Those of a Gram model are built here, unsigned, and the sign
     rule is applied to the projection at the end: negating its column is
@@ -258,10 +227,10 @@ def apply_pca(model: PcaModel, v: np.ndarray | SparseBlock) -> np.ndarray:
     rule is all +1.
     """
     arr = v if isinstance(v, SparseBlock) else np.asarray(v)
-    if arr.ndim == 1:
-        return l2_normalize((arr - model.mean) @ model.basis)
-    width = _chunk_width(arr.shape[0])
-    proj = np.zeros((arr.shape[0], model.d_out))
+    if arr.ndim != 2:
+        raise DataError(f"PCA applies to the rows of a 2-D matrix, got shape {arr.shape}")
+    width = _chunk_width(len(arr))
+    proj = np.zeros((len(arr), model.d_out))
     rule = _SignRule(model.d_out)
     chunks = _centred_chunks(arr, None, model.mean, width)
     for (_, chunk), part in zip(chunks, model._basis_rows(width)):

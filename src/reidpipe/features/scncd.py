@@ -99,11 +99,3 @@ def scncd_regions(
             blocks.append(_l1_normalize(np.concatenate([names, *hists])))
         out.append(np.concatenate(blocks))
     return out
-
-
-def scncd_descriptor(pixels: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Color-name distributions fused with channel histograms across spaces:
-    :func:`scncd_regions` of one region covering every pixel."""
-    rgb = np.asarray(pixels, dtype=np.float64)
-    assignment = assign_color_names({space: convert(rgb, space) for space in SCNCD_SPACES})
-    return scncd_regions(assignment, [(0, assignment.n_pixels)], weights)[0]

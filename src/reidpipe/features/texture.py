@@ -26,13 +26,6 @@ def hog_orientation_grid(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, mag
 
 
-def hog_descriptor(pixels: np.ndarray) -> np.ndarray:
-    """Gradient-magnitude histogram over ``HOG_BINS`` unsigned orientations in [0, pi)."""
-    gray = np.asarray(pixels, dtype=np.float64)
-    rect = np.array([[0, 0, gray.shape[1], gray.shape[0]]], dtype=np.int64)
-    return patch_hog_histograms(gray, rect)[0]
-
-
 def patch_hog_histograms(gray: np.ndarray, rects: np.ndarray) -> np.ndarray:
     """Per-patch HOG histograms of equally sized patches, all in one pass.
 
@@ -54,15 +47,6 @@ def patch_hog_histograms(gray: np.ndarray, rects: np.ndarray) -> np.ndarray:
         [np.zeros(n, dtype=np.int64), h * np.arange(n), np.full(n, w), np.full(n, h)]
     )
     return kernels.patch_histograms(idx.reshape(n * h, w), mag.reshape(n * h, w), tiles, HOG_BINS)
-
-
-def siltp_descriptor(pixels: np.ndarray) -> np.ndarray:
-    """Histogram of scale-invariant ternary codes over the patch interior."""
-    gray = np.asarray(pixels, dtype=np.float64)
-    if gray.shape[0] < 3 or gray.shape[1] < 3:
-        return np.zeros(SILTP_BINS, dtype=np.float64)
-    codes = kernels.siltp_codes(gray, SILTP_TAU)
-    return np.bincount(codes.ravel(), minlength=SILTP_BINS).astype(np.float64)
 
 
 def patch_siltp_histograms(gray: np.ndarray, rects: np.ndarray) -> np.ndarray:

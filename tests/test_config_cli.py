@@ -185,6 +185,26 @@ def test_cli_out_of_range_protocol_value_is_exit_2(tmp_path, capsys, old, new, m
     assert not (tmp_path / "d" / "report").exists()
 
 
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("seeds = 0", "seed = 0", "[eval] seed"),
+        ("[postrank]", "[postrank]\nwindw = 5", "[postrank] windw"),
+        ("[eval]", "[simlern]\ngamma = 0.9\n[eval]", "[simlern]"),
+        ("[data]", "[DEFAULT]\ngamma = 0.9\n[data]", "[DEFAULT]"),
+    ],
+    ids=["eval_key", "postrank_key", "section", "default_section"],
+)
+def test_cli_unknown_config_key_or_section_is_exit_2(tmp_path, capsys, old, new, named):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)
+    text = config_path.read_text()
+    assert old in text
+    config_path.write_text(text.replace(old, new, 1))
+    assert main(["eval", "-c", str(config_path)]) == 2
+    assert f"unknown config section or key: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "report").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "rank"])
 def test_cli_negative_seed_is_exit_2(tmp_path, capsys, command):
     config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)

@@ -11,6 +11,7 @@ from reidpipe.datamodel import (
     BlockRows,
     ImageRecord,
     SparseBlock,
+    column_chunks,
     csv_reader,
     dense_block,
     held_block,
@@ -415,21 +416,22 @@ def test_collected_and_converted_blocks_hold_the_same_arrays():
 
 
 @pytest.mark.parametrize("sliced", [False, True])  # each row's entries gathered as one slice
+@pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("rows", [None, [5, 0, 5, 29, 3, 5], [-1, 2]])
 @pytest.mark.parametrize("width", [1, 7, 64, 200, 500])
-def test_sparse_block_column_entries_rebuild_its_rows(monkeypatch, sliced, rows, width):
+def test_column_chunks_of_either_layout_are_the_picked_rows(monkeypatch, sliced, dense, rows, width):
     monkeypatch.setattr(datamodel, "_SLICED_ROW_ENTRIES", 0 if sliced else 10**9)
     gen = np.random.default_rng(width)
     values = gen.standard_normal((30, 200)).astype(np.float32)
     values[gen.random(values.shape) < 0.7] = 0.0
-    block = SparseBlock.from_dense(values)
+    values[gen.integers(0, 30, 9), gen.integers(0, 200, 9)] = -0.0
+    block = values if dense else SparseBlock.from_dense(values)
     picked = values if rows is None else values[rows]
-    edges = []
-    for columns, at, local, entries in block.column_entries(rows, width):
-        chunk = np.zeros((len(picked), columns.stop - columns.start))
-        chunk.reshape(-1)[at] = entries
-        np.testing.assert_array_equal(local, at % chunk.shape[1])
-        assert entries.dtype == np.float64
-        np.testing.assert_array_equal(chunk, picked[:, columns])
+    edges, first = [], None
+    for columns, chunk in column_chunks(block, rows, width):
+        first = chunk if first is None else first
+        assert np.shares_memory(chunk, first)  # one reused buffer
+        assert chunk.dtype == np.float64
+        assert chunk.tobytes() == picked[:, columns].astype(np.float64).tobytes()
         edges.append((columns.start, columns.stop))
     assert edges == [(lo, min(lo + width, 200)) for lo in range(0, 200, width)]

@@ -10,31 +10,60 @@ from reidpipe.features import (
     PcaModel,
     CUE_IDS,
     assemble_cue,
-    channel_histogram,
     convert,
     extract_cues,
     fit_pca,
     apply_pca,
-    hog_descriptor,
-    joint_color_histogram,
     patch_grid,
     patch_stripe_indices,
-    scncd_descriptor,
-    siltp_descriptor,
     stripe_bounds,
     to_gray,
     to_l1l2l3,
     to_normalized_rgb,
 )
 from reidpipe.features import pca
-from reidpipe.features.scncd import SCNCD_BANDWIDTH, SCNCD_KNN, SCNCD_NAMES, SCNCD_SPACES
+from reidpipe.features.histograms import patch_channel_histograms, patch_joint_histograms
+from reidpipe.features.scncd import (
+    SCNCD_BANDWIDTH,
+    SCNCD_KNN,
+    SCNCD_NAMES,
+    SCNCD_SPACES,
+    assign_color_names,
+    scncd_regions,
+)
 from reidpipe.features.texture import patch_hog_histograms
+
+from oracles import siltp_descriptor
 
 rng = np.random.default_rng(7)
 
 
 def random_patch(h=16, w=8):
     return rng.random((h, w, 3))
+
+
+# The descriptors of one whole patch or region: each the batched function on
+# the one rectangle, or pixel range, that covers its input.
+
+def whole(image):
+    return np.array([[0, 0, image.shape[1], image.shape[0]]])
+
+
+def joint_color_histogram(pixels, space, weights=None):
+    return patch_joint_histograms(convert(pixels, space), whole(pixels), weights)[0]
+
+
+def channel_histogram(pixels, space, weights=None):
+    return patch_channel_histograms(convert(pixels, space), whole(pixels), weights)[0]
+
+
+def hog_descriptor(gray):
+    return patch_hog_histograms(gray, whole(gray))[0]
+
+
+def scncd_descriptor(pixels, weights=None):
+    spaces = {space: convert(pixels, space) for space in SCNCD_SPACES}
+    return scncd_regions(assign_color_names(spaces), [(0, pixels[..., 0].size)], weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +572,7 @@ def test_pca_exact_planar_subspace():
 def test_pca_mean_vector_projects_to_zero():
     data = rng.standard_normal((30, 6))
     model = fit_pca(data, d_out=3)
-    np.testing.assert_allclose(apply_pca(model, model.mean), 0.0, atol=1e-12)
+    np.testing.assert_allclose(apply_pca(model, model.mean[None]), 0.0, atol=1e-12)
 
 
 def test_pca_orthonormal_basis():
@@ -645,7 +674,7 @@ def test_pca_wide_gram_path_matches_svd_oracle(monkeypatch, n, d, k):
     assert model.basis.shape == (d, k)
     np.testing.assert_array_equal(model.mean, oracle.mean)
     assert np.max(np.abs(model.basis - oracle.basis)) <= 1e-12
-    for batch in (data, unseen, data[0]):
+    for batch in (data, unseen, data[:1]):
         assert np.max(np.abs(apply_pca(model, batch) - apply_pca(oracle, batch))) <= 1e-12
     lead = np.argmax(np.abs(model.basis), axis=0)
     assert np.all(model.basis[lead, np.arange(k)] > 0)
@@ -836,7 +865,7 @@ def test_pca_fit_through_rows_is_bit_identical_to_gathered_rows(monkeypatch, n, 
     out = apply_pca(model, x)
     np.testing.assert_array_equal(out, chunk_sum_apply(oracle, x))
     np.testing.assert_array_equal(out, chunk_sum_apply(model, x))
-    np.testing.assert_array_equal(apply_pca(model, x[3]), apply_pca(oracle, x[3]))
+    np.testing.assert_array_equal(apply_pca(model, x[3:4]), apply_pca(oracle, x[3:4]))
     assert np.max(np.abs(model.basis - whole_copy_gram_fit(x, 8, rows).basis)) <= 1e-12
 
 
@@ -872,8 +901,14 @@ def test_gram_model_sign_ties_agree_between_apply_and_basis(first):
 def test_apply_pca_empty_and_single_rows():
     model = fit_pca(rng.standard_normal((12, 30)), d_out=4)
     assert apply_pca(model, np.zeros((0, 30), np.float32)).shape == (0, 4)
-    row = rng.standard_normal(30).astype(np.float32)
+    row = rng.standard_normal((1, 30)).astype(np.float32)
     np.testing.assert_array_equal(apply_pca(model, row), apply_pca(model, row.astype(np.float64)))
+
+
+def test_apply_pca_takes_only_matrices():
+    model = fit_pca(np.random.default_rng(0).standard_normal((12, 30)), d_out=4)
+    with pytest.raises(DataError, match="2-D matrix"):
+        apply_pca(model, model.mean)
 
 
 def argmax_signs(basis: np.ndarray) -> np.ndarray:
@@ -954,7 +989,7 @@ def assert_same_pca(model, twin, block, x) -> None:
         (model.mean, twin.mean),
         (model.basis, twin.basis),
         (apply_pca(model, block), apply_pca(twin, x)),
-        (apply_pca(model, x[1]), apply_pca(twin, x[1])),
+        (apply_pca(model, x[1:2]), apply_pca(twin, x[1:2])),
     ]
     for got, expected in pairs:
         np.testing.assert_array_equal(got, expected)
