@@ -2,9 +2,9 @@
 
 Owns the one read of input files, the bounds-checked binary reader, the
 UTF-8 CSV reader, the FEAT binary descriptor format, the layout of raw
-descriptor blocks (dense, or by their nonzero entries) and their one
-column-chunk reader, the identities CSV, binary PGM/PPM image reading,
-foreground masks and identity-disjoint train/test splits.
+descriptor blocks (dense, or by their nonzero entries) with their one
+builder and one column-chunk reader, the identities CSV, binary PGM/PPM
+image reading, foreground masks and identity-disjoint train/test splits.
 All structures but ``BlockRows``, which collects a block row by row, are
 immutable after construction and safe to share across concurrent readers.
 """
@@ -15,6 +15,7 @@ import csv
 import io
 import math
 import struct
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -168,20 +169,16 @@ def _compressed_is_smaller(n: int, d: int, nnz: int) -> bool:
 _SLICED_ROW_ENTRIES = 128
 
 
-def _kept(values: np.ndarray) -> np.ndarray:
-    """Where float32 ``values`` are not +0.0: a -0.0 is kept, so the dense
-    form of a compressed block has the same bytes."""
-    return values.view(np.int32) != 0
-
-
 class SparseBlock:
     """An (N, d) float32 descriptor block held row by row by its kept
-    entries (compressed sparse rows): row ``r`` has the values
-    ``values[starts[r]:starts[r + 1]]`` in the ascending columns
-    ``columns[...]``, and +0.0 everywhere else.
+    entries, the values that are not +0.0 (compressed sparse rows): row
+    ``r`` has the values ``values[starts[r]:starts[r + 1]]`` in the
+    ascending columns ``columns[...]``, and +0.0 everywhere else. A -0.0 is
+    kept, so the dense form has the same bytes.
 
-    It is read by :func:`column_chunks`, a chunk of columns of chosen rows
-    at a time, and by :meth:`dense`.
+    It is built only by :class:`BlockRows`, from a dense array too
+    (:meth:`from_dense`), and read by :func:`column_chunks`, a chunk of
+    columns of chosen rows at a time, and by :meth:`dense`.
     """
 
     dtype = np.dtype(np.float32)
@@ -200,11 +197,10 @@ class SparseBlock:
 
     @classmethod
     def from_dense(cls, values: np.ndarray) -> SparseBlock:
-        values = np.ascontiguousarray(values, dtype=np.float32)
-        rows, columns = _kept(values).nonzero()
-        starts = np.zeros(len(values) + 1, np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(values)), out=starts[1:])
-        return cls(values.shape, starts, columns.astype(np.int32), values[rows, columns])
+        rows = BlockRows(values.shape[1])
+        for row in values:
+            rows.add(row)
+        return rows.compressed()
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape, np.float32)
@@ -275,38 +271,60 @@ def dense_block(block: np.ndarray | SparseBlock) -> np.ndarray:
 
 def held_block(values: np.ndarray) -> np.ndarray | SparseBlock:
     """The float32 block ``values`` in the layout of fewer bytes."""
-    if _compressed_is_smaller(*values.shape, int(np.count_nonzero(_kept(values)))):
+    if _compressed_is_smaller(*values.shape, np.count_nonzero(values.view(np.int32))):
         return SparseBlock.from_dense(values)
     return values
 
 
+# The collector's buffers grow by this factor, to at least this many entries.
+_GROWTH = 1.125
+_MIN_ENTRIES = 4096
+
+
 class BlockRows:
-    """A block collected one float32 row at a time by its kept entries;
-    :meth:`block` returns it in the layout of fewer bytes. No (N, d) array
-    is held unless that layout is dense."""
+    """A block collected one float32 row at a time by its kept entries.
+
+    The entries go into one float32 value buffer and one int32 column buffer,
+    which grow geometrically in place, and each row adds its entry count.
+    When the block is built both buffers are trimmed in place to the kept
+    entries and handed over: the block is held once, and no (N, d) array is
+    made unless the layout of fewer bytes is dense.
+    """
 
     def __init__(self, width: int):
         self.width = width
-        self.columns: list[np.ndarray] = []
-        self.values: list[np.ndarray] = []
+        self.counts = array("q")
+        self.columns = np.empty(0, np.int32)
+        self.values = np.empty(0, np.float32)
+        self.size = 0
 
     def add(self, row: np.ndarray) -> None:
         row = np.asarray(row, dtype=np.float32)
-        columns = _kept(row).nonzero()[0]
-        self.columns.append(columns.astype(np.int32))
-        self.values.append(row[columns])
+        columns = np.flatnonzero(row.view(np.int32))
+        end = self.size + len(columns)
+        if end > len(self.values):
+            capacity = max(end, int(_GROWTH * len(self.values)), _MIN_ENTRIES)
+            self.columns.resize(capacity)
+            self.values.resize(capacity)
+        self.columns[self.size : end] = columns
+        np.take(row, columns, out=self.values[self.size : end])
+        self.counts.append(len(columns))
+        self.size = end
+
+    def compressed(self) -> SparseBlock:
+        """The collected block, held compressed; the collector starts over."""
+        starts = np.zeros(len(self.counts) + 1, np.int64)
+        np.cumsum(self.counts, out=starts[1:])
+        self.columns.resize(self.size)
+        self.values.resize(self.size)
+        block = SparseBlock((len(self.counts), self.width), starts, self.columns, self.values)
+        self.__init__(self.width)
+        return block
 
     def block(self) -> np.ndarray | SparseBlock:
-        """The collected block; the rows are dropped as it is built."""
-        n = len(self.columns)
-        starts = np.zeros(n + 1, np.int64)
-        np.cumsum([len(c) for c in self.columns], out=starts[1:])
-        columns = np.concatenate(self.columns)
-        self.columns = []
-        values = np.concatenate(self.values)
-        self.values = []
-        block = SparseBlock((n, self.width), starts, columns, values)
-        return block if _compressed_is_smaller(n, self.width, len(values)) else block.dense()
+        """The collected block in the layout of fewer bytes."""
+        block = self.compressed()
+        return block if _compressed_is_smaller(*block.shape, len(block.values)) else block.dense()
 
 
 # ---------------------------------------------------------------------------

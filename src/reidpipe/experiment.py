@@ -107,8 +107,8 @@ def compute_cue_bank(
 ) -> RawBank:
     """Extract the configured hand-crafted cues for every record. Each
     block's rows are collected at float32, the precision of FEAT files, by
-    their nonzero entries, with no (N, d) array, and one image's descriptors
-    are dropped before the next is extracted. Once every image is in, each
+    their nonzero entries into one growing buffer, with no (N, d) array, and
+    one image's descriptors are dropped before the next is extracted. Once every image is in, each
     block takes the layout of fewer bytes, as an ingested one does, so
     computed and ingested cues reduce alike."""
     if not config.computed_cues:
@@ -172,15 +172,24 @@ def load_ingested_bank(
     return bank
 
 
+def _load_records(config: ExperimentConfig) -> list[ImageRecord]:
+    """The records of the identities CSV; a file that has none is a
+    DataError naming it, not a bank without blocks."""
+    if config.identities is None:
+        raise ConfigError("config is missing [data] identities")
+    records = load_identities(config.identities)
+    if not records:
+        raise DataError(f"{config.identities}: no identity records")
+    return records
+
+
 def load_dataset(config: ExperimentConfig) -> Dataset:
     """The records and exactly the raw blocks the run's representations use:
     only their FEAT files are read and only their cues computed. A block
     that neither supplies is a ConfigError."""
-    if config.identities is None:
-        raise ConfigError("config is missing [data] identities")
     if not config.ingested_cues and not config.computed_cues:
         raise ConfigError("no cues configured: set computed_cues and/or [cues]")
-    records = load_identities(config.identities)
+    records = _load_records(config)
     used = _used_blocks(config)
     raw_bank = load_ingested_bank(records, config)
     computed = tuple(cue for cue in config.computed_cues if cue in {c for c, _ in used})
@@ -193,12 +202,9 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
 
 def extract_to_feat_files(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     """The ``extract`` command: write computed cues as FEAT files."""
-    if config.identities is None:
-        raise ConfigError("config is missing [data] identities")
-    records = load_identities(config.identities)
-    bank = compute_cue_bank(records, config)
-    if not bank:
+    if not config.computed_cues:
         raise ConfigError("no computed_cues configured")
+    bank = compute_cue_bank(_load_records(config), config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

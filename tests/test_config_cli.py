@@ -531,6 +531,22 @@ def test_cli_missing_image_is_exit_3(tmp_path, capsys):
     assert "b1.ppm: cannot read" in capsys.readouterr().err
 
 
+def test_cli_eval_identities_without_records_is_exit_3(tmp_path, capsys):
+    config_path = _image_dataset(tmp_path)
+    (tmp_path / "identities.csv").write_text("image_id,person_id,camera\n")
+    assert main(["eval", "-c", str(config_path)]) == 3
+    assert "identities.csv: no identity records" in capsys.readouterr().err
+
+
+def test_cli_extract_identities_without_records_is_exit_3(tmp_path, capsys):
+    config_path = _image_dataset(tmp_path)
+    (tmp_path / "identities.csv").write_text("image_id,person_id,camera\n")
+    out_dir = tmp_path / "feats"
+    assert main(["extract", "-c", str(config_path), "--out", str(out_dir)]) == 3
+    assert "identities.csv: no identity records" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_postrank_fallback_is_reported(tmp_path, capsys):
     config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=14, pca_dim=4)
     trained_dir, single_dir = tmp_path / "trained", tmp_path / "single"

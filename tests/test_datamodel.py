@@ -415,6 +415,49 @@ def test_collected_and_converted_blocks_hold_the_same_arrays():
     assert converted.dense().tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_block_rows_hold_the_kept_entries_once(seed):
+    # 300 float64 rows with all-zero rows, fully dense rows, -0.0 entries and
+    # random sparsity: the buffers grow many times
+    import tracemalloc
+
+    gen = np.random.default_rng(seed)
+    n, width = 300, 500
+    rows = gen.standard_normal((n, width))
+    rows[gen.random(rows.shape) > 0.6 * gen.random((n, 1))] = 0.0
+    rows[::17] = 0.0
+    rows[5::23] = gen.standard_normal((len(range(5, n, 23)), width))
+    rows[gen.integers(0, n, 60), gen.integers(0, width, 60)] = -0.0
+    # the reference, from the nonzero bits of the float32 values
+    values = rows.astype(np.float32)
+    kept_rows, kept_columns = np.nonzero(values.view(np.int32))
+    starts = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(kept_rows, minlength=n), out=starts[1:])
+    nnz = len(kept_rows)
+
+    collector = BlockRows(width)
+    tracemalloc.start()
+    try:
+        for row in rows:
+            collector.add(row)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = collector.block()
+
+    assert isinstance(block, SparseBlock)
+    assert block.starts.tobytes() == starts.tobytes()
+    assert block.columns.tobytes() == kept_columns.astype(np.int32).tobytes()
+    assert block.values.tobytes() == values[kept_rows, kept_columns].tobytes()
+    assert len(block.columns) == len(block.values) == nnz
+    assert block.columns.flags.owndata and block.values.flags.owndata  # trimmed, not views
+    assert block.nbytes == 8 * nnz + 8 * (n + 1) < 4 * n * width
+    # the growing buffers and the counts take at most the growth rate over
+    # the held bytes, and one row's conversion besides
+    assert peak <= block.nbytes * datamodel._GROWTH + rows[0].nbytes
+    assert collector.compressed().shape == (0, width)  # the collector started over
+
+
 @pytest.mark.parametrize("sliced", [False, True])  # each row's entries gathered as one slice
 @pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("rows", [None, [5, 0, 5, 29, 3, 5], [-1, 2]])
