@@ -22,6 +22,8 @@ keys, the cue and representation names they define.
 from __future__ import annotations
 
 import configparser
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +34,23 @@ from .rankagg import N_MAX
 from .simlearn import GAMMA_DEFAULT, NEG_RATIO, TABLE1, Representation, TrainConfig
 
 DEFAULT_SEEDS = tuple(range(10))
+
+# Each tuning value's field: its config key, its range [lo, hi] and that
+# range in words. Energy's range opens at 0, so its lo is the least positive
+# float.
+_RANGES = {
+    "pca_dim": ("pca_dim", 1, math.inf, "at least 1"),
+    "n_regions": ("regions", 1, math.inf, "at least 1"),
+    "neg_ratio": ("neg_ratio", 1, math.inf, "at least 1"),
+    "n_max": ("n_max", 2, math.inf, "at least 2"),
+    "max_iters": ("max_iters", 1, math.inf, "at least 1"),
+    "k_common": ("K", 1, math.inf, "at least 1"),
+    "window": ("window", 1, math.inf, "at least 1"),
+    "gamma": ("gamma", 0.0, sys.float_info.max, "finite and at least 0"),
+    "lam": ("lambda", 0.0, sys.float_info.max, "finite and at least 0"),
+    "energy": ("energy", math.ulp(0.0), 1.0, "in (0, 1]"),
+    "mask_blend": ("mask_blend", 0.0, 1.0, "in [0, 1]"),
+}
 
 
 @dataclass
@@ -70,14 +89,10 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if not self.representations:
             raise ConfigError("at least one representation is required")
-        if self.pca_dim < 1:
-            raise ConfigError(f"pca_dim must be at least 1, got {self.pca_dim}")
-        if self.n_regions < 1:
-            raise ConfigError(f"regions must be at least 1, got {self.n_regions}")
-        if self.neg_ratio < 1:
-            raise ConfigError(f"neg_ratio must be at least 1, got {self.neg_ratio}")
-        if self.n_max < 2:
-            raise ConfigError(f"n_max must be at least 2, got {self.n_max}")
+        for name, (key, lo, hi, words) in _RANGES.items():
+            value = getattr(self, name)
+            if not lo <= value <= hi:  # NaN is in no range
+                raise ConfigError(f"{key} must be {words}, got {value}")
         for rep in self.representations:
             self.representation(rep)
 

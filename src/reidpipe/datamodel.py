@@ -124,19 +124,39 @@ class BinaryReader:
 # FEAT binary descriptor files
 # ---------------------------------------------------------------------------
 
+# A FEAT payload is checked and written in slabs of whole rows of about
+# this many bytes.
+_SLAB_BYTES = 1 << 20
+
+
+def _f4_slabs(values: np.ndarray | SparseBlock):
+    """The rows of ``values`` (either layout; the elements of a 1-D array),
+    top to bottom, as little-endian float32 slabs of about ``_SLAB_BYTES``."""
+    step = max(1, _SLAB_BYTES // max(4, 4 * math.prod(values.shape[1:])))
+    for lo in range(0, len(values), step):
+        if isinstance(values, SparseBlock):
+            yield values.dense(lo, lo + step)
+        else:
+            yield np.ascontiguousarray(values[lo : lo + step], dtype="<f4")
+
+
 def save_feature_matrix(values: np.ndarray | SparseBlock, path: str | Path) -> None:
     """Write a FEAT file: magic, u32 version/rows/cols, little-endian f32
-    payload. A compressed block is written from its dense form."""
-    values = np.asarray(dense_block(values))
+    payload. The payload is written in row slabs straight from either
+    layout, with no copy of the whole block, once every value it holds (a
+    compressed block's kept ones) is checked finite."""
+    if not isinstance(values, SparseBlock):
+        values = np.asarray(values)
     if values.ndim != 2:
         raise DataError(f"feature matrix must be 2-D, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
+    checked = values.values if isinstance(values, SparseBlock) else values
+    if not all(np.isfinite(slab).all() for slab in _f4_slabs(checked)):
         raise DataError("refusing to write non-finite feature values")
-    payload = np.ascontiguousarray(values, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(FEAT_MAGIC)
-        fh.write(struct.pack("<III", FEAT_VERSION, values.shape[0], values.shape[1]))
-        fh.write(payload.tobytes())
+        fh.write(struct.pack("<III", FEAT_VERSION, *values.shape))
+        for slab in _f4_slabs(values):
+            fh.write(slab)
 
 
 def load_feature_matrix(path: str | Path) -> np.ndarray:
@@ -178,7 +198,8 @@ class SparseBlock:
 
     It is built only by :class:`BlockRows`, from a dense array too
     (:meth:`from_dense`), and read by :func:`column_chunks`, a chunk of
-    columns of chosen rows at a time, and by :meth:`dense`.
+    columns of chosen rows at a time, and by :meth:`dense`, a run of rows
+    at a time.
     """
 
     dtype = np.dtype(np.float32)
@@ -202,10 +223,14 @@ class SparseBlock:
             rows.add(row)
         return rows.compressed()
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, np.float32)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.starts))
-        out[rows, self.columns] = self.values
+    def dense(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The rows from ``lo`` up to ``hi`` (the last row when None) as a
+        dense float32 array."""
+        hi = self.shape[0] if hi is None else min(hi, self.shape[0])
+        first, last = self.starts[lo], self.starts[hi]
+        out = np.zeros((hi - lo, self.shape[1]), np.float32)
+        rows = np.repeat(np.arange(hi - lo), np.diff(self.starts[lo : hi + 1]))
+        out[rows, self.columns[first:last]] = self.values[first:last]
         return out
 
     def _entry_bounds(self, rows, edges: list[int]) -> np.ndarray:
@@ -262,11 +287,6 @@ def column_chunks(block: np.ndarray | SparseBlock, rows, width: int):
         else:
             np.copyto(chunk, block[:, lo:hi] if rows is None else block[rows, lo:hi])
         yield slice(lo, hi), chunk
-
-
-def dense_block(block: np.ndarray | SparseBlock) -> np.ndarray:
-    """The values of a block in either layout, as a dense array."""
-    return block.dense() if isinstance(block, SparseBlock) else block
 
 
 def held_block(values: np.ndarray) -> np.ndarray | SparseBlock:

@@ -104,14 +104,17 @@ def _used_blocks(config: ExperimentConfig) -> set[BlockKey]:
 def compute_cue_bank(
     records: list[ImageRecord],
     config: ExperimentConfig,
+    keys: set[BlockKey] | None = None,
 ) -> RawBank:
-    """Extract the configured hand-crafted cues for every record. Each
+    """Extract the configured hand-crafted cues for every record: every
+    block of every scope, or only the computed blocks among ``keys``. Each
     block's rows are collected at float32, the precision of FEAT files, by
     their nonzero entries into one growing buffer, with no (N, d) array, and
-    one image's descriptors are dropped before the next is extracted. Once every image is in, each
-    block takes the layout of fewer bytes, as an ingested one does, so
-    computed and ingested cues reduce alike."""
-    if not config.computed_cues:
+    one image's descriptors are dropped before the next is extracted. Once
+    every image is in, each block takes the layout of fewer bytes, as an
+    ingested one does, so computed and ingested cues reduce alike."""
+    cues = tuple(c for c in config.computed_cues if keys is None or c in {k[0] for k in keys})
+    if not cues:
         return {}
     if config.images_dir is None:
         raise ConfigError("computed_cues requires images_dir")
@@ -131,17 +134,21 @@ def compute_cue_bank(
                 mask = load_mask(mask_path)
         descs = extract_cues(
             image,
-            config.computed_cues,
+            cues,
             mask,
             masked_cues=config.masked_cues,
             n_stripes=config.n_regions,
             mask_blend=config.mask_blend,
         )
-        for cue in config.computed_cues:
+        for cue in cues:
             desc = descs[cue]
             scoped = [("G", desc.global_)] + [(f"r{r}", v) for r, v in enumerate(desc.local)]
             for scope, vec in scoped:
-                collected.setdefault((cue, scope), BlockRows(vec.size)).add(vec)
+                key = (cue, scope)
+                if keys is None or key in keys:
+                    if key not in collected:
+                        collected[key] = BlockRows(vec.size)
+                    collected[key].add(vec)
         del descs, desc, scoped, vec  # not held while the next image is extracted
     return {key: rows.block() for key, rows in collected.items()}
 
@@ -185,15 +192,14 @@ def _load_records(config: ExperimentConfig) -> list[ImageRecord]:
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
     """The records and exactly the raw blocks the run's representations use:
-    only their FEAT files are read and only their cues computed. A block
-    that neither supplies is a ConfigError."""
+    only their FEAT files are read, only their cues computed and only their
+    blocks collected. A block that neither supplies is a ConfigError."""
     if not config.ingested_cues and not config.computed_cues:
         raise ConfigError("no cues configured: set computed_cues and/or [cues]")
     records = _load_records(config)
     used = _used_blocks(config)
     raw_bank = load_ingested_bank(records, config)
-    computed = tuple(cue for cue in config.computed_cues if cue in {c for c, _ in used})
-    raw_bank.update(compute_cue_bank(records, replace(config, computed_cues=computed)))
+    raw_bank.update(compute_cue_bank(records, config, used))
     missing = sorted(used - raw_bank.keys())
     if missing:
         raise ConfigError(f"descriptor bank is missing blocks: {missing}")

@@ -19,11 +19,11 @@ centres each chunk in place; it never copies the rows whole, and only the
 SVD path reads its fit rows as one chunk as wide as the block. The reader
 gives both layouts the same chunk bits, so both take one code path to the
 same features. A fit takes the mean from the same chunks, in the same pass,
-and the Gram is a sum over the fit rows' chunks. :func:`apply_pca` takes a
-matrix and sums each chunk of its rows times the basis rows of those
-columns; a Gram model builds them there, in the fit rows' chunks, from the
-arithmetic that built a whole basis, so the features are the same bits as
-from a stored one.
+and the Gram is a sum over the fit rows' chunks. Both kinds of model hold
+their basis unsigned and give its rows through one method, a chunk of
+columns at a time. :func:`apply_pca` sums each column chunk of its matrix
+times the basis rows of those columns, which a Gram model builds from the
+fit rows' chunk of the same columns, and signs the projection at the end.
 """
 
 from __future__ import annotations
@@ -54,12 +54,13 @@ def _chunk_width(n: int) -> int:
 
 
 class PcaModel:
-    """Mean plus orthonormal projection basis (columns are components).
+    """Mean plus orthonormal projection basis (columns are components),
+    held unsigned: the sign rule is applied where the basis is used.
 
-    A Gram fit stores no basis: it keeps ``x`` and ``rows`` (the caller's
-    block and index, not copies; ``rows`` None is every row) with U and √Λ
-    (``u``, ``root``), and ``basis`` builds ``(x[rows] - mean)ᵀ u / root``
-    under the sign rule on each access.
+    An SVD fit stores its basis. A Gram fit stores none: it keeps ``x`` and
+    ``rows`` (the caller's block and index, not copies; ``rows`` None is
+    every row) with U and √Λ (``u``, ``root``), and builds the basis rows
+    ``(x[rows] - mean)ᵀ u / root`` of a column chunk where they are read.
     """
 
     def __init__(self, mean, basis=None, *, x=None, rows=None, u=None, root=None):
@@ -73,45 +74,25 @@ class PcaModel:
 
     @property
     def basis(self) -> np.ndarray:
-        if self._basis is not None:
-            return self._basis
-        basis = np.vstack(list(self._gram_parts()))
+        """The signed basis, a new array; a Gram model's is built over the
+        fit rows' column chunks."""
+        if self._basis is None:
+            basis = np.vstack(list(self._basis_rows(_chunk_width(len(self.u)))))
+        else:
+            basis = self._basis.copy()
         _fix_signs(basis)
         return basis
 
-    def _gram_parts(self):
-        """The unsigned basis rows over the fit rows' column chunks, left to
-        right, each a new array. Any other chunk edges could move the last
-        bits: a one-column chunk's product takes another BLAS kernel."""
-        for _, chunk in _centred_chunks(self.x, self.rows, self.mean, _chunk_width(len(self.u))):
-            part = chunk.T @ self.u
-            part /= self.root
-            yield part
-
     def _basis_rows(self, width: int):
-        """The basis rows in blocks of ``width``, left to right; a Gram
-        model's are unsigned."""
+        """The unsigned basis rows in blocks of ``width``, left to right: a
+        stored basis's slices, or a Gram model's built from the fit rows'
+        chunk of the same columns. Each block's bits depend on ``width``
+        only where it is one column wide: numpy takes that product with
+        another BLAS kernel."""
         if self._basis is not None:
             return (self._basis[lo : lo + width] for lo in range(0, len(self._basis), width))
-        return _recut(self._gram_parts(), width)
-
-
-def _recut(parts, width: int):
-    """The rows of ``parts`` (row blocks, top to bottom) in blocks of
-    ``width`` rows, the last one shorter: a view where a block lies in one
-    part, a copy where it spans more."""
-    held, count = [], 0
-    for part in parts:
-        while len(part):
-            take = part[: width - count]
-            held.append(take)
-            count += len(take)
-            part = part[len(take) :]
-            if count == width:
-                yield held[0] if len(held) == 1 else np.concatenate(held)
-                held, count = [], 0
-    if held:
-        yield held[0] if len(held) == 1 else np.concatenate(held)
+        chunks = _centred_chunks(self.x, self.rows, self.mean, width)
+        return (chunk.T @ self.u / self.root for _, chunk in chunks)
 
 
 def _centred_chunks(x, rows, mean: np.ndarray, width: int, *, fit: bool = False):
@@ -182,9 +163,10 @@ def fit_pca(
     """Fit the top ``d_out`` principal directions of the mean-centred rows
     ``x[rows]`` (every row of ``x`` when ``rows`` is None).
 
-    No whitening. Components are sign-fixed so their largest-magnitude entry
-    is positive. ``d_out`` cannot exceed the fit rows' row or column count:
-    it is clamped to it, with a warning. A LAPACK failure raises
+    No whitening. The basis is held unsigned; :attr:`PcaModel.basis` and
+    :func:`apply_pca` fix each component's sign so its largest-magnitude
+    entry is positive. ``d_out`` cannot exceed the fit rows' row or column
+    count: it is clamped to it, with a warning. A LAPACK failure raises
     NumericError. ``x`` is an array of any float dtype or a
     :class:`SparseBlock`, and is never written: the Gram path reads the fit
     rows through ``rows`` one column chunk at a time and keeps references to
@@ -210,7 +192,6 @@ def fit_pca(
             _, centred = next(_centred_chunks(x, rows, mean, d, fit=True))
             _, _, vt = np.linalg.svd(centred, full_matrices=False)
             model = PcaModel(mean, vt[:k].T.copy())
-            _fix_signs(model.basis)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"PCA of a {n}x{d} block failed: {exc}") from None
     return model
@@ -220,11 +201,10 @@ def apply_pca(model: PcaModel, v: np.ndarray | SparseBlock) -> np.ndarray:
     """Center, project and re-normalize the rows of a matrix to unit L2.
 
     The projection is summed over the matrix's column chunks, left to
-    right (see :func:`_centred_chunks`), each times the basis rows of its
-    columns. Those of a Gram model are built here, unsigned, and the sign
-    rule is applied to the projection at the end: negating its column is
-    exact, as negating the basis column is. A stored basis is signed, so its
-    rule is all +1.
+    right (see :func:`_centred_chunks`), each times the unsigned basis rows
+    of its columns, which a Gram model builds from the fit rows' chunk of the
+    same columns. The sign rule is applied to the projection at the end:
+    negating its column is exact, as negating the basis column is.
     """
     arr = v if isinstance(v, SparseBlock) else np.asarray(v)
     if arr.ndim != 2:

@@ -1,13 +1,14 @@
 """Independent one-item forms of the batched pipeline paths.
 
 The tests check the shipped code against these: a pair scored block by
-block, a SILTP histogram from one patch's own codes, and a pair accuracy
-read off the shipped score matrix.
+block, a SILTP histogram from one patch's own codes, a pair accuracy
+read off the shipped score matrix, and a raw block's dense values.
 """
 
 import numpy as np
 
 from reidpipe import kernels
+from reidpipe.datamodel import SparseBlock
 from reidpipe.errors import ConfigError, DimError
 from reidpipe.features.texture import SILTP_BINS, SILTP_TAU
 from reidpipe.simlearn import (
@@ -85,3 +86,8 @@ def pair_accuracy(
     data = _PairData(bank_a, bank_b, pairs, model.block_keys())
     z = score_gallery(model, bank_a, bank_b)[data.p, data.q] - model.bias
     return float(np.mean(np.where(z > 0, 1.0, -1.0) == data.y))
+
+
+def dense_block(block) -> np.ndarray:
+    """The values of a raw block in either layout, as a dense array."""
+    return block.dense() if isinstance(block, SparseBlock) else block

@@ -10,7 +10,7 @@ import pytest
 import reidpipe
 from conftest import build_synthetic_dataset
 from reidpipe.cli import main
-from reidpipe.config import load_config
+from reidpipe.config import ExperimentConfig, load_config
 from reidpipe.datamodel import (
     ImageRecord,
     load_feature_matrix,
@@ -183,6 +183,52 @@ def test_cli_out_of_range_protocol_value_is_exit_2(tmp_path, capsys, old, new, m
     assert main(["eval", "-c", str(config_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "d" / "report").exists()
+
+
+@pytest.mark.parametrize(
+    "section, line, message",
+    [
+        ("simlearn", "lambda = -1", "lambda must be finite and at least 0, got -1.0"),
+        ("simlearn", "lambda = nan", "lambda must be finite and at least 0, got nan"),
+        ("simlearn", "gamma = -1", "gamma must be finite and at least 0, got -1.0"),
+        ("simlearn", "gamma = nan", "gamma must be finite and at least 0, got nan"),
+        ("simlearn", "gamma = inf", "gamma must be finite and at least 0, got inf"),
+        ("simlearn", "max_iters = 0", "max_iters must be at least 1, got 0"),
+        ("simlearn", "max_iters = -3", "max_iters must be at least 1, got -3"),
+        ("postrank", "energy = nan", "energy must be in (0, 1], got nan"),
+        ("postrank", "energy = -1", "energy must be in (0, 1], got -1.0"),
+        ("postrank", "energy = 0", "energy must be in (0, 1], got 0.0"),
+        ("postrank", "energy = 7", "energy must be in (0, 1], got 7.0"),
+        ("postrank", "window = 0", "window must be at least 1, got 0"),
+        ("postrank", "window = -2", "window must be at least 1, got -2"),
+        ("postrank", "K = -1", "K must be at least 1, got -1"),
+        ("features", "mask_blend = nan", "mask_blend must be in [0, 1], got nan"),
+        ("features", "mask_blend = 5", "mask_blend must be in [0, 1], got 5.0"),
+    ],
+)
+def test_cli_out_of_range_tuning_value_is_exit_2(tmp_path, capsys, section, line, message):
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=16, pca_dim=8)
+    text = config_path.read_text()
+    header = f"[{section}]\n"
+    if header not in text:
+        text += header
+    config_path.write_text(text.replace(header, header + line + "\n"))
+    assert main(["eval", "-c", str(config_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "d" / "report").exists()
+
+
+def test_tuning_values_at_the_ends_of_their_ranges_are_accepted(tmp_path):
+    config_path = tmp_path / "edges.ini"
+    config_path.write_text(
+        "[features]\nmask_blend = 1\n"
+        "[simlearn]\ngamma = 0\nlambda = 0\nmax_iters = 1\n"
+        "[postrank]\nK = 1\nenergy = 1\nwindow = 1\n"
+    )
+    config = load_config(config_path)
+    assert (config.mask_blend, config.gamma, config.lam, config.max_iters) == (1.0, 0.0, 0.0, 1)
+    assert (config.k_common, config.energy, config.window) == (1, 1.0, 1)
+    assert ExperimentConfig(mask_blend=0.0, energy=5e-324).energy == 5e-324
 
 
 @pytest.mark.parametrize(

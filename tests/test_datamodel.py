@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import dense_block
 from reidpipe import datamodel
 from reidpipe.datamodel import (
     BlockRows,
@@ -13,7 +14,6 @@ from reidpipe.datamodel import (
     SparseBlock,
     column_chunks,
     csv_reader,
-    dense_block,
     held_block,
     load_feature_matrix,
     load_identities,
@@ -366,6 +366,47 @@ def test_feat_huge_header_dimensions(tmp_path):
     path.write_bytes(b"FEAT" + struct.pack("<III", 1, 0xFFFFFFFF, 0xFFFFFFFF) + b"\x00" * 8)
     with pytest.raises(FormatError, match="truncated"):
         load_feature_matrix(path)
+
+
+def wide_sparse_block(gen, n: int, d: int, share: float) -> SparseBlock:
+    """A compressed (n, d) block with about ``share`` of its entries kept,
+    collected row by row: no (n, d) array is made."""
+    rows = BlockRows(d)
+    for _ in range(n):
+        row = np.zeros(d, np.float32)
+        kept = gen.random(d) < share
+        row[kept] = gen.standard_normal(np.count_nonzero(kept))
+        rows.add(row)
+    return rows.compressed()
+
+
+@pytest.mark.parametrize("layout", [np.float32, np.float64, SparseBlock])
+def test_feat_write_holds_one_slab_and_no_payload_copy(tmp_path, layout):
+    # rows as wide as a VIPeR C3 global block, 6% of their entries kept: a
+    # dense copy of the 25 MB payload, or a bytes copy of it, is more
+    block = wide_sparse_block(np.random.default_rng(21), 64, 97_845, 0.06)
+    values = block if layout is SparseBlock else block.dense().astype(layout)
+    path, reference = tmp_path / "w.feat", tmp_path / "reference.feat"
+    _, peak = traced_peak(lambda: save_feature_matrix(values, path))
+    bound = datamodel._SLAB_BYTES + (1 << 20)
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
+    save_feature_matrix(block.dense(), reference)
+    assert path.read_bytes() == reference.read_bytes()
+    assert reference.stat().st_size == 16 + 4 * 64 * 97_845
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feat_write_refuses_non_finite_values_before_opening_the_file(tmp_path, compressed, bad):
+    values = np.zeros((600, 700), np.float32)  # several slabs
+    values[::7, ::5] = 1.0
+    values[590, 3] = bad  # in the last slab
+    block = SparseBlock.from_dense(values) if compressed else values
+    path = tmp_path / "bad.feat"
+    path.write_bytes(b"kept")
+    with pytest.raises(DataError, match="non-finite"):
+        save_feature_matrix(block, path)
+    assert path.read_bytes() == b"kept"
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import build_synthetic_dataset, write_color_dataset
+from oracles import dense_block
 from reidpipe.config import load_config
-from reidpipe.datamodel import SparseBlock, dense_block
+from reidpipe.datamodel import SparseBlock
 from reidpipe.errors import ConfigError, DataError
 from reidpipe.experiment import (
     load_dataset,
@@ -331,3 +332,36 @@ def test_compute_cue_bank_holds_no_dense_copy_of_a_sparse_block(tmp_path):
     assert held < dense / 4
     bound = held + one_image + (1 << 20)
     assert peak <= bound, f"peak {peak / 2**20:.1f} MB > bound {bound / 2**20:.1f} MB"
+
+
+def test_a_local_only_representation_collects_no_global_block(tmp_path, monkeypatch):
+    from reidpipe import experiment
+    from reidpipe.datamodel import BlockRows, load_identities
+
+    write_color_dataset(tmp_path, n_ids=4)
+    config_path = tmp_path / "c.ini"
+    config_path.write_text(
+        "[data]\nidentities = identities.csv\nimages_dir = imgs\nmasks_dir = imgs\n"
+        "[features]\ncomputed_cues = C1,C3,C5\n"
+        "[representations]\nLC = C1:L, C3:L\n"
+        "[eval]\nrepresentations = LC\n"
+    )
+    config = load_config(config_path)
+    built = []
+
+    def collector(width):
+        built.append(width)
+        return BlockRows(width)
+
+    monkeypatch.setattr(experiment, "BlockRows", collector)
+    bank = load_dataset(config).raw_bank
+    local = [(cue, f"r{r}") for cue in ("C1", "C3") for r in range(4)]
+    assert sorted(bank) == local
+    # one collector per local block: none for a G block, none for C5
+    assert sorted(built) == sorted(block.shape[1] for block in bank.values())
+    built.clear()
+    every = experiment.compute_cue_bank(load_identities(config.identities), config)
+    assert len(built) == len(every) == 15  # extract's call: every cue and scope
+    for key in local:
+        assert type(bank[key]) is type(every[key])
+        assert dense_block(bank[key]).tobytes() == dense_block(every[key]).tobytes()

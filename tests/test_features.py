@@ -822,11 +822,12 @@ def test_apply_pca_sums_column_chunks(chunks, dtype):
     np.testing.assert_allclose(out, unchunked_apply(model, x), rtol=0, atol=1e-12)
 
 
-def chunk_sum_gram_fit(x: np.ndarray, k: int) -> PcaModel:
+def chunk_sum_gram_fit(x: np.ndarray, k: int, apply_rows: int | None = None) -> PcaModel:
     """The Gram fit's arithmetic written out on the gathered fit rows ``x``:
     numpy's mean, the Grams of the centred ``_CHUNK_BYTES`` column chunks
     summed left to right, each chunk's basis rows by one product, divided by
-    √λ, signs by ``argmax(|basis|)``."""
+    √λ, signs by ``argmax(|basis|)``. With ``apply_rows``, the basis rows are
+    built over the column chunks apply_pca reads for that many rows."""
     n, d = x.shape
     width = pca._CHUNK_BYTES // (8 * n)
     mean = x.mean(axis=0, dtype=np.float64)
@@ -836,6 +837,9 @@ def chunk_sum_gram_fit(x: np.ndarray, k: int) -> PcaModel:
         gram += chunk @ chunk.T
     eigvals, eigvecs = np.linalg.eigh(gram)
     u = np.ascontiguousarray(eigvecs[:, ::-1][:, :k])
+    if apply_rows is not None:
+        width = pca._CHUNK_BYTES // (8 * apply_rows)
+        chunks = [x[:, lo : lo + width] - mean[lo : lo + width] for lo in range(0, d, width)]
     basis = np.vstack([chunk.T @ u for chunk in chunks]) / np.sqrt(eigvals[::-1][:k])
     return PcaModel(mean=mean, basis=basis * argmax_signs(basis))
 
@@ -844,7 +848,8 @@ def chunk_sum_gram_fit(x: np.ndarray, k: int) -> PcaModel:
     "n,d,rows",
     [
         # apply chunks of 3,276 columns end in a one-column chunk (the fit
-        # rows' chunk of 6,553 does not), as on a 40-image block 3,277 wide
+        # rows' chunk of 6,553 does not), as on a 40-image block 3,277 wide:
+        # apply builds that basis row in a one-column chunk too
         (40, 3277, np.arange(0, 40, 2)),
         # the fit rows' chunks end in a one-column chunk, the apply chunks not
         (40, 6554, np.arange(1, 40, 2)),
@@ -862,10 +867,10 @@ def test_pca_fit_through_rows_is_bit_identical_to_gathered_rows(monkeypatch, n, 
     assert model.x is x and model.rows is rows  # references, not copies
     np.testing.assert_array_equal(model.mean, oracle.mean)
     np.testing.assert_array_equal(model.basis, oracle.basis)
-    out = apply_pca(model, x)
-    np.testing.assert_array_equal(out, chunk_sum_apply(oracle, x))
-    np.testing.assert_array_equal(out, chunk_sum_apply(model, x))
-    np.testing.assert_array_equal(apply_pca(model, x[3:4]), apply_pca(oracle, x[3:4]))
+    # apply builds each basis chunk at its own chunk width, not the fit rows'
+    for applied in (x, x[3:4]):
+        at_width = chunk_sum_gram_fit(x[rows], 8, apply_rows=len(applied))
+        np.testing.assert_array_equal(apply_pca(model, applied), chunk_sum_apply(at_width, applied))
     assert np.max(np.abs(model.basis - whole_copy_gram_fit(x, 8, rows).basis)) <= 1e-12
 
 
