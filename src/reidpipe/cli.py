@@ -21,7 +21,6 @@ from .evaluation import (
     save_content_csv,
     save_rankings_csv,
     save_truth_csv,
-    stat_items,
 )
 from .experiment import extract_to_feat_files, run_experiment, run_single_rep, write_report
 from .rankagg import aggregate
@@ -131,7 +130,7 @@ def _cmd_stats(args) -> int:
     gallery_index = {g: i for i, g in enumerate(gallery_ids)}
     contents = load_content_csv(args.content, probe_index, gallery_index)
     truth = load_truth_csv(args.truth, probe_index, gallery_index)
-    for name, pct, _ in stat_items(postrank_stats(before, after, contents, truth)):
+    for name, pct in postrank_stats(before, after, contents, truth).items():
         print(f"{name:<17}{pct:.2f}%")
     return 0
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .features import N_STRIPES, PCA_DIM
+from .features import CUE_IDS, N_STRIPES, PCA_DIM
 from .postrank import ENERGY, K_COMMON, WINDOW
 from .rankagg import N_MAX
 from .simlearn import GAMMA_DEFAULT, NEG_RATIO, TABLE1, Representation, TrainConfig
@@ -81,14 +81,22 @@ class ExperimentConfig:
     report_dir: Path = Path("report")
 
     def __post_init__(self):
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
+        for key in ("seeds", "representations", "computed_cues"):
+            if len(set(getattr(self, key))) != len(getattr(self, key)):
+                raise ConfigError(f"{key} must be distinct")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if not self.representations:
             raise ConfigError("at least one representation is required")
+        for key in ("computed_cues", "masked_cues"):
+            unknown = [cue for cue in getattr(self, key) if cue not in CUE_IDS]
+            if unknown:
+                raise ConfigError(f"{key}: unknown cue {unknown[0]!r}, expected C1-C6")
+        for cue in self.computed_cues:
+            if cue in self.ingested_cues:
+                raise ConfigError(f"cue {cue} is both computed and ingested")
         for name, (key, lo, hi, words) in _RANGES.items():
             value = getattr(self, name)
             if not lo <= value <= hi:  # NaN is in no range

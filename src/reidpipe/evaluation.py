@@ -1,4 +1,9 @@
-"""CMC curves, post-ranking statistics and ranking CSV persistence."""
+"""CMC curves, post-ranking statistics and ranking CSV persistence.
+
+Every measure here derives from one pass over a list of rankings, the
+true-match rank of each probe: the CMC curve counts the ranks, and the
+post-ranking statistics compare the ranks before and after post-ranking.
+"""
 
 from __future__ import annotations
 
@@ -14,10 +19,7 @@ import numpy as np
 from .datamodel import csv_reader
 from .errors import DataError
 from .postrank import ContentSet
-from .rankagg import AggregationResult
 from .simlearn import RankingList
-
-Ranking = RankingList | AggregationResult
 
 
 @dataclass(frozen=True)
@@ -30,27 +32,32 @@ class CmcCurve:
         return float(self.rates[k - 1])
 
 
-def true_match_rank(ranking: Ranking, truth: dict[int, int]) -> int:
-    """1-based rank of the probe's true gallery match."""
-    if ranking.probe_index not in truth:
-        raise DataError(f"probe {ranking.probe_index} has no truth entry")
-    target = truth[ranking.probe_index]
-    positions = np.nonzero(np.asarray(ranking.order) == target)[0]
-    if positions.size != 1:
-        raise DataError(
-            f"probe {ranking.probe_index}: true match {target} not uniquely in gallery"
-        )
-    return int(positions[0]) + 1
+def true_match_ranks(rankings: list[RankingList], truth: dict[int, int]) -> np.ndarray:
+    """The 1-based rank of each ranking's true gallery match, in list order.
+
+    The rankings order one gallery. The first of them whose probe has no
+    truth entry, or whose order holds its true match other than once, is a
+    DataError."""
+    if not rankings:
+        return np.zeros(0, dtype=np.int64)
+    targets = np.array([truth.get(r.probe_index, -1) for r in rankings], dtype=np.int64)
+    hits = np.stack([r.order for r in rankings]) == targets[:, None]
+    missing = np.array([r.probe_index not in truth for r in rankings])
+    faulty = missing | (np.count_nonzero(hits, axis=1) != 1)
+    if faulty.any():
+        first = int(np.argmax(faulty))
+        p = rankings[first].probe_index
+        if missing[first]:
+            raise DataError(f"probe {p} has no truth entry")
+        raise DataError(f"probe {p}: true match {truth[p]} not uniquely in gallery")
+    return np.argmax(hits, axis=1) + 1
 
 
-def cmc_curve(rankings: list[Ranking], truth: dict[int, int]) -> CmcCurve:
+def cmc_curve(rankings: list[RankingList], truth: dict[int, int]) -> CmcCurve:
     """Fraction of probes whose true match appears within each rank."""
     if not rankings:
         raise DataError("no rankings to evaluate")
-    m = np.asarray(rankings[0].order).shape[0]
-    counts = np.zeros(m)
-    for ranking in rankings:
-        counts[true_match_rank(ranking, truth) - 1] += 1
+    counts = np.bincount(true_match_ranks(rankings, truth) - 1, minlength=len(rankings[0].order))
     return CmcCurve(rates=np.cumsum(counts) / len(rankings))
 
 
@@ -58,97 +65,51 @@ def mean_cmc(curves: list[CmcCurve]) -> CmcCurve:
     return CmcCurve(rates=np.mean([c.rates for c in curves], axis=0))
 
 
-@dataclass(frozen=True)
-class PostrankStats:
-    """Post-ranking outcome percentages, optionally with across-run deviations.
-
-    ``pct_improved + pct_unchanged + pct_worsened = 100`` over re-rankable
-    probes (content of at least 2); ``pct_improved_to_top1`` is relative to
-    the improved ones; ``pct_in_content`` is over all probes.
-    """
-
-    pct_in_content: float
-    pct_improved: float
-    pct_improved_to_top1: float
-    pct_unchanged: float
-    pct_worsened: float
-    std_in_content: float = 0.0
-    std_improved: float = 0.0
-    std_improved_to_top1: float = 0.0
-    std_unchanged: float = 0.0
-    std_worsened: float = 0.0
-
-
 def postrank_stats(
-    before: list[Ranking],
-    after: list[Ranking],
+    before: list[RankingList],
+    after: list[RankingList],
     content_sets: list[ContentSet],
     truth: dict[int, int],
-) -> PostrankStats:
-    """Categorize per-probe rank movement caused by post-ranking."""
+) -> dict[str, float]:
+    """Each post-ranking outcome's percentage, by name in report order.
+
+    ``improved + unchanged + worsened = 100`` over re-rankable probes
+    (content of at least 2); ``improved_to_top1`` is relative to the
+    improved ones; ``in_content`` is over all probes.
+    """
     if not (len(before) == len(after) == len(content_sets)):
         raise DataError("before/after/content lists must align")
-    in_content = 0
-    improved = 0
-    unchanged = 0
-    worsened = 0
-    to_top1 = 0
-    rerankable = 0
-    for b, a, content in zip(before, after, content_sets):
-        if b.probe_index != a.probe_index or b.probe_index != content.probe_index:
-            raise DataError("before/after/content probes are misaligned")
-        rank_b = true_match_rank(b, truth)
-        rank_a = true_match_rank(a, truth)
-        if truth[b.probe_index] in content.members:
-            in_content += 1
-        if content.m < 2:
-            continue
-        rerankable += 1
-        if rank_a < rank_b:
-            improved += 1
-            if rank_a == 1:
-                to_top1 += 1
-        elif rank_a == rank_b:
-            unchanged += 1
-        else:
-            worsened += 1
-    n = len(before)
+    probes = [b.probe_index for b in before]
+    if not probes == [a.probe_index for a in after] == [c.probe_index for c in content_sets]:
+        raise DataError("before/after/content probes are misaligned")
+    rank_b, rank_a = true_match_ranks(before, truth), true_match_ranks(after, truth)
+    in_content = np.array([truth[p] in c.members for p, c in zip(probes, content_sets)], bool)
+    rerankable = np.array([c.m >= 2 for c in content_sets], dtype=bool)
+    improved = rerankable & (rank_a < rank_b)
 
-    def pct(num: int, den: int) -> float:
+    def pct(hits: np.ndarray, among: np.ndarray) -> float:
+        """The percentage of the probes in ``among`` that are in ``hits``."""
+        num, den = int(np.count_nonzero(hits & among)), int(np.count_nonzero(among))
         return 100.0 * num / den if den else 0.0
 
-    return PostrankStats(
-        pct_in_content=pct(in_content, n),
-        pct_improved=pct(improved, rerankable),
-        pct_improved_to_top1=pct(to_top1, improved),
-        pct_unchanged=pct(unchanged, rerankable) if rerankable else 100.0,
-        pct_worsened=pct(worsened, rerankable),
-    )
+    return {
+        "in_content": pct(in_content, np.ones_like(in_content)),
+        "improved": pct(improved, rerankable),
+        "improved_to_top1": pct(rank_a == 1, improved),
+        "unchanged": pct(rank_a == rank_b, rerankable) if rerankable.any() else 100.0,
+        "worsened": pct(rank_a > rank_b, rerankable),
+    }
 
 
-# The statistics in report order; each is the field ``pct_<name>`` with its
-# deviation ``std_<name>``.
-POSTRANK_STATS = ("in_content", "improved", "improved_to_top1", "unchanged", "worsened")
-
-
-def stat_items(stats: PostrankStats) -> list[tuple[str, float, float]]:
-    """Each statistic's name, percentage and deviation, in report order."""
-    return [
-        (name, getattr(stats, f"pct_{name}"), getattr(stats, f"std_{name}"))
-        for name in POSTRANK_STATS
-    ]
-
-
-def summarize_postrank_stats(runs: list[PostrankStats]) -> PostrankStats:
-    """Mean and standard deviation of each percentage across runs."""
+def summarize_postrank_stats(runs: list[dict[str, float]]) -> dict[str, tuple[float, float]]:
+    """Each statistic's (mean, standard deviation) across runs, in report order."""
     if not runs:
         raise DataError("no runs to summarize")
-    values = {}
-    for name in POSTRANK_STATS:
-        samples = np.array([getattr(run, f"pct_{name}") for run in runs])
-        values[f"pct_{name}"] = float(samples.mean())
-        values[f"std_{name}"] = float(samples.std())
-    return PostrankStats(**values)
+    summary = {}
+    for name in runs[0]:
+        samples = np.array([run[name] for run in runs])
+        summary[name] = (float(samples.mean()), float(samples.std()))
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +160,7 @@ def _write_csv(path: str | Path, header: tuple[str, ...], chunks) -> None:
 
 
 def save_rankings_csv(
-    rankings: list[Ranking],
+    rankings: list[RankingList],
     path: str | Path,
     probe_ids: list[str],
     gallery_ids: list[str],
@@ -288,6 +249,8 @@ def load_truth_csv(
     for row in reader:
         probe, gallery = _row(row, 2, path, reader)
         if probe in probe_index:
+            if probe_index[probe] in truth:
+                raise DataError(f"{path}: line {reader.line_num}: probe {probe} listed twice")
             truth[probe_index[probe]] = _field(
                 gallery_index.__getitem__, gallery, "gallery id", path, reader
             )

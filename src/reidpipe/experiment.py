@@ -23,15 +23,7 @@ from .datamodel import (
     save_feature_matrix,
 )
 from .errors import ConfigError, DataError
-from .evaluation import (
-    CmcCurve,
-    PostrankStats,
-    cmc_curve,
-    mean_cmc,
-    postrank_stats,
-    stat_items,
-    summarize_postrank_stats,
-)
+from .evaluation import CmcCurve, cmc_curve, mean_cmc, postrank_stats, summarize_postrank_stats
 from .features import IMAGE_H, IMAGE_W, extract_cues
 from .features import assemble_cue  # noqa: F401  perfbench/layers.py wraps this name
 from .features.pca import apply_pca, fit_pca
@@ -472,7 +464,7 @@ def run_single_rep(
 class SeedResult:
     seed: int
     outcome: StageOutcome
-    aggregated: list | None
+    aggregated: list[RankingList] | None
     chosen_n: int | None
     ordering: tuple[str, ...] | None
 
@@ -485,8 +477,8 @@ class ExperimentReport:
     cmc_postrank: dict[str, CmcCurve]
     cmc_aggregate: CmcCurve | None
     top1_rows: list[tuple[int, str, str, float]]
-    stats_per_rep: dict[str, PostrankStats]
-    stats_overall: PostrankStats | None
+    stats_per_rep: dict[str, dict[str, tuple[float, float]]]  # name -> (mean, std)
+    stats_overall: dict[str, tuple[float, float]] | None
     chosen_n: dict[int, int]
     orderings: dict[int, tuple[str, ...]]
 
@@ -511,14 +503,10 @@ def run_seed(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedResul
         val_outcome = run_stage(
             dataset, split, fit_ids, val_ids, config, seed, _STAGE_VALIDATION
         )
-        val_top1 = {
-            rep_id: cmc_curve(out.postranked, val_outcome.truth).top_k(1)
-            for rep_id, out in val_outcome.per_rep.items()
-        }
         val_rankings = {
             rep_id: out.postranked for rep_id, out in val_outcome.per_rep.items()
         }
-        selection = best_n_select(val_top1, val_rankings, val_outcome.truth, config.n_max)
+        selection = best_n_select(val_rankings, val_outcome.truth, config.n_max)
         chosen_reps = selection.ordered_reps[: selection.chosen_n]
         chosen_n = selection.chosen_n
     elif len(config.representations) >= 2:
@@ -546,7 +534,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     curves_post: dict[str, list[CmcCurve]] = {rep: [] for rep in rep_ids}
     curves_agg: list[CmcCurve] = []
     top1_rows: list[tuple[int, str, str, float]] = []
-    run_stats: dict[str, list[PostrankStats]] = {rep: [] for rep in rep_ids}
+    run_stats: dict[str, list[dict[str, float]]] = {rep: [] for rep in rep_ids}
     chosen_n: dict[int, int] = {}
     orderings: dict[int, tuple[str, ...]] = {}
 
@@ -634,7 +622,7 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
         if report.stats_overall is not None:
             entries.append(("overall", report.stats_overall))
         for rep, stats in entries:
-            for metric, mean, std in stat_items(stats):
+            for metric, (mean, std) in stats.items():
                 fh.write(f"{rep},{metric},{_fmt(mean)},{_fmt(std)}\n")
     paths.append(stats_path)
 
@@ -658,7 +646,7 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
                     fh.write(f"  seed {seed}: n={report.chosen_n[seed]} order={order}\n")
         if report.stats_overall is not None:
             fh.write("\npost-ranking stats (mean +/- std over runs):\n")
-            for name, mean, std in stat_items(report.stats_overall):
+            for name, (mean, std) in report.stats_overall.items():
                 label = name.replace("_to_", "->").replace("_", " ")
                 fh.write(f"  {label:<16}{_fmt(mean)} +/- {_fmt(std)}\n")
     paths.append(summary_path)

@@ -104,7 +104,7 @@ def knee_point(sorted_dissimilarities: np.ndarray, window: int = WINDOW) -> tupl
 
 def content_set(initial_ranking: RankingList, window: int = WINDOW) -> ContentSet:
     """Knee-limited top prefix of the ranking (the re-rankable candidates)."""
-    d = initial_ranking.dissimilarities[initial_ranking.order]
+    d = -initial_ranking.scores[initial_ranking.order]
     m, th = knee_point(d, window)
     members = tuple(int(g) for g in initial_ranking.order[:m])
     return ContentSet(probe_index=initial_ranking.probe_index, members=members, threshold=th)

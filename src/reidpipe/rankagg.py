@@ -2,7 +2,10 @@
 
 The aggregation statistic is the joint probability that ``n`` independent
 uniform order statistics all fall below the observed normalized ranks;
-smaller means the lists agree on placing the item early.
+smaller means the lists agree on placing the item early. An aggregate is a
+:class:`RankingList` scored by that statistic. Best-n orders the
+representations by the CMC top-1 rates of their validation lists and
+scores each aggregated prefix the same way.
 """
 
 from __future__ import annotations
@@ -13,22 +16,10 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
+from .evaluation import cmc_curve
 from .simlearn import RankingList
 
 N_MAX = 12  # best-n tries list counts 2..N_MAX
-
-
-@dataclass(frozen=True)
-class AggregationResult:
-    """Aggregated gallery order for one probe, strongest agreement first.
-
-    ``scores`` holds the per-item statistic (smaller = better); ``order`` is
-    sorted by ascending statistic with ties broken by ascending index.
-    """
-
-    probe_index: int
-    order: np.ndarray
-    scores: np.ndarray
 
 
 def _stuart(profiles: np.ndarray) -> np.ndarray:
@@ -69,11 +60,13 @@ def stuart_statistic(r: np.ndarray) -> float:
     return float(_stuart(r.reshape(1, -1))[0])
 
 
-def aggregate(lists: list[list[RankingList | AggregationResult]]) -> list[AggregationResult]:
+def aggregate(lists: list[list[RankingList]]) -> list[RankingList]:
     """Combine n >= 2 full rankings of the same gallery into one order per probe.
 
-    ``lists[j][p]`` is list ``j``'s ranking of probe ``p``; the result holds
-    one :class:`AggregationResult` per probe, in probe order.
+    ``lists[j][p]`` is list ``j``'s ranking of probe ``p``. The result holds
+    one ranking per probe, in probe order: its scores are the per-item
+    statistic (smaller = better), its order by ascending statistic with ties
+    broken by ascending index.
     """
     if len(lists) < 2:
         raise DataError(f"aggregation needs at least 2 lists, got {len(lists)}")
@@ -93,7 +86,7 @@ def aggregate(lists: list[list[RankingList | AggregationResult]]) -> list[Aggreg
     stats = _stuart(profiles.reshape(-1, len(lists))).reshape(counts[0], m)
     order = np.argsort(stats, axis=-1, kind="stable")
     return [
-        AggregationResult(probe_index=ranking.probe_index, order=order[p], scores=stats[p])
+        RankingList(probe_index=ranking.probe_index, order=order[p], scores=stats[p])
         for p, ranking in enumerate(lists[0])
     ]
 
@@ -108,7 +101,6 @@ class BestNSelection:
 
 
 def best_n_select(
-    validation_top1: dict[str, float],
     validation_rankings: dict[str, list[RankingList]],
     truth: dict[int, int],
     n_max: int = N_MAX,
@@ -117,17 +109,18 @@ def best_n_select(
 
     For each n in 2..n_max the best-n validation lists are aggregated and
     scored by top-1 rate; the smallest n attaining the maximum wins. Rate
-    ties in the ordering keep the insertion order of ``validation_top1``.
+    ties in the ordering keep the insertion order of ``validation_rankings``.
     """
-    reps = [rep for rep, rate in validation_top1.items() if np.isfinite(rate)]
-    if len(reps) < 2:
-        raise ConfigError(f"best-n needs at least 2 representations, got {len(reps)}")
-    ordered = sorted(reps, key=lambda rep: -validation_top1[rep])
-    top1_per_n: dict[int, float] = {}
-    for n in range(2, min(n_max, len(ordered)) + 1):
-        combined = aggregate([validation_rankings[rep] for rep in ordered[:n]])
-        hits = sum(int(c.order[0] == truth[c.probe_index]) for c in combined)
-        top1_per_n[n] = hits / len(combined) if combined else 0.0
+    if len(validation_rankings) < 2:
+        raise ConfigError(
+            f"best-n needs at least 2 representations, got {len(validation_rankings)}"
+        )
+    top1 = {rep: cmc_curve(lists, truth).top_k(1) for rep, lists in validation_rankings.items()}
+    ordered = sorted(top1, key=lambda rep: -top1[rep])
+    top1_per_n = {
+        n: cmc_curve(aggregate([validation_rankings[rep] for rep in ordered[:n]]), truth).top_k(1)
+        for n in range(2, min(n_max, len(ordered)) + 1)
+    }
     chosen_n = max(top1_per_n, key=lambda n: (top1_per_n[n], -n))
     return BestNSelection(
         ordered_reps=tuple(ordered), chosen_n=chosen_n, top1_per_n=top1_per_n

@@ -125,19 +125,17 @@ class SimilarityModel:
 
 @dataclass(frozen=True)
 class RankingList:
-    """Gallery order for one probe, best match first.
+    """Gallery order for one probe, best match first; ``scores`` is per
+    gallery index.
 
-    ``scores`` holds the similarity per gallery index; ``order`` is sorted by
-    non-increasing score with ties broken by ascending gallery index.
+    A ranked or post-ranked list's scores are similarities, its order by
+    non-increasing score; an aggregate's are Stuart statistics, its order by
+    non-decreasing statistic. Ties go to the lower gallery index first.
     """
 
     probe_index: int
     order: np.ndarray
     scores: np.ndarray
-
-    @property
-    def dissimilarities(self) -> np.ndarray:
-        return -self.scores
 
 
 # ---------------------------------------------------------------------------

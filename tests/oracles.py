@@ -2,19 +2,24 @@
 
 The tests check the shipped code against these: a pair scored block by
 block, a SILTP histogram from one patch's own codes, a pair accuracy
-read off the shipped score matrix, and a raw block's dense values.
+read off the shipped score matrix, a raw block's dense values, and the
+per-probe loops that found true-match ranks for the CMC curve, counted
+post-ranking outcomes and counted best-n's top-1 hits.
 """
 
 import numpy as np
 
 from reidpipe import kernels
 from reidpipe.datamodel import SparseBlock
-from reidpipe.errors import ConfigError, DimError
+from reidpipe.errors import ConfigError, DataError, DimError
+from reidpipe.evaluation import CmcCurve
 from reidpipe.features.texture import SILTP_BINS, SILTP_TAU
+from reidpipe.rankagg import N_MAX, BestNSelection, aggregate
 from reidpipe.simlearn import (
     GLOBAL_SCOPE,
     BlockKey,
     FeatureBank,
+    RankingList,
     SimilarityModel,
     _PairData,
     score_gallery,
@@ -91,3 +96,93 @@ def pair_accuracy(
 def dense_block(block) -> np.ndarray:
     """The values of a raw block in either layout, as a dense array."""
     return block.dense() if isinstance(block, SparseBlock) else block
+
+
+def true_match_rank(ranking: RankingList, truth: dict[int, int]) -> int:
+    """1-based rank of the probe's true gallery match."""
+    if ranking.probe_index not in truth:
+        raise DataError(f"probe {ranking.probe_index} has no truth entry")
+    target = truth[ranking.probe_index]
+    positions = np.nonzero(np.asarray(ranking.order) == target)[0]
+    if positions.size != 1:
+        raise DataError(
+            f"probe {ranking.probe_index}: true match {target} not uniquely in gallery"
+        )
+    return int(positions[0]) + 1
+
+
+def cmc_curve(rankings: list[RankingList], truth: dict[int, int]) -> CmcCurve:
+    """Fraction of probes whose true match appears within each rank."""
+    if not rankings:
+        raise DataError("no rankings to evaluate")
+    m = np.asarray(rankings[0].order).shape[0]
+    counts = np.zeros(m)
+    for ranking in rankings:
+        counts[true_match_rank(ranking, truth) - 1] += 1
+    return CmcCurve(rates=np.cumsum(counts) / len(rankings))
+
+
+def postrank_stats(before, after, content_sets, truth) -> dict[str, float]:
+    """Categorize per-probe rank movement caused by post-ranking, probe by
+    probe with one counter per outcome; the percentages by name."""
+    if not (len(before) == len(after) == len(content_sets)):
+        raise DataError("before/after/content lists must align")
+    in_content = 0
+    improved = 0
+    unchanged = 0
+    worsened = 0
+    to_top1 = 0
+    rerankable = 0
+    for b, a, content in zip(before, after, content_sets):
+        if b.probe_index != a.probe_index or b.probe_index != content.probe_index:
+            raise DataError("before/after/content probes are misaligned")
+        rank_b = true_match_rank(b, truth)
+        rank_a = true_match_rank(a, truth)
+        if truth[b.probe_index] in content.members:
+            in_content += 1
+        if content.m < 2:
+            continue
+        rerankable += 1
+        if rank_a < rank_b:
+            improved += 1
+            if rank_a == 1:
+                to_top1 += 1
+        elif rank_a == rank_b:
+            unchanged += 1
+        else:
+            worsened += 1
+    n = len(before)
+
+    def pct(num: int, den: int) -> float:
+        return 100.0 * num / den if den else 0.0
+
+    return {
+        "in_content": pct(in_content, n),
+        "improved": pct(improved, rerankable),
+        "improved_to_top1": pct(to_top1, improved),
+        "unchanged": pct(unchanged, rerankable) if rerankable else 100.0,
+        "worsened": pct(worsened, rerankable),
+    }
+
+
+def best_n_select(
+    validation_top1: dict[str, float],
+    validation_rankings: dict[str, list[RankingList]],
+    truth: dict[int, int],
+    n_max: int = N_MAX,
+) -> BestNSelection:
+    """Best-n from given validation top-1 rates, each aggregated prefix
+    scored by counting the probes whose first entry is the true match."""
+    reps = [rep for rep, rate in validation_top1.items() if np.isfinite(rate)]
+    if len(reps) < 2:
+        raise ConfigError(f"best-n needs at least 2 representations, got {len(reps)}")
+    ordered = sorted(reps, key=lambda rep: -validation_top1[rep])
+    top1_per_n: dict[int, float] = {}
+    for n in range(2, min(n_max, len(ordered)) + 1):
+        combined = aggregate([validation_rankings[rep] for rep in ordered[:n]])
+        hits = sum(int(c.order[0] == truth[c.probe_index]) for c in combined)
+        top1_per_n[n] = hits / len(combined) if combined else 0.0
+    chosen_n = max(top1_per_n, key=lambda n: (top1_per_n[n], -n))
+    return BestNSelection(
+        ordered_reps=tuple(ordered), chosen_n=chosen_n, top1_per_n=top1_per_n
+    )

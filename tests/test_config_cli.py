@@ -218,6 +218,51 @@ def test_cli_out_of_range_tuning_value_is_exit_2(tmp_path, capsys, section, line
     assert not (tmp_path / "d" / "report").exists()
 
 
+@pytest.mark.parametrize(
+    "command, edits, message",
+    [
+        ("eval", [("representations = R1,R2,R3", "representations = R1,R1")],
+         "representations must be distinct"),
+        ("eval", [("representations = R1,R2,R3", "representations = R1,R1"),
+                  ("best_n = true", "best_n = false")],
+         "representations must be distinct"),
+        ("eval", [("S1 = G\n", "S1 = G\nC1 = G\n"),
+                  ("[features]\n", "[features]\ncomputed_cues = C1\n")],
+         "cue C1 is both computed and ingested"),
+        ("eval", [("[features]\n", "[features]\nmasked_cues = C9\n")],
+         "masked_cues: unknown cue 'C9', expected C1-C6"),
+        ("eval", [("[features]\n", "[features]\ncomputed_cues = C9\n")],
+         "computed_cues: unknown cue 'C9', expected C1-C6"),
+        ("extract", [("[features]\n", "[features]\ncomputed_cues = C5,C5\n")],
+         "computed_cues must be distinct"),
+        ("extract", [("[features]\n", "[features]\ncomputed_cues = C1,C9\n")],
+         "computed_cues: unknown cue 'C9', expected C1-C6"),
+    ],
+    ids=["repeated_rep", "repeated_rep_no_best_n", "computed_and_ingested",
+         "masked_unknown", "computed_unknown", "extract_repeated_cue", "extract_computed_unknown"],
+)
+def test_cli_cue_or_representation_mistake_is_exit_2_at_load(
+    tmp_path, capsys, monkeypatch, command, edits, message
+):
+    from reidpipe import experiment
+
+    config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=16, pca_dim=8)
+    text = config_path.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    config_path.write_text(text)
+    called = []
+    for name in ("load_identities", "train_model"):
+        monkeypatch.setattr(experiment, name, lambda *a, name=name, **k: called.append(name))
+    out = tmp_path / "out"
+    argv = [command, "-c", str(config_path)] + (["--out", str(out)] if command == "extract" else [])
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert called == []
+    assert not (tmp_path / "d" / "report").exists() and not out.exists()
+
+
 def test_tuning_values_at_the_ends_of_their_ranges_are_accepted(tmp_path):
     config_path = tmp_path / "edges.ini"
     config_path.write_text(
@@ -393,6 +438,20 @@ def test_cli_stats_unknown_gallery_id_is_exit_3(tmp_path, capsys):
     short_row = _write_csv(tmp_path / "c3.csv", CONTENT, [("p0", "g0")])
     assert main([*args, "--content", short_row, "--truth", truth]) == 3
     assert "c3.csv" in capsys.readouterr().err
+
+
+def test_cli_stats_truth_listing_a_probe_twice_is_exit_3(tmp_path, capsys):
+    rows = [("p0", "1", "g0", "1"), ("p0", "2", "g1", "0")]
+    ranking = _write_csv(tmp_path / "r.csv", RANKING, rows)
+    content = _write_csv(tmp_path / "c.csv", CONTENT, [("p0", "g0", "0.5")])
+    args = ["stats", "--before", ranking, "--after", ranking, "--content", content]
+    # rows for probes the rankings do not hold are skipped, repeated or not
+    other = _write_csv(tmp_path / "t.csv", TRUTH, [("p0", "g0"), ("p9", "g0"), ("p9", "g1")])
+    assert main([*args, "--truth", other]) == 0
+    capsys.readouterr()
+    twice = _write_csv(tmp_path / "t2.csv", TRUTH, [("p0", "g0"), ("p9", "g0"), ("p0", "g1")])
+    assert main([*args, "--truth", twice]) == 3
+    assert "t2.csv: line 4: probe p0 listed twice" in capsys.readouterr().err
 
 
 def _with_ff(path):

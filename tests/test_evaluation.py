@@ -5,7 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from reidpipe.errors import DataError
 from reidpipe.evaluation import (
     cmc_curve,
@@ -18,7 +21,7 @@ from reidpipe.evaluation import (
     save_rankings_csv,
     save_truth_csv,
     summarize_postrank_stats,
-    true_match_rank,
+    true_match_ranks,
 )
 from reidpipe.postrank import ContentSet
 from reidpipe.simlearn import RankingList
@@ -93,8 +96,8 @@ def test_mean_cmc():
 
 def test_true_match_rank():
     ranking = ranking_of([3, 1, 0, 2])
-    assert true_match_rank(ranking, {0: 0}) == 3
-    assert true_match_rank(ranking, {0: 3}) == 1
+    assert true_match_ranks([ranking], {0: 0})[0] == 3
+    assert true_match_ranks([ranking], {0: 3})[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +117,9 @@ def test_stats_unchanged_when_identical():
     contents = [content_of(r, 2) for r in before]
     truth = {0: 0, 1: 1}
     stats = postrank_stats(before, before, contents, truth)
-    assert stats.pct_improved == 0.0
-    assert stats.pct_unchanged == 100.0
-    assert stats.pct_worsened == 0.0
+    assert stats["improved"] == 0.0
+    assert stats["unchanged"] == 100.0
+    assert stats["worsened"] == 0.0
 
 
 def test_stats_single_probe_moved_to_top():
@@ -124,9 +127,9 @@ def test_stats_single_probe_moved_to_top():
     after = rankings_with_true_ranks([1], m=4)
     contents = [content_of(before[0], 3)]
     stats = postrank_stats(before, after, contents, {0: 0})
-    assert stats.pct_improved == 100.0
-    assert stats.pct_improved_to_top1 == 100.0
-    assert stats.pct_in_content == 100.0
+    assert stats["improved"] == 100.0
+    assert stats["improved_to_top1"] == 100.0
+    assert stats["in_content"] == 100.0
 
 
 def test_stats_sum_to_hundred():
@@ -136,15 +139,15 @@ def test_stats_sum_to_hundred():
     contents = [content_of(r, 5) for r in before]
     truth = {p: p for p in range(4)}
     stats = postrank_stats(before, after, contents, truth)
-    assert stats.pct_improved + stats.pct_unchanged + stats.pct_worsened == pytest.approx(100.0, abs=0.1)
-    assert stats.pct_worsened == 25.0
+    assert stats["improved"] + stats["unchanged"] + stats["worsened"] == pytest.approx(100.0, abs=0.1)
+    assert stats["worsened"] == 25.0
 
 
 def test_stats_in_content_respects_membership():
     before = rankings_with_true_ranks([4], m=5)
     contents = [content_of(before[0], 2)]  # true match at rank 4, content holds top-2
     stats = postrank_stats(before, before, contents, {0: 0})
-    assert stats.pct_in_content == 0.0
+    assert stats["in_content"] == 0.0
 
 
 def test_stats_misaligned_probes():
@@ -166,8 +169,75 @@ def test_summarize_runs_mean_std():
         for r in (1, 2)
     ]
     summary = summarize_postrank_stats(runs)
-    assert summary.pct_improved == 50.0
-    assert summary.std_improved == 50.0
+    assert summary["improved"][0] == 50.0
+    assert summary["improved"][1] == 50.0
+
+
+# ---------------------------------------------------------------------------
+# The per-probe loops as oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def postrank_worlds(draw):
+    """(before, after, contents, truth) over one gallery. Each after list is
+    its before list (every rank ties), the before list with its content
+    prefix reordered (a true match outside the content keeps its rank), or
+    any permutation; content sets run from 1 to a drawn window."""
+    m = draw(st.integers(1, 9))
+    window = draw(st.integers(1, m))
+    before, after, contents, truth = [], [], [], {}
+    for p in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(range(m)))
+        k = draw(st.integers(1, window))
+        moved = draw(st.sampled_from(["none", "content", "any"]))
+        if moved == "none":
+            new = order
+        elif moved == "content":
+            new = draw(st.permutations(order[:k])) + order[k:]
+        else:
+            new = draw(st.permutations(range(m)))
+        before.append(RankingList(p, np.array(order), np.zeros(m)))
+        after.append(RankingList(p, np.array(new), np.zeros(m)))
+        contents.append(ContentSet(p, tuple(order[:k]), 0.0))
+        truth[p] = draw(st.integers(0, m - 1))
+    return before, after, contents, truth
+
+
+def _outcome(compute):
+    """``compute()``, or the message of the DataError it raises."""
+    try:
+        return compute()
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=postrank_worlds(), data=st.data())
+def test_true_match_ranks_and_cmc_equal_the_per_probe_loop(world, data):
+    rankings, _, _, truth = world
+    # faults: probes with no truth entry, orders that hold an entry twice
+    probes = st.lists(st.sampled_from(sorted(truth)), max_size=2, unique=True)
+    for p in data.draw(probes):
+        del truth[p]
+    for p in data.draw(probes):
+        if rankings[p].order.size > 1:
+            rankings[p].order[-1] = rankings[p].order[0]
+    expected = _outcome(lambda: [oracles.true_match_rank(r, truth) for r in rankings])
+    assert _outcome(lambda: true_match_ranks(rankings, truth).tolist()) == expected
+    expected = _outcome(lambda: oracles.cmc_curve(rankings, truth).rates)
+    got = _outcome(lambda: cmc_curve(rankings, truth).rates)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=postrank_worlds())
+def test_postrank_stats_equal_the_counter_loop(world):
+    stats, expected = postrank_stats(*world), oracles.postrank_stats(*world)
+    assert stats == expected
+    assert list(stats) == list(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_postrank_toggle_off_identical_cmc(tmp_path):
             report.cmc_initial[rep].rates, report.cmc_postrank[rep].rates
         )
     stats = report.stats_overall
-    assert stats.pct_unchanged == 100.0
+    assert stats["unchanged"][0] == 100.0
 
 
 def test_full_determinism_byte_identical_reports(tmp_path):

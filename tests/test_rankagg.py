@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from reidpipe.errors import ConfigError, ContractError, DataError
 from reidpipe.rankagg import aggregate, best_n_select, stuart_statistic
 from reidpipe.simlearn import RankingList
@@ -275,28 +276,23 @@ def test_aggregate_statistic_bounds():
 # Best-n selection
 # ---------------------------------------------------------------------------
 
-def _val_world(orders_by_rep, truth):
-    rankings = {
+def _val_world(orders_by_rep):
+    return {
         rep: [ranking_of(order) for order in orders]
         for rep, orders in orders_by_rep.items()
     }
-    top1 = {
-        rep: float(np.mean([o[0] == truth[0] for o in orders]))
-        for rep, orders in orders_by_rep.items()
-    }
-    return top1, rankings
 
 
 def test_best_n_requires_two_reps():
     with pytest.raises(ConfigError):
-        best_n_select({"F1": 0.8}, {"F1": []}, {})
+        best_n_select({"F1": []}, {})
 
 
 def test_best_n_identical_lists_choose_two():
     order = [2, 0, 1]
     orders = {f"F{i}": [order] for i in range(1, 5)}
-    top1, rankings = _val_world(orders, {0: 2})
-    selection = best_n_select(top1, rankings, {0: 2})
+    rankings = _val_world(orders)
+    selection = best_n_select(rankings, {0: 2})
     assert selection.chosen_n == 2
     assert len(set(selection.top1_per_n.values())) == 1
 
@@ -308,9 +304,8 @@ def test_best_n_orders_by_validation_rate():
         "F2": [[0, 1, 2]],  # top1 hit
         "F3": [[1, 2, 0]],  # miss
     }
-    top1 = {"F1": 0.0, "F2": 1.0, "F3": 0.0}
     rankings = {rep: [ranking_of(o) for o in orders[rep]] for rep in orders}
-    selection = best_n_select(top1, rankings, truth)
+    selection = best_n_select(rankings, truth)
     assert selection.ordered_reps[0] == "F2"
     assert set(selection.top1_per_n) == {2, 3}
 
@@ -321,7 +316,7 @@ def test_best_n_dominant_rep_still_floor_two():
         "F1": [ranking_of([0, 1, 2])],
         "F2": [ranking_of([2, 1, 0])],
     }
-    selection = best_n_select({"F1": 1.0, "F2": 0.1}, rankings, truth)
+    selection = best_n_select(rankings, truth)
     assert selection.chosen_n == 2
 
 
@@ -336,8 +331,32 @@ def test_best_n_nonmonotone_top1_picks_best():
         "F2": [ranking_of(o) for o in also_good],
         "F3": [ranking_of(o) for o in bad],
     }
-    top1 = {"F1": 1.0, "F2": 1.0, "F3": 0.5}
-    selection = best_n_select(top1, rankings, truth)
+    selection = best_n_select(rankings, truth)
     assert selection.ordered_reps[:2] == ("F1", "F2")
     assert selection.top1_per_n[2] >= selection.top1_per_n[3]
     assert selection.chosen_n == 2
+
+
+@st.composite
+def validation_worlds(draw):
+    """(rankings by representation, truth, n_max): 2 to 5 lists of random
+    permutations over one gallery."""
+    m, n_probes = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    truth = {p: draw(st.integers(0, m - 1)) for p in range(n_probes)}
+    rankings = {
+        f"F{j}": [
+            RankingList(p, np.array(draw(st.permutations(range(m)))), np.zeros(m))
+            for p in range(n_probes)
+        ]
+        for j in range(draw(st.integers(2, 5)))
+    }
+    return rankings, truth, draw(st.integers(2, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(world=validation_worlds())
+def test_best_n_equals_the_hit_count_loop(world):
+    rankings, truth, n_max = world
+    top1 = {rep: oracles.cmc_curve(lists, truth).top_k(1) for rep, lists in rankings.items()}
+    expected = oracles.best_n_select(top1, rankings, truth, n_max)
+    assert best_n_select(rankings, truth, n_max) == expected

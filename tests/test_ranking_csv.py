@@ -28,7 +28,6 @@ from reidpipe.evaluation import (
     save_truth_csv,
 )
 from reidpipe.postrank import ContentSet
-from reidpipe.rankagg import AggregationResult
 from reidpipe.simlearn import RankingList
 
 # ---------------------------------------------------------------------------
@@ -152,13 +151,12 @@ def ranking_sets(draw):
     probe_ids = draw(st.lists(ids, min_size=1, max_size=4))
     gallery_ids = draw(st.lists(ids, min_size=n_gallery, max_size=n_gallery))
     dtype = draw(st.sampled_from([np.float64, np.float32]))
-    kind = draw(st.sampled_from([RankingList, AggregationResult]))
     values = score_values if dtype is np.float64 else st.floats(width=32)
     rankings = []
     for p in draw(st.permutations(range(len(probe_ids)))):
         scores = np.array(draw(st.lists(values, min_size=n_gallery, max_size=n_gallery)), dtype)
         order = np.array(draw(st.permutations(range(n_gallery))), dtype=np.int64)
-        rankings.append(kind(probe_index=p, order=order, scores=scores))
+        rankings.append(RankingList(probe_index=p, order=order, scores=scores))
     return rankings, probe_ids, gallery_ids
 
 
@@ -176,7 +174,7 @@ def test_rankings_writer_special_scores_equal_oracle(tmp_path):
     scores = np.array(SPECIAL_SCORES)
     scores32 = np.array([-0.0, 1e-45, 3.4e38, 1 / 3, np.inf, np.nan, 0, 1, 2, 3], np.float32)
     order = np.arange(scores.size)
-    rankings = [RankingList(0, order, scores), AggregationResult(1, order[::-1], scores32)]
+    rankings = [RankingList(0, order, scores), RankingList(1, order[::-1], scores32)]
     probe_ids, gallery_ids = ["p,0", 'p"1'], [f"g{i}" for i in range(scores.size)]
     save_rankings_csv(rankings, tmp_path / "new.csv", probe_ids, gallery_ids)
     save_rankings_csv_loop(rankings, tmp_path / "loop.csv", probe_ids, gallery_ids)
