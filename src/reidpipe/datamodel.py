@@ -309,6 +309,10 @@ class BlockRows:
     When the block is built both buffers are trimmed in place to the kept
     entries and handed over: the block is held once, and no (N, d) array is
     made unless the layout of fewer bytes is dense.
+
+    The buffers are resized without numpy's reference check, which fails
+    whenever a profile or trace hook holds the calling frame: no view of
+    them is kept across a resize.
     """
 
     def __init__(self, width: int):
@@ -324,8 +328,8 @@ class BlockRows:
         end = self.size + len(columns)
         if end > len(self.values):
             capacity = max(end, int(_GROWTH * len(self.values)), _MIN_ENTRIES)
-            self.columns.resize(capacity)
-            self.values.resize(capacity)
+            self.columns.resize(capacity, refcheck=False)
+            self.values.resize(capacity, refcheck=False)
         self.columns[self.size : end] = columns
         np.take(row, columns, out=self.values[self.size : end])
         self.counts.append(len(columns))
@@ -335,8 +339,8 @@ class BlockRows:
         """The collected block, held compressed; the collector starts over."""
         starts = np.zeros(len(self.counts) + 1, np.int64)
         np.cumsum(self.counts, out=starts[1:])
-        self.columns.resize(self.size)
-        self.values.resize(self.size)
+        self.columns.resize(self.size, refcheck=False)
+        self.values.resize(self.size, refcheck=False)
         block = SparseBlock((len(self.counts), self.width), starts, self.columns, self.values)
         self.__init__(self.width)
         return block

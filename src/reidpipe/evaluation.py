@@ -202,7 +202,10 @@ def load_content_csv(
     probe_index: dict[str, int],
     gallery_index: dict[str, int],
 ) -> list[ContentSet]:
-    members: dict[str, list[int]] = {}
+    """Content sets by probe index, one row per member. A member listed
+    twice, or a probe listed with two thresholds, raises DataError naming
+    the file and line."""
+    members: dict[str, dict[int, None]] = {}  # insertion-ordered sets
     thresholds: dict[str, float] = {}
     reader = csv_reader(path)
     header = next(reader, None)
@@ -211,8 +214,12 @@ def load_content_csv(
     for row in reader:
         probe, gallery, threshold = _row(row, 3, path, reader)
         g = _field(gallery_index.__getitem__, gallery, "gallery id", path, reader)
-        members.setdefault(probe, []).append(g)
-        thresholds[probe] = _field(float, threshold, "threshold", path, reader)
+        t = _field(float, threshold, "threshold", path, reader)
+        if g in members.setdefault(probe, {}):
+            raise DataError(f"{path}: line {reader.line_num}: probe {probe} lists {gallery} twice")
+        if not np.array_equal(thresholds.setdefault(probe, t), t, equal_nan=True):
+            raise DataError(f"{path}: line {reader.line_num}: probe {probe} has two thresholds")
+        members[probe][g] = None
     out = []
     for probe, p in sorted(probe_index.items(), key=lambda kv: kv[1]):
         out.append(

@@ -6,34 +6,34 @@ blocks. The pair score is the sum of local block scores plus gamma times the
 global block sum. Galleries and training pairs are scored by one core,
 :func:`_score_terms`.
 
-The core and the trainer hold a representation's blocks per width group as
-stacked arrays: each camera bank concatenated over the group's blocks, and
-W_M and W_B as (k, d, d) stacks. A group's cross terms are one matrix
-product, and every other per-block step is one batched product over the
-group, so neither a scoring call nor a training iteration loops over blocks
-in Python.
+The core holds a representation's blocks per width group as stacked
+arrays: each camera bank concatenated over the group's blocks, and W_M and
+W_B as (k, d, d) stacks. A group's cross terms are one matrix product, and
+every other per-block step is one batched product over the group, so
+neither a scoring call nor a training iteration loops over blocks in
+Python.
 
 Training minimizes a logistic pair loss with Frobenius regularization by
 full-batch gradient descent with backtracking line search. The score is
 linear in the weights, so the problem is convex and a trial step ``W - tG``
 scores as ``s(W) - t*s(G)``: each iteration scores the gradient direction
 once, prices every line-search trial in O(n_pairs) and computes gradients
-only at the accepted point. The gradients are symmetric by construction, so
-the weights stay symmetric without a projection.
+only at the accepted point.
 
-An iteration applies two linear maps, weights to pair scores and pair loss
-slopes to the gradient, at the size of the data rather than of a stack of
-per-pair rows. When the pairs index shared image banks (n^2 > N_a N_b), a
-pair's score is an entry of the image-level score matrix and the gradient
-is built from the (N_a, N_b) slope matrix. When there are no more pairs
-than rows (n^2 <= N_a N_b, as for post-ranking's one row per pair), the
-weights stay ``W = Psi^T alpha`` over the pairs' feature maps ``Psi``, and
-both maps are products with the (n, n) pair Gram ``Psi Psi^T``.
+From W = 0, every gradient step leaves the weights a combination of the
+training pairs' feature maps, W = S Psi^T alpha, so the trainer runs one
+loop over the n pair coefficients alpha and forms the weights once, at the
+end. The one product an iteration needs, K v with K = Psi S^2 Psi^T, is
+computed at the size of the data: from the (n, n) pair Gram when there are
+no more pairs than rows (n^2 <= N_a N_b, as for post-ranking's one row per
+pair), and otherwise from the shared image banks, as the weights of v
+scored by the core.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -398,44 +398,37 @@ def _pair_scores(data: _PairData, weights: Stacks, gamma: float) -> np.ndarray:
     return cross.ravel()[data.flat] + row[data.p] + col[data.q]
 
 
-def _gradient(
-    data: _PairData, weights: Stacks, coef: np.ndarray, gamma: float, lam: float
-) -> Stacks:
-    """Weight gradients of the penalized loss, given the per-pair loss slopes
-    ``coef``.
+def _coef_weights(data: _PairData, coef: np.ndarray, gamma: float) -> Stacks:
+    """The weights ``S Psi^T coef`` of the pair coefficients ``coef``, where
+    row i of Psi is pair i's feature map and S scales global blocks by
+    gamma: the loss gradient less its penalty when ``coef`` holds the
+    per-pair loss slopes.
 
-    The slopes go into the (N_a, N_b) matrix C, a pair listed twice counting
-    twice. With X = A^T C B, the bilinear gradient is X + X^T and the
-    Mahalanobis one is A^T diag(C 1) A + B^T diag(C^T 1) B - X - X^T. Both
-    are symmetric by construction, so symmetric weights stay symmetric under
-    gradient steps. Per width group, A^T C for all blocks is one product
-    with the concatenated A, and the rest are batched over the blocks.
+    The coefficients go into the (N_a, N_b) matrix C, a pair listed twice
+    counting twice. With X = A^T C B, the bilinear weights are X + X^T and
+    the Mahalanobis ones A^T diag(C 1) A + B^T diag(C^T 1) B - X - X^T. Both
+    are symmetric by construction. Per width group, A^T C for all blocks is
+    one product with the concatenated A, and the rest are batched over the
+    blocks.
     """
     n_a, n_b = data.shape
     c = np.bincount(data.flat, weights=coef, minlength=n_a * n_b).reshape(n_a, n_b)
     row = np.bincount(data.p, weights=coef, minlength=n_a)
     col = np.bincount(data.q, weights=coef, minlength=n_b)
-    grads: Stacks = []
-    for group, (w_m, w_b) in zip(data.groups, weights):
+    weights: Stacks = []
+    for group in data.groups:
         a, b = group.a, group.b
-        x = (group.a_cat.T @ c).reshape(w_m.shape[0], w_m.shape[1], n_b) @ b
-        g_b = x + _transposed(x)
+        x = (group.a_cat.T @ c).reshape(a.shape[0], a.shape[2], n_b) @ b
+        w_b = x + _transposed(x)
         m = (_transposed(a) * row) @ a + (_transposed(b) * col) @ b
-        g_m = m + _transposed(m)
-        g_m *= 0.5
-        g_m -= g_b
+        w_m = m + _transposed(m)
+        w_m *= 0.5
+        w_m -= w_b
         s = group.scale(gamma)
-        g_m *= s
-        g_m += 2.0 * lam * w_m
-        g_b *= s
-        g_b += 2.0 * lam * w_b
-        grads.append((g_m, g_b))
-    return grads
-
-
-def _inner(x: Stacks, y: Stacks) -> float:
-    """Frobenius inner product summed over blocks."""
-    return sum(float(np.vdot(xm, ym) + np.vdot(xb, yb)) for (xm, xb), (ym, yb) in zip(x, y))
+        w_m *= s
+        w_b *= s
+        weights.append((w_m, w_b))
+    return weights
 
 
 def _loss(margins: np.ndarray, sq_norm: float, lam: float) -> float:
@@ -450,86 +443,32 @@ def loss_and_gradient(
     lam: float,
 ) -> tuple[float, Blocks, float]:
     """Logistic pair loss with Frobenius penalty, plus analytic gradients,
-    on the image-level maps of :func:`train_model`."""
+    from the image-level products that :func:`_kernel` uses."""
     weights = data.stack(blocks)
     margins = -data.y * (_pair_scores(data, weights, gamma) - bias)
     coef = -data.y * _sigmoid(margins)
-    loss = _loss(margins, _inner(weights, weights), lam)
-    grads = _gradient(data, weights, coef, gamma, lam)
+    loss = _loss(margins, sum(float(np.vdot(w, w)) for stack in weights for w in stack), lam)
+    grads = _coef_weights(data, coef, gamma)
+    for (w_m, w_b), (g_m, g_b) in zip(weights, grads):
+        g_m += 2.0 * lam * w_m
+        g_b += 2.0 * lam * w_b
     return loss, data.unstack(grads), float(-coef.sum())
 
 
-class _ImageMaps:
-    """Weights held as width-group stacks: pair scores from the scoring
-    core, gradients from the slope matrix."""
+def _kernel(data: _PairData, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """``v -> K v`` with K = Psi S^2 Psi^T: the pair scores of the weights
+    ``S Psi^T v``, computed at the size of the data.
 
-    def __init__(self, data: _PairData, gamma: float, lam: float):
-        self.data, self.gamma, self.lam = data, gamma, lam
-        self.weights: Stacks = [
-            (np.zeros((k, d, d)), np.zeros((k, d, d)))
-            for k, _, d in (group.a.shape for group in data.groups)
-        ]
-
-    def scores(self) -> np.ndarray:
-        return _pair_scores(self.data, self.weights, self.gamma)
-
-    def direction(self, coef: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-        """Pair scores of the gradient G, and ||W||^2, <W, G>, ||G||^2."""
-        w = self.weights
-        g = self.grads = _gradient(self.data, w, coef, self.gamma, self.lam)
-        return _pair_scores(self.data, g, self.gamma), _inner(w, w), _inner(w, g), _inner(g, g)
-
-    def step(self, t: float) -> None:
-        self.weights = [
-            (w_m - t * g_m, w_b - t * g_b)
-            for (w_m, w_b), (g_m, g_b) in zip(self.weights, self.grads)
-        ]
-
-    def final(self) -> Stacks:
-        return self.weights
-
-
-class _PairSpaceMaps:
-    """Weights held as W = Psi^T alpha, where row i of Psi is pair i's
-    feature map with global blocks scaled by gamma. Every map is one product
-    with the (n, n) pair Gram K = Psi Psi^T."""
-
-    def __init__(self, data: _PairData, gamma: float, lam: float):
-        self.data, self.gamma, self.lam = data, gamma, lam
-        self.gram = _pair_gram(data, gamma)
-        self.alpha = np.zeros(len(data.y))
-        self.k_alpha = self.gram @ self.alpha
-
-    def scores(self) -> np.ndarray:
-        return self.k_alpha
-
-    def direction(self, coef: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-        """G = Psi^T beta with beta = coef + 2 lam alpha, so its pair scores
-        are K beta and every inner product is a dot of known vectors."""
-        self.beta = coef + 2.0 * self.lam * self.alpha
-        self.k_beta = self.gram @ self.beta
-        return (
-            self.k_beta,
-            float(self.alpha @ self.k_alpha),
-            float(self.beta @ self.k_alpha),
-            float(self.beta @ self.k_beta),
-        )
-
-    def step(self, t: float) -> None:
-        self.alpha = self.alpha - t * self.beta
-        self.k_alpha = self.k_alpha - t * self.k_beta
-
-    def final(self) -> Stacks:
-        """W = Psi^T alpha, formed once."""
-        weights: Stacks = []
-        for group in self.data.groups:
-            a, b = group.a[:, self.data.p], group.b[:, self.data.q]
-            diff = a - b
-            m = (_transposed(diff) * self.alpha) @ diff
-            x = (_transposed(a) * self.alpha) @ b
-            s = group.scale(self.gamma)
-            weights.append((s * 0.5 * (m + _transposed(m)), s * (x + _transposed(x))))
-        return weights
+    With no more pairs than rows (n^2 <= N_a N_b, as for post-ranking's one
+    row per pair) it is one product with the (n, n) pair Gram, built once.
+    When the pairs index shared image banks, it forms the weights
+    (:func:`_coef_weights`) and scores them with the core behind
+    :func:`score_gallery` (:func:`_pair_scores`).
+    """
+    if len(data.y) ** 2 <= data.shape[0] * data.shape[1]:
+        gram = _pair_gram(data, gamma)
+        return lambda v: gram @ v
+    return lambda v: _pair_scores(data, _coef_weights(data, v, gamma), gamma)
 
 
 _GRAM_ROWS = 64  # rows of the pair Gram filled per product
@@ -578,23 +517,16 @@ def train_model(
 
     ``pairs`` rows are (index_a, index_b, +1/-1), with indices in range;
     both classes must be present. Weights start at zero (the loss is convex
-    in them) and stay symmetric because every gradient is. Line-search
-    trials are priced by linearity in O(n_pairs) (see the module docstring).
-    The weights are held as one (W_M, W_B) stack pair per block width until
-    the model is returned.
-
-    Each iteration applies two linear maps: weights to pair scores, and pair
-    slopes to the gradient. With n pairs over N_a x N_b images, they run at
-    the size of the data:
-
-    - image level (n^2 > N_a N_b, e.g. :func:`sample_pairs`): pair scores are
-      entries of the score matrix from the core behind :func:`score_gallery`,
-      and gradients come from the (N_a, N_b) slope matrix (:func:`_gradient`),
-      each map a few batched products per width group;
-    - pair space (n^2 <= N_a N_b, e.g. one row per pair): every step is
-      ``W <- (1 - 2 lam t) W - t Psi^T c`` from W = 0, so W = Psi^T alpha
-      exactly. Each iteration is one product with the (n, n) pair Gram, and
-      the blocks are formed once, at the end.
+    in them), so every gradient step leaves them a combination of the
+    pairs' feature maps, W = S Psi^T alpha (the representer theorem; Psi and
+    S as in :func:`_coef_weights`). The loop holds the pair coefficients
+    alpha and their pair scores z_w = K alpha, with K = Psi S^2 Psi^T: each
+    iteration forms beta = c + 2 lam alpha from the pair loss slopes c (the
+    gradient is G = S Psi^T beta) and computes K beta once. ||W||^2, <W, G>
+    and ||G||^2 are then alpha.z_w, beta.z_w and beta.K beta, so every
+    line-search trial is priced in O(n_pairs). :func:`_kernel` chooses by
+    size how K v is computed. The weights are formed once, at the end, and
+    are symmetric by construction.
 
     The model records the accepted steps in ``iterations`` and why training
     stopped in ``stop_reason``: ``converged``, ``max_iters``, ``line_search``
@@ -604,10 +536,11 @@ def train_model(
     if not ((data.y > 0).any() and (data.y < 0).any()):
         raise DataError("training pairs must contain both classes")
     lam = config.lam
-    pair_space = len(data.y) ** 2 <= data.shape[0] * data.shape[1]
-    maps = (_PairSpaceMaps if pair_space else _ImageMaps)(data, gamma, lam)
+    kernel = _kernel(data, gamma)
+    alpha = np.zeros(len(data.y))
+    z_w = np.zeros(len(data.y))
     bias = 0.0
-    z = maps.scores() - bias
+    z = z_w - bias
     margins = -data.y * z
     loss = _loss(margins, 0.0, lam)
     if not np.isfinite(loss):
@@ -618,7 +551,9 @@ def train_model(
     while iterations < config.max_iters:
         coef = -data.y * _sigmoid(margins)
         grad_bias = float(-coef.sum())
-        dz_w, w_sq, w_dot_g, g_sq = maps.direction(coef)
+        beta = coef + 2.0 * lam * alpha
+        dz_w = kernel(beta)
+        w_sq, w_dot_g, g_sq = float(alpha @ z_w), float(beta @ z_w), float(beta @ dz_w)
         grad_sq = grad_bias**2 + g_sq
         if grad_sq == 0.0:
             stop = "zero_gradient"
@@ -635,7 +570,7 @@ def train_model(
         else:
             stop = "line_search"
             break
-        maps.step(t)
+        alpha, z_w = alpha - t * beta, z_w - t * dz_w
         bias -= t * grad_bias
         z, margins = z - t * dz, trial_margins
         prev_loss, loss = loss, trial_loss
@@ -644,8 +579,12 @@ def train_model(
         if abs(prev_loss - loss) <= REL_TOL * max(1.0, abs(prev_loss)):
             stop = "converged"
             break
+    # Drop a pair Gram before the weights are formed: their (N_a, N_b)
+    # coefficient matrix is as large in pair space.
+    del kernel
     return SimilarityModel(
-        rep_id=rep.rep_id, gamma=gamma, bias=bias, blocks=data.unstack(maps.final()),
+        rep_id=rep.rep_id, gamma=gamma, bias=bias,
+        blocks=data.unstack(_coef_weights(data, alpha, gamma)),
         iterations=iterations, stop_reason=stop,
     )
 

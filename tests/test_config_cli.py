@@ -454,6 +454,19 @@ def test_cli_stats_truth_listing_a_probe_twice_is_exit_3(tmp_path, capsys):
     assert "t2.csv: line 4: probe p0 listed twice" in capsys.readouterr().err
 
 
+def test_cli_stats_content_listing_a_member_twice_or_two_thresholds_is_exit_3(tmp_path, capsys):
+    rows = [("p0", "1", "g0", "1"), ("p0", "2", "g1", "0")]
+    ranking = _write_csv(tmp_path / "r.csv", RANKING, rows)
+    truth = _write_csv(tmp_path / "t.csv", TRUTH, [("p0", "g0")])
+    args = ["stats", "--before", ranking, "--after", ranking, "--truth", truth]
+    twice = _write_csv(tmp_path / "c.csv", CONTENT, [("p0", "g1", "0.5"), ("p0", "g1", "0.5")])
+    assert main([*args, "--content", twice]) == 3
+    assert "c.csv: line 3: probe p0 lists g1 twice" in capsys.readouterr().err
+    two = _write_csv(tmp_path / "c2.csv", CONTENT, [("p0", "g0", "0.25"), ("p0", "g1", "0.75")])
+    assert main([*args, "--content", two]) == 3
+    assert "c2.csv: line 3: probe p0 has two thresholds" in capsys.readouterr().err
+
+
 def _with_ff(path):
     """Put a 0xff byte, never valid UTF-8, at the start of the file's second line."""
     path = Path(path)

@@ -1,4 +1,5 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -497,6 +498,34 @@ def test_block_rows_hold_the_kept_entries_once(seed):
     # the held bytes, and one row's conversion besides
     assert peak <= block.nbytes * datamodel._GROWTH + rows[0].nbytes
     assert collector.compressed().shape == (0, width)  # the collector started over
+
+
+@pytest.mark.parametrize(
+    "get_hook, set_hook", [(sys.getprofile, sys.setprofile), (sys.gettrace, sys.settrace)],
+    ids=["profile", "trace"],
+)
+def test_block_rows_collect_the_same_bytes_under_a_profile_or_trace_hook(get_hook, set_hook):
+    # cProfile and coverage tools install such hooks; the buffers still grow
+    # and are trimmed in place
+    gen = np.random.default_rng(5)
+    values = gen.standard_normal((40, 3000)).astype(np.float32)
+    values[gen.random(values.shape) < 0.5] = 0.0
+
+    def collect():
+        rows = BlockRows(values.shape[1])
+        for row in values:
+            rows.add(row)
+        block = rows.compressed()
+        return [getattr(block, name).tobytes() for name in ("starts", "columns", "values")]
+
+    want = collect()
+    previous = get_hook()
+    set_hook(lambda frame, event, arg: None)
+    try:
+        got = collect()
+    finally:
+        set_hook(previous)
+    assert got == want
 
 
 @pytest.mark.parametrize("sliced", [False, True])  # each row's entries gathered as one slice

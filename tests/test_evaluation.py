@@ -278,6 +278,22 @@ def test_content_truth_csv_round_trip(tmp_path):
     assert load_truth_csv(tpath, probe_index, gallery_index) == truth
 
 
+@pytest.mark.parametrize(
+    "rows, fault",
+    [
+        # one member listed twice would count as a re-rankable set of two
+        ("p0,g1,0.5\r\np0,g1,0.5\r\n", "line 3: probe p0 lists g1 twice"),
+        ("p0,g1,0.5\r\np1,g0,0.25\r\np1,g2,0.75\r\n", "line 4: probe p1 has two thresholds"),
+    ],
+    ids=["member_twice", "two_thresholds"],
+)
+def test_content_csv_rejects_a_member_twice_and_two_thresholds(tmp_path, rows, fault):
+    path = tmp_path / "content.csv"
+    path.write_text("probe_id,gallery_id,threshold\r\n" + rows, newline="")
+    with pytest.raises(DataError, match=f"content.csv: {fault}"):
+        load_content_csv(path, {"p0": 0, "p1": 1}, {"g0": 0, "g1": 1, "g2": 2})
+
+
 def test_rankings_csv_rejects_repeated_gallery_id(tmp_path):
     path = tmp_path / "dup.csv"
     # ranks run 1..2 for both probes, but p0 lists g0 twice and leaves out g1

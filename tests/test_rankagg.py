@@ -27,12 +27,18 @@ def mc_order_stat_prob(r, n_samples, seed, chunk=1_000_000):
     return hits / n_samples
 
 
-def ranking_of(order, m=None):
+def ranking_of(order, m=None, probe_index=0):
+    """Probe ``probe_index``'s ranking in ``order``, scores falling by one per rank."""
     order = np.asarray(order, dtype=np.int64)
     m = m or order.size
     scores = np.empty(m)
     scores[order] = -np.arange(m, dtype=np.float64)
-    return RankingList(probe_index=0, order=order, scores=scores)
+    return RankingList(probe_index=probe_index, order=order, scores=scores)
+
+
+def rankings_of(orders):
+    """One ranking per probe: the i-th order is probe i's."""
+    return [ranking_of(order, probe_index=p) for p, order in enumerate(orders)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +254,7 @@ def test_one_batched_call_equals_one_call_per_probe():
 
 
 def test_aggregate_rejects_different_probe_counts():
-    two = [ranking_of([0, 1, 2]), ranking_of([2, 1, 0])]
+    two = rankings_of([[0, 1, 2], [2, 1, 0]])
     with pytest.raises(DataError, match="different numbers of probes"):
         aggregate([two, two[:1]])
     with pytest.raises(DataError, match="different numbers of probes"):
@@ -277,10 +283,7 @@ def test_aggregate_statistic_bounds():
 # ---------------------------------------------------------------------------
 
 def _val_world(orders_by_rep):
-    return {
-        rep: [ranking_of(order) for order in orders]
-        for rep, orders in orders_by_rep.items()
-    }
+    return {rep: rankings_of(orders) for rep, orders in orders_by_rep.items()}
 
 
 def test_best_n_requires_two_reps():
@@ -304,8 +307,7 @@ def test_best_n_orders_by_validation_rate():
         "F2": [[0, 1, 2]],  # top1 hit
         "F3": [[1, 2, 0]],  # miss
     }
-    rankings = {rep: [ranking_of(o) for o in orders[rep]] for rep in orders}
-    selection = best_n_select(rankings, truth)
+    selection = best_n_select(_val_world(orders), truth)
     assert selection.ordered_reps[0] == "F2"
     assert set(selection.top1_per_n) == {2, 3}
 
@@ -321,19 +323,19 @@ def test_best_n_dominant_rep_still_floor_two():
 
 
 def test_best_n_nonmonotone_top1_picks_best():
-    # heterogeneous lists: adding a bad third list hurts, so n=2 wins
+    # two probes, true matches 0 and 1. F1 hits both, F2 only probe 1, F3
+    # neither. F1 and F2 still agree on probe 0's match (ranks 1 and 2 beat
+    # gallery 2's 3 and 1), but F3 ranks gallery 2 first and the match last,
+    # so adding the third list loses probe 0 and n=2 wins
     truth = {0: 0, 1: 1}
-    good = [[0, 1, 2], [1, 0, 2]]
-    also_good = [[0, 2, 1], [1, 2, 0]]
-    bad = [[2, 1, 0], [0, 2, 1]]
-    rankings = {
-        "F1": [ranking_of(o) for o in good],
-        "F2": [ranking_of(o) for o in also_good],
-        "F3": [ranking_of(o) for o in bad],
-    }
+    rankings = _val_world({
+        "F1": [[0, 1, 2, 3], [1, 0, 2, 3]],
+        "F2": [[2, 0, 1, 3], [1, 2, 0, 3]],
+        "F3": [[2, 1, 3, 0], [0, 2, 1, 3]],
+    })
     selection = best_n_select(rankings, truth)
-    assert selection.ordered_reps[:2] == ("F1", "F2")
-    assert selection.top1_per_n[2] >= selection.top1_per_n[3]
+    assert selection.ordered_reps == ("F1", "F2", "F3")
+    assert selection.top1_per_n == {2: 1.0, 3: 0.5}
     assert selection.chosen_n == 2
 
 

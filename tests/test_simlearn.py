@@ -777,6 +777,25 @@ def test_training_stop_reasons_in_pair_space(monkeypatch):
     assert grams == [40, 40, 40, 40, 2]
 
 
+def test_pair_space_training_holds_one_pair_gram_at_a_time(monkeypatch):
+    # the weights are formed from an (n, n) coefficient matrix, as large as
+    # the pair Gram, so the Gram must be dropped first: holding both would
+    # peak near 2 Grams
+    import tracemalloc
+
+    n = 600
+    rep, bank_a, bank_b, pairs = postrank_shaped(n, 8, np.random.default_rng(47))
+    grams = count_pair_grams(monkeypatch)
+    tracemalloc.start()
+    try:
+        train_model(bank_a, bank_b, pairs, rep, gamma=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grams == [n]
+    assert peak < 1.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} pair Grams"
+
+
 def gradient_check(rep, bank_a, bank_b, pairs, gamma=1.1, lam=1e-3, eps=1e-5):
     """Central finite differences against the analytic gradient, per block."""
     r = np.random.default_rng(3)
