@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: extract, train, rank, postrank, aggregate, eval, stats.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
+Exit codes: 0 success, 2 config error, 3 data error (also an output path
+that cannot be written), 4 numeric error.
 """
 
 from __future__ import annotations
@@ -202,6 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # an output path that cannot be written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"data error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,9 +14,16 @@ module, e.g.::
     seeds = 0,1,2
     representations = F1
 
-The sections and keys are those :func:`load_config` takes; any other is a
-ConfigError naming it. Only ``[cues]`` and ``[representations]`` take free
-keys, the cue and representation names they define.
+Each key of a fixed section is one entry of :data:`KEYS`: the
+``ExperimentConfig`` field it sets, how its text is read and, for a
+range-checked field, its range. :func:`load_config` reads every key through
+that table, and ``ExperimentConfig`` checks every range from it. A value
+that cannot be read is a ConfigError naming the file, section and key; a
+section or key that is not in the table is a ConfigError naming it. Only
+``[cues]`` and ``[representations]`` take free keys, the cue and
+representation names they define: an ingested cue's scopes are G, L or GL,
+with no block scope twice, and a custom representation lists each cue once
+and does not reuse a built-in name (F0-F12).
 """
 
 from __future__ import annotations
@@ -31,26 +38,62 @@ from .errors import ConfigError
 from .features import CUE_IDS, N_STRIPES, PCA_DIM
 from .postrank import ENERGY, K_COMMON, WINDOW
 from .rankagg import N_MAX
-from .simlearn import GAMMA_DEFAULT, NEG_RATIO, TABLE1, Representation, TrainConfig
+from .simlearn import GAMMA_DEFAULT, NEG_RATIO, SCOPES, TABLE1, Representation, TrainConfig
 
 DEFAULT_SEEDS = tuple(range(10))
 
-# Each tuning value's field: its config key, its range [lo, hi] and that
-# range in words. Energy's range opens at 0, so its lo is the least positive
-# float.
-_RANGES = {
-    "pca_dim": ("pca_dim", 1, math.inf, "at least 1"),
-    "n_regions": ("regions", 1, math.inf, "at least 1"),
-    "neg_ratio": ("neg_ratio", 1, math.inf, "at least 1"),
-    "n_max": ("n_max", 2, math.inf, "at least 2"),
-    "max_iters": ("max_iters", 1, math.inf, "at least 1"),
-    "k_common": ("K", 1, math.inf, "at least 1"),
-    "window": ("window", 1, math.inf, "at least 1"),
-    "gamma": ("gamma", 0.0, sys.float_info.max, "finite and at least 0"),
-    "lam": ("lambda", 0.0, sys.float_info.max, "finite and at least 0"),
-    "energy": ("energy", math.ulp(0.0), 1.0, "in (0, 1]"),
-    "mask_blend": ("mask_blend", 0.0, 1.0, "in [0, 1]"),
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in _names(raw))
+
+
+def _bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+# A range [lo, hi] and that range in words.
+_AT_LEAST_1 = (1, math.inf, "at least 1")
+_FINITE = (0.0, sys.float_info.max, "finite and at least 0")
+
+# Each key of the fixed sections: the ExperimentConfig field it sets, how its
+# text is read (a Path relative to the config file's directory) and, for a
+# range-checked field, its range. Energy's range opens at 0, so its lo is the
+# least positive float.
+KEYS: dict[tuple[str, str], tuple] = {
+    ("data", "identities"): ("identities", Path, None),
+    ("data", "images_dir"): ("images_dir", Path, None),
+    ("data", "masks_dir"): ("masks_dir", Path, None),
+    ("data", "features_dir"): ("features_dir", Path, None),
+    ("features", "pca_dim"): ("pca_dim", int, _AT_LEAST_1),
+    ("features", "regions"): ("n_regions", int, _AT_LEAST_1),
+    ("features", "mask_blend"): ("mask_blend", float, (0.0, 1.0, "in [0, 1]")),
+    ("features", "computed_cues"): ("computed_cues", _names, None),
+    ("features", "masked_cues"): ("masked_cues", _names, None),
+    ("simlearn", "gamma"): ("gamma", float, _FINITE),
+    ("simlearn", "lambda"): ("lam", float, _FINITE),
+    ("simlearn", "max_iters"): ("max_iters", int, _AT_LEAST_1),
+    ("simlearn", "neg_ratio"): ("neg_ratio", int, _AT_LEAST_1),
+    ("postrank", "enabled"): ("postrank_enabled", _bool, None),
+    ("postrank", "K"): ("k_common", int, _AT_LEAST_1),
+    ("postrank", "energy"): ("energy", float, (math.ulp(0.0), 1.0, "in (0, 1]")),
+    ("postrank", "window"): ("window", int, _AT_LEAST_1),
+    ("rankagg", "best_n"): ("best_n_enabled", _bool, None),
+    ("rankagg", "n_max"): ("n_max", int, (2, math.inf, "at least 2")),
+    ("eval", "seeds"): ("seeds", _ints, None),
+    ("eval", "representations"): ("representations", _names, None),
+    ("eval", "report_dir"): ("report_dir", Path, None),
 }
+# Their keys name cues and representations.
+FREE_SECTIONS = ("cues", "representations")
 
 
 @dataclass
@@ -97,10 +140,19 @@ class ExperimentConfig:
         for cue in self.computed_cues:
             if cue in self.ingested_cues:
                 raise ConfigError(f"cue {cue} is both computed and ingested")
-        for name, (key, lo, hi, words) in _RANGES.items():
+        for cue, scopes in self.ingested_cues.items():
+            for scope in scopes:
+                if scope not in SCOPES:
+                    raise ConfigError(f"cue {cue}: invalid scope {scope!r}, expected G, L or GL")
+            if len(set("".join(scopes))) < len("".join(scopes)):  # G, GL holds G twice
+                raise ConfigError(f"cue {cue}: a scope is listed twice in {', '.join(scopes)}")
+        for rep_id in self.custom_reps:
+            if rep_id in TABLE1:
+                raise ConfigError(f"representation {rep_id}: F0-F12 are built in")
+        for (_, key), (name, _, bounds) in KEYS.items():
             value = getattr(self, name)
-            if not lo <= value <= hi:  # NaN is in no range
-                raise ConfigError(f"{key} must be {words}, got {value}")
+            if bounds and not bounds[0] <= value <= bounds[1]:  # NaN is in no range
+                raise ConfigError(f"{key} must be {bounds[2]}, got {value}")
         for rep in self.representations:
             self.representation(rep)
 
@@ -116,26 +168,15 @@ class ExperimentConfig:
         raise ConfigError(f"unknown representation {rep_id!r}")
 
 
-def _split_tokens(raw: str) -> list[str]:
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
-
-
-def _parse_bool(raw: str, key: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
 def _parse_cue_scopes(raw: str, rep_id: str) -> dict[str, str]:
     scopes: dict[str, str] = {}
-    for token in _split_tokens(raw):
+    for token in _names(raw):
         if ":" not in token:
             raise ConfigError(f"representation {rep_id}: expected cue:scope, got {token!r}")
-        cue, scope = token.split(":", 1)
-        scopes[cue.strip()] = scope.strip()
+        cue, scope = (part.strip() for part in token.split(":", 1))
+        if cue in scopes:
+            raise ConfigError(f"representation {rep_id}: cue {cue} listed twice")
+        scopes[cue] = scope
     if not scopes:
         raise ConfigError(f"representation {rep_id}: empty cue list")
     return scopes
@@ -152,69 +193,31 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    base = path.parent
-
-    def resolve(raw: str) -> Path:
-        p = Path(raw.strip())
-        return p if p.is_absolute() else base / p
-
     kwargs: dict = {}
-    known: dict[str, set[str]] = {}
-
-    def take(section: str, key: str, parse) -> None:
-        known.setdefault(section, set()).add(key)
+    for (section, key), (name, read, _) in KEYS.items():
         if parser.has_option(section, key):
-            kwargs_key, convert = parse
             try:
-                kwargs[kwargs_key] = convert(parser.get(section, key))
+                value = read(parser.get(section, key))
             except ValueError as exc:
                 raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
+            kwargs[name] = path.parent / value if read is Path else value
 
-    take("data", "identities", ("identities", resolve))
-    take("data", "images_dir", ("images_dir", resolve))
-    take("data", "masks_dir", ("masks_dir", resolve))
-    take("data", "features_dir", ("features_dir", resolve))
-    take("features", "pca_dim", ("pca_dim", int))
-    take("features", "regions", ("n_regions", int))
-    take("features", "mask_blend", ("mask_blend", float))
-    take("features", "computed_cues", ("computed_cues", lambda v: tuple(_split_tokens(v))))
-    take("features", "masked_cues", ("masked_cues", lambda v: tuple(_split_tokens(v))))
-    take("simlearn", "gamma", ("gamma", float))
-    take("simlearn", "lambda", ("lam", float))
-    take("simlearn", "max_iters", ("max_iters", int))
-    take("simlearn", "neg_ratio", ("neg_ratio", int))
-    take("postrank", "enabled", ("postrank_enabled", lambda v: _parse_bool(v, "postrank.enabled")))
-    take("postrank", "K", ("k_common", int))
-    take("postrank", "energy", ("energy", float))
-    take("postrank", "window", ("window", int))
-    take("rankagg", "best_n", ("best_n_enabled", lambda v: _parse_bool(v, "rankagg.best_n")))
-    take("rankagg", "n_max", ("n_max", int))
-    take(
-        "eval",
-        "seeds",
-        ("seeds", lambda v: tuple(int(tok) for tok in _split_tokens(v))),
-    )
-    take("eval", "representations", ("representations", lambda v: tuple(_split_tokens(v))))
-    take("eval", "report_dir", ("report_dir", resolve))
-
-    free = ("cues", "representations")  # their keys name cues and representations
-    unknown = [f"[{s}]" for s in parser.sections() if s not in known and s not in free]
-    if parser.defaults():
-        unknown.insert(0, f"[{parser.default_section}]")
+    sections = {section for section, _ in KEYS}
+    unknown = [f"[{parser.default_section}]"] if parser.defaults() else []
+    free = sections.union(FREE_SECTIONS)
+    unknown += [f"[{s}]" for s in parser.sections() if s not in free]
     unknown += [
         f"[{s}] {key}"
-        for s in known
-        if parser.has_section(s)
+        for s in parser.sections()
+        if s in sections
         for key in parser[s]
-        if key not in known[s]
+        if (s, key) not in KEYS
     ]
     if unknown:
         raise ConfigError(f"{path}: unknown config section or key: {', '.join(unknown)}")
 
     if parser.has_section("cues"):
-        kwargs["ingested_cues"] = {
-            cue: tuple(_split_tokens(raw)) for cue, raw in parser["cues"].items()
-        }
+        kwargs["ingested_cues"] = {cue: _names(raw) for cue, raw in parser["cues"].items()}
     if parser.has_section("representations"):
         kwargs["custom_reps"] = {
             rep_id: _parse_cue_scopes(raw, rep_id)

@@ -1,5 +1,11 @@
 """Experiment orchestration: splits, training, ranking, post-ranking,
-aggregation and report generation for the repeated-split CMC protocol."""
+aggregation and report generation for the repeated-split CMC protocol.
+
+``run_seed`` runs one split: the final stage of every representation and,
+with two or more of them, the aggregate of their post-ranked lists, of all
+of them or of best-n's prefix. ``run_experiment`` maps ``run_seed`` over the
+config's seeds, in order, and folds the seed results into one
+``ExperimentReport`` in one pass; ``write_report`` writes it."""
 
 from __future__ import annotations
 
@@ -37,7 +43,6 @@ from .postrank import (
 )
 from .rankagg import aggregate, best_n_select
 from .simlearn import (
-    SCOPES,
     BlockKey,
     FeatureBank,
     RankingList,
@@ -75,13 +80,6 @@ class Dataset:
     @property
     def row_index(self) -> dict[str, int]:
         return {rec.image_id: i for i, rec in enumerate(self.records)}
-
-
-def _scope_keys(scopes: tuple[str, ...], n_regions: int) -> list[str]:
-    for token in scopes:
-        if token not in SCOPES:
-            raise ConfigError(f"invalid ingested scope {token!r}")
-    return [scope for token in scopes for scope in role_scopes(token, n_regions)]
 
 
 def _used_blocks(config: ExperimentConfig) -> set[BlockKey]:
@@ -159,7 +157,7 @@ def load_ingested_bank(
         raise ConfigError("ingested cues require features_dir")
     used = _used_blocks(config)
     for cue, scopes in config.ingested_cues.items():
-        for scope in _scope_keys(scopes, config.n_regions):
+        for scope in (s for token in scopes for s in role_scopes(token, config.n_regions)):
             if (cue, scope) not in used:
                 continue
             path = Path(config.features_dir) / f"{cue}_{scope_filename(scope)}.feat"
@@ -465,8 +463,7 @@ class SeedResult:
     seed: int
     outcome: StageOutcome
     aggregated: list[RankingList] | None
-    chosen_n: int | None
-    ordering: tuple[str, ...] | None
+    ordering: tuple[str, ...] | None  # the aggregated representations, best first
 
 
 @dataclass
@@ -478,8 +475,7 @@ class ExperimentReport:
     cmc_aggregate: CmcCurve | None
     top1_rows: list[tuple[int, str, str, float]]
     stats_per_rep: dict[str, dict[str, tuple[float, float]]]  # name -> (mean, std)
-    stats_overall: dict[str, tuple[float, float]] | None
-    chosen_n: dict[int, int]
+    stats_overall: dict[str, tuple[float, float]]
     orderings: dict[int, tuple[str, ...]]
 
 
@@ -494,11 +490,11 @@ def _sub_split(train_ids: frozenset[int], seed: int) -> tuple[frozenset[int], fr
 
 
 def run_seed(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedResult:
+    """One split: with two or more representations, their final lists are
+    aggregated, all of them or best-n's prefix of the validation order."""
     split = make_split(dataset.records, seed)
-
-    chosen_reps: tuple[str, ...] | None = None
-    chosen_n: int | None = None
-    if config.best_n_enabled and len(config.representations) >= 2:
+    ordering = tuple(config.representations) if len(config.representations) >= 2 else None
+    if ordering and config.best_n_enabled:
         fit_ids, val_ids = _sub_split(split.train_ids, seed)
         val_outcome = run_stage(
             dataset, split, fit_ids, val_ids, config, seed, _STAGE_VALIDATION
@@ -507,74 +503,54 @@ def run_seed(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedResul
             rep_id: out.postranked for rep_id, out in val_outcome.per_rep.items()
         }
         selection = best_n_select(val_rankings, val_outcome.truth, config.n_max)
-        chosen_reps = selection.ordered_reps[: selection.chosen_n]
-        chosen_n = selection.chosen_n
-    elif len(config.representations) >= 2:
-        chosen_reps = tuple(config.representations)
-        chosen_n = len(chosen_reps)
+        ordering = selection.ordered_reps[: selection.chosen_n]
 
     outcome = run_stage(
         dataset, split, split.train_ids, split.test_ids, config, seed, _STAGE_FINAL
     )
-
     aggregated = None
-    if chosen_reps is not None:
-        aggregated = aggregate([outcome.per_rep[rep].postranked for rep in chosen_reps])
-    return SeedResult(
-        seed=seed, outcome=outcome, aggregated=aggregated,
-        chosen_n=chosen_n, ordering=chosen_reps,
-    )
+    if ordering:
+        aggregated = aggregate([outcome.per_rep[rep].postranked for rep in ordering])
+    return SeedResult(seed=seed, outcome=outcome, aggregated=aggregated, ordering=ordering)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """The full protocol: per-seed split/train/rank/postrank/aggregate, averaged."""
+    """The full protocol: ``run_seed`` for every seed, then one pass over
+    the seed results that averages the CMC curves of each stage and
+    representation and collects the top-1 rows and post-ranking statistics."""
     dataset = load_dataset(config)
+    results = [run_seed(dataset, config, seed) for seed in config.seeds]
     rep_ids = tuple(config.representations)
-    curves_initial: dict[str, list[CmcCurve]] = {rep: [] for rep in rep_ids}
-    curves_post: dict[str, list[CmcCurve]] = {rep: [] for rep in rep_ids}
-    curves_agg: list[CmcCurve] = []
+    curves: dict[tuple[str, str], list[CmcCurve]] = {}
     top1_rows: list[tuple[int, str, str, float]] = []
     run_stats: dict[str, list[dict[str, float]]] = {rep: [] for rep in rep_ids}
-    chosen_n: dict[int, int] = {}
-    orderings: dict[int, tuple[str, ...]] = {}
-
-    for seed in config.seeds:
-        result = run_seed(dataset, config, seed)
+    for result in results:
         truth = result.outcome.truth
+        lists = []
         for rep_id in rep_ids:
             out = result.outcome.per_rep[rep_id]
-            curve_i = cmc_curve(out.initial, truth)
-            curve_p = cmc_curve(out.postranked, truth)
-            curves_initial[rep_id].append(curve_i)
-            curves_post[rep_id].append(curve_p)
-            top1_rows.append((seed, "initial", rep_id, curve_i.top_k(1)))
-            top1_rows.append((seed, "postrank", rep_id, curve_p.top_k(1)))
+            lists += [("initial", rep_id, out.initial), ("postrank", rep_id, out.postranked)]
             run_stats[rep_id].append(
                 postrank_stats(out.initial, out.postranked, out.contents, truth)
             )
         if result.aggregated is not None:
-            curve_a = cmc_curve(result.aggregated, truth)
-            curves_agg.append(curve_a)
-            top1_rows.append((seed, "aggregate", "-", curve_a.top_k(1)))
-        if result.chosen_n is not None:
-            chosen_n[seed] = result.chosen_n
-            orderings[seed] = result.ordering
+            lists.append(("aggregate", "-", result.aggregated))
+        for stage, rep_id, rankings in lists:
+            curve = cmc_curve(rankings, truth)
+            curves.setdefault((stage, rep_id), []).append(curve)
+            top1_rows.append((result.seed, stage, rep_id, curve.top_k(1)))
 
-    stats_per_rep = {
-        rep: summarize_postrank_stats(stats) for rep, stats in run_stats.items()
-    }
-    all_runs = [s for stats in run_stats.values() for s in stats]
+    mean = {key: mean_cmc(stage_curves) for key, stage_curves in curves.items()}
     return ExperimentReport(
         seeds=tuple(config.seeds),
         rep_ids=rep_ids,
-        cmc_initial={rep: mean_cmc(curves) for rep, curves in curves_initial.items()},
-        cmc_postrank={rep: mean_cmc(curves) for rep, curves in curves_post.items()},
-        cmc_aggregate=mean_cmc(curves_agg) if curves_agg else None,
+        cmc_initial={rep: mean["initial", rep] for rep in rep_ids},
+        cmc_postrank={rep: mean["postrank", rep] for rep in rep_ids},
+        cmc_aggregate=mean.get(("aggregate", "-")),
         top1_rows=top1_rows,
-        stats_per_rep=stats_per_rep,
-        stats_overall=summarize_postrank_stats(all_runs) if all_runs else None,
-        chosen_n=chosen_n,
-        orderings=orderings,
+        stats_per_rep={rep: summarize_postrank_stats(stats) for rep, stats in run_stats.items()},
+        stats_overall=summarize_postrank_stats([s for stats in run_stats.values() for s in stats]),
+        orderings={r.seed: r.ordering for r in results if r.ordering is not None},
     )
 
 
@@ -618,10 +594,7 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     stats_path = out_dir / "postrank_stats.csv"
     with open(stats_path, "w", newline="") as fh:
         fh.write("representation,metric,mean,std\n")
-        entries = list(report.stats_per_rep.items())
-        if report.stats_overall is not None:
-            entries.append(("overall", report.stats_overall))
-        for rep, stats in entries:
+        for rep, stats in [*report.stats_per_rep.items(), ("overall", report.stats_overall)]:
             for metric, (mean, std) in stats.items():
                 fh.write(f"{rep},{metric},{_fmt(mean)},{_fmt(std)}\n")
     paths.append(stats_path)
@@ -638,16 +611,13 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
             )
         if report.cmc_aggregate is not None:
             fh.write(f"  aggregate: {_fmt(report.cmc_aggregate.top_k(1))}\n")
-        if report.chosen_n:
+        if report.orderings:
             fh.write("\nbest-n per seed:\n")
-            for seed in report.seeds:
-                if seed in report.chosen_n:
-                    order = ",".join(report.orderings[seed])
-                    fh.write(f"  seed {seed}: n={report.chosen_n[seed]} order={order}\n")
-        if report.stats_overall is not None:
-            fh.write("\npost-ranking stats (mean +/- std over runs):\n")
-            for name, (mean, std) in report.stats_overall.items():
-                label = name.replace("_to_", "->").replace("_", " ")
-                fh.write(f"  {label:<16}{_fmt(mean)} +/- {_fmt(std)}\n")
+            for seed, order in report.orderings.items():
+                fh.write(f"  seed {seed}: n={len(order)} order={','.join(order)}\n")
+        fh.write("\npost-ranking stats (mean +/- std over runs):\n")
+        for name, (mean, std) in report.stats_overall.items():
+            label = name.replace("_to_", "->").replace("_", " ")
+            fh.write(f"  {label:<16}{_fmt(mean)} +/- {_fmt(std)}\n")
     paths.append(summary_path)
     return paths

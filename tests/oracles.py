@@ -2,17 +2,19 @@
 
 The tests check the shipped code against these: a pair scored block by
 block, a SILTP histogram from one patch's own codes, a pair accuracy
-read off the shipped score matrix, a raw block's dense values, and the
+read off the shipped score matrix, a raw block's dense values, the
 per-probe loops that found true-match ranks for the CMC curve, counted
-post-ranking outcomes and counted best-n's top-1 hits.
+post-ranking outcomes and counted best-n's top-1 hits, and the report built
+by one accumulator per field inside the seed loop.
 """
 
 import numpy as np
 
-from reidpipe import kernels
+from reidpipe import evaluation, kernels
 from reidpipe.datamodel import SparseBlock
 from reidpipe.errors import ConfigError, DataError, DimError
 from reidpipe.evaluation import CmcCurve
+from reidpipe.experiment import ExperimentReport
 from reidpipe.features.texture import SILTP_BINS, SILTP_TAU
 from reidpipe.rankagg import N_MAX, BestNSelection, aggregate
 from reidpipe.simlearn import (
@@ -185,4 +187,51 @@ def best_n_select(
     chosen_n = max(top1_per_n, key=lambda n: (top1_per_n[n], -n))
     return BestNSelection(
         ordered_reps=tuple(ordered), chosen_n=chosen_n, top1_per_n=top1_per_n
+    )
+
+
+def experiment_report(results, config) -> ExperimentReport:
+    """The report of the seed results, accumulated seed by seed into one
+    list or dict per report field (a seed with an ordering aggregated)."""
+    rep_ids = tuple(config.representations)
+    curves_initial = {rep: [] for rep in rep_ids}
+    curves_post = {rep: [] for rep in rep_ids}
+    curves_agg = []
+    top1_rows = []
+    run_stats = {rep: [] for rep in rep_ids}
+    orderings = {}
+
+    for result in results:
+        truth = result.outcome.truth
+        for rep_id in rep_ids:
+            out = result.outcome.per_rep[rep_id]
+            curve_i = evaluation.cmc_curve(out.initial, truth)
+            curve_p = evaluation.cmc_curve(out.postranked, truth)
+            curves_initial[rep_id].append(curve_i)
+            curves_post[rep_id].append(curve_p)
+            top1_rows.append((result.seed, "initial", rep_id, curve_i.top_k(1)))
+            top1_rows.append((result.seed, "postrank", rep_id, curve_p.top_k(1)))
+            run_stats[rep_id].append(
+                evaluation.postrank_stats(out.initial, out.postranked, out.contents, truth)
+            )
+        if result.aggregated is not None:
+            curve_a = evaluation.cmc_curve(result.aggregated, truth)
+            curves_agg.append(curve_a)
+            top1_rows.append((result.seed, "aggregate", "-", curve_a.top_k(1)))
+        if result.ordering is not None:
+            orderings[result.seed] = result.ordering
+
+    all_runs = [s for stats in run_stats.values() for s in stats]
+    return ExperimentReport(
+        seeds=tuple(config.seeds),
+        rep_ids=rep_ids,
+        cmc_initial={rep: evaluation.mean_cmc(c) for rep, c in curves_initial.items()},
+        cmc_postrank={rep: evaluation.mean_cmc(c) for rep, c in curves_post.items()},
+        cmc_aggregate=evaluation.mean_cmc(curves_agg) if curves_agg else None,
+        top1_rows=top1_rows,
+        stats_per_rep={
+            rep: evaluation.summarize_postrank_stats(stats) for rep, stats in run_stats.items()
+        },
+        stats_overall=evaluation.summarize_postrank_stats(all_runs),
+        orderings=orderings,
     )

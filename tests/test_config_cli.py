@@ -89,6 +89,14 @@ def test_config_bad_number(tmp_path):
         load_config(path)
 
 
+def test_config_bad_boolean_names_file_section_and_key(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[rankagg]\nbest_n = maybe\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: [rankagg] best_n: expected a boolean, got 'maybe'"
+
+
 def test_config_table_representations(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[eval]\nrepresentations = F0,F3,F12\n")
@@ -237,9 +245,21 @@ def test_cli_out_of_range_tuning_value_is_exit_2(tmp_path, capsys, section, line
          "computed_cues must be distinct"),
         ("extract", [("[features]\n", "[features]\ncomputed_cues = C1,C9\n")],
          "computed_cues: unknown cue 'C9', expected C1-C6"),
+        ("eval", [("R1 = S1:G\n", "R1 = S1:G, S1:G\n")],
+         "representation R1: cue S1 listed twice"),
+        ("eval", [("[representations]\n", "[representations]\nF0 = S1:G\n")],
+         "representation F0: F0-F12 are built in"),
+        ("eval", [("S1 = G\n", "S1 = X\n")],
+         "cue S1: invalid scope 'X', expected G, L or GL"),
+        ("eval", [("S1 = G\n", "S1 = G, G, GL\n")],
+         "cue S1: a scope is listed twice in G, G, GL"),
+        ("eval", [("S1 = G\n", "S1 = G, GL\n")],
+         "cue S1: a scope is listed twice in G, GL"),
     ],
     ids=["repeated_rep", "repeated_rep_no_best_n", "computed_and_ingested",
-         "masked_unknown", "computed_unknown", "extract_repeated_cue", "extract_computed_unknown"],
+         "masked_unknown", "computed_unknown", "extract_repeated_cue", "extract_computed_unknown",
+         "rep_cue_twice", "rep_named_like_table1", "ingested_scope_unknown",
+         "ingested_scope_twice", "ingested_scope_within_another"],
 )
 def test_cli_cue_or_representation_mistake_is_exit_2_at_load(
     tmp_path, capsys, monkeypatch, command, edits, message
@@ -320,6 +340,25 @@ def test_cli_block_no_cue_supplies_is_exit_2_before_any_fit(tmp_path, capsys, mo
     missing = [("S1", f"r{r}") for r in range(4)]
     assert f"descriptor bank is missing blocks: {missing}" in capsys.readouterr().err
     assert called == []
+
+
+def test_cli_unwritable_output_path_is_exit_3(tmp_path, capsys):
+    config = str(build_synthetic_dataset(
+        tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4, postrank=False, best_n=False
+    ))
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    no_dir = tmp_path / "missing_dir" / "r.csv"
+    cases = [
+        (["eval", "-c", config, "--report-dir", str(a_file)], f"{a_file}: File exists"),
+        (["rank", "-c", config, "--rep", "R1", "--out", str(no_dir)],
+         f"{no_dir}: No such file or directory"),
+        (["train", "-c", config, "--rep", "R1", "--out", str(tmp_path)],
+         f"{tmp_path}: Is a directory"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 3
+        assert capsys.readouterr().err.endswith(f"data error: {message}\n")
 
 
 def test_cli_rank_missing_feat_file_is_exit_3(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import build_synthetic_dataset, write_color_dataset
+import oracles
 from oracles import dense_block
 from reidpipe.config import load_config
 from reidpipe.datamodel import SparseBlock
@@ -28,8 +29,52 @@ def test_run_experiment_report_shape(synthetic_config):
         assert np.all(np.diff(rates) >= 0)
         assert rates[-1] == pytest.approx(1.0)
     assert report.cmc_aggregate is not None
-    assert set(report.chosen_n) == {0, 1}
+    assert set(report.orderings) == {0, 1}
     assert report.stats_overall is not None
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"best_n": False}, {"n_cues": 1}, {"postrank": False}],
+    ids=["best_n", "three_reps_no_best_n", "one_rep", "no_postrank"],
+)
+def test_report_is_the_fold_of_the_seed_results(tmp_path, monkeypatch, options):
+    from reidpipe import experiment
+
+    config_path = build_synthetic_dataset(
+        tmp_path / "d", n_ids=16, seeds=(0, 2), pca_dim=8, noise=0.6, **options
+    )
+    config = load_config(config_path)
+    results = []
+    run_seed = experiment.run_seed
+    monkeypatch.setattr(
+        experiment, "run_seed", lambda *args: results.append(run_seed(*args)) or results[-1]
+    )
+    report = run_experiment(config)
+    expected = oracles.experiment_report(results, config)
+    assert [r.seed for r in results] == [0, 2]
+    assert (report.seeds, report.rep_ids) == (expected.seeds, expected.rep_ids)
+    for name in ("cmc_initial", "cmc_postrank"):
+        mine, theirs = getattr(report, name), getattr(expected, name)
+        assert list(mine) == list(theirs)
+        for rep in mine:
+            np.testing.assert_array_equal(mine[rep].rates, theirs[rep].rates)
+    if expected.cmc_aggregate is None:
+        assert report.cmc_aggregate is None
+    else:
+        np.testing.assert_array_equal(report.cmc_aggregate.rates, expected.cmc_aggregate.rates)
+    assert report.top1_rows == expected.top1_rows
+    assert report.stats_per_rep == expected.stats_per_rep
+    assert report.stats_overall == expected.stats_overall
+    assert report.orderings == expected.orderings
+    # the options reach each branch: an aggregate with two or more
+    # representations, best-n shortening the ordering or not
+    n_reps = len(config.representations)
+    assert (report.cmc_aggregate is not None) == (n_reps >= 2)
+    if n_reps >= 2 and not config.best_n_enabled:
+        assert report.orderings == {seed: config.representations for seed in (0, 2)}
+    if n_reps >= 2 and config.best_n_enabled:
+        assert min(len(order) for order in report.orderings.values()) < n_reps
 
 
 def test_run_experiment_easy_dataset_high_top1(synthetic_config):
