@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config
@@ -40,10 +41,9 @@ def _cmd_extract(args) -> int:
 
 
 def _single_rep(args, postrank: bool):
-    """One representation's final stage; the outcome and its per-rep part."""
-    config = load_config(args.config)
-    if not postrank:
-        config.postrank_enabled = False
+    """One representation's final stage, post-ranked or not whatever the
+    config says; the outcome and its per-rep part."""
+    config = replace(load_config(args.config), postrank_enabled=postrank)
     model = load_model(args.model, rep_id=args.rep) if getattr(args, "model", None) else None
     outcome = run_single_rep(config, args.rep, args.seed, model)
     return outcome, outcome.per_rep[args.rep]
@@ -106,7 +106,8 @@ def _cmd_aggregate(args) -> int:
 def _cmd_eval(args) -> int:
     config = load_config(args.config)
     if args.report_dir:
-        config.report_dir = Path(args.report_dir)
+        config = replace(config, report_dir=Path(args.report_dir))
+    config.report_dir.mkdir(parents=True, exist_ok=True)  # unwritable: exit 3 before any seed
     started = time.perf_counter()
     report = run_experiment(config)
     elapsed = time.perf_counter() - started
@@ -148,26 +149,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default: [data] features_dir)")
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("train", help="train a similarity model for one representation")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("--rep", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    # the options train, rank and postrank share; rank and postrank also take a frozen model
+    stage = argparse.ArgumentParser(add_help=False)
+    stage.add_argument("-c", "--config", required=True)
+    stage.add_argument("--rep", required=True)
+    stage.add_argument("--seed", type=int, default=0)
+    frozen = argparse.ArgumentParser(add_help=False, parents=[stage])
+    frozen.add_argument("--model", help="SIMW model file (trains one when omitted)")
+
+    p = sub.add_parser("train", parents=[stage], help="train one representation's similarity model")
     p.add_argument("--out", required=True, help="output SIMW model file")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("rank", help="rank the test gallery for every probe")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("--rep", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", help="SIMW model file (trains one when omitted)")
+    p = sub.add_parser("rank", parents=[frozen], help="rank the test gallery for every probe")
     p.add_argument("--out", required=True, help="output ranking CSV")
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("postrank", help="apply DCIA post-ranking to the test split")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("--rep", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", help="SIMW model file (trains one when omitted)")
+    p = sub.add_parser("postrank", parents=[frozen], help="post-rank the test split with DCIA")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_postrank)
 

@@ -22,8 +22,9 @@ that cannot be read is a ConfigError naming the file, section and key; a
 section or key that is not in the table is a ConfigError naming it. Only
 ``[cues]`` and ``[representations]`` take free keys, the cue and
 representation names they define: an ingested cue's scopes are G, L or GL,
-with no block scope twice, and a custom representation lists each cue once
-and does not reuse a built-in name (F0-F12).
+with no block scope twice, and a custom representation, listed in
+``[eval]`` or not, gives each cue once with a valid scope and does not
+reuse a built-in name (F0-F12). ``[DEFAULT]`` is an unknown section too.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ KEYS: dict[tuple[str, str], tuple] = {
 FREE_SECTIONS = ("cues", "representations")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     identities: Path | None = None
     images_dir: Path | None = None
@@ -153,7 +154,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if bounds and not bounds[0] <= value <= bounds[1]:  # NaN is in no range
                 raise ConfigError(f"{key} must be {bounds[2]}, got {value}")
-        for rep in self.representations:
+        for rep in (*self.representations, *self.custom_reps):
             self.representation(rep)
 
     def representation(self, rep_id: str) -> Representation:
@@ -186,7 +187,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # no section holds defaults for the others: [DEFAULT] is an unknown one
+    parser = configparser.ConfigParser(default_section="")
     parser.optionxform = str  # cue names are case-sensitive
     try:
         parser.read(path, encoding="utf-8")
@@ -203,9 +205,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             kwargs[name] = path.parent / value if read is Path else value
 
     sections = {section for section, _ in KEYS}
-    unknown = [f"[{parser.default_section}]"] if parser.defaults() else []
     free = sections.union(FREE_SECTIONS)
-    unknown += [f"[{s}]" for s in parser.sections() if s not in free]
+    unknown = [f"[{s}]" for s in parser.sections() if s not in free]
     unknown += [
         f"[{s}] {key}"
         for s in parser.sections()

@@ -16,7 +16,7 @@ import io
 import math
 import struct
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -57,15 +57,15 @@ class ForegroundMask:
 class Split:
     """Identity-disjoint train/test partition with per-camera view selection.
 
-    ``view_a``/``view_b`` record the single image sampled per identity and
-    camera (the single-shot protocol); identities missing a camera are
-    absent from the corresponding map.
+    ``view_a``/``view_b`` map each identity to the row in the records of
+    the single image sampled for it per camera (the single-shot protocol);
+    identities missing a camera are absent from the corresponding map.
     """
 
     train_ids: frozenset[int]
     test_ids: frozenset[int]
-    view_a: dict[int, str] = field(default_factory=dict)
-    view_b: dict[int, str] = field(default_factory=dict)
+    view_a: dict[int, int]
+    view_b: dict[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +458,15 @@ def save_identities(records: list[ImageRecord], path: str | Path) -> None:
 # Splits
 # ---------------------------------------------------------------------------
 
+def halve(ids, rng: np.random.Generator) -> tuple[frozenset[int], frozenset[int]]:
+    """A random floor(N/2) of the ``ids``, drawn from ``rng`` in their
+    sorted order, and the rest."""
+    ids = sorted(ids)
+    perm = rng.permutation(len(ids))
+    half = len(ids) // 2
+    return frozenset(ids[i] for i in perm[:half]), frozenset(ids[i] for i in perm[half:])
+
+
 def make_split(records: list[ImageRecord], seed: int) -> Split:
     """Randomly halve identities into train/test, sampling one view per camera.
 
@@ -467,21 +476,18 @@ def make_split(records: list[ImageRecord], seed: int) -> Split:
     if len(ids) < 2:
         raise DataError(f"need at least 2 identities to split, got {len(ids)}")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(ids))
-    n_train = len(ids) // 2
-    train_ids = frozenset(ids[i] for i in perm[:n_train])
-    test_ids = frozenset(ids[i] for i in perm[n_train:])
+    train_ids, test_ids = halve(ids, rng)
 
-    by_id_cam: dict[tuple[int, str], list[str]] = {}
-    for rec in records:
-        by_id_cam.setdefault((rec.person_id, rec.camera), []).append(rec.image_id)
-    view_a: dict[int, str] = {}
-    view_b: dict[int, str] = {}
+    by_id_cam: dict[tuple[int, str], list[tuple[str, int]]] = {}
+    for row, rec in enumerate(records):
+        by_id_cam.setdefault((rec.person_id, rec.camera), []).append((rec.image_id, row))
+    view_a: dict[int, int] = {}
+    view_b: dict[int, int] = {}
     for pid in ids:
         for camera, view in (("A", view_a), ("B", view_b)):
-            images = sorted(by_id_cam.get((pid, camera), []))
+            images = sorted(by_id_cam.get((pid, camera), []))  # by image id
             if images:
-                view[pid] = images[int(rng.integers(len(images)))]
+                view[pid] = images[int(rng.integers(len(images)))][1]
     return Split(train_ids=train_ids, test_ids=test_ids, view_a=view_a, view_b=view_b)
 
 

@@ -20,6 +20,7 @@ from .datamodel import (
     ForegroundMask,
     ImageRecord,
     SparseBlock,
+    halve,
     held_block,
     load_feature_matrix,
     load_identities,
@@ -60,14 +61,12 @@ _STAGE_FINAL = 0
 _STAGE_VALIDATION = 1
 _SUBSPLIT_STREAM = 9999
 
-SCOPE_FILENAMES = {"G": "global"}
-
 # Raw (pre-PCA) float32 blocks, each dense or compressed, whichever is smaller.
 RawBank = dict[BlockKey, np.ndarray | SparseBlock]
 
 
 def scope_filename(scope: str) -> str:
-    return SCOPE_FILENAMES.get(scope, f"local_{scope}")
+    return "global" if scope == "G" else f"local_{scope}"
 
 
 @dataclass
@@ -76,19 +75,6 @@ class Dataset:
 
     records: list[ImageRecord]
     raw_bank: RawBank
-
-    @property
-    def row_index(self) -> dict[str, int]:
-        return {rec.image_id: i for i, rec in enumerate(self.records)}
-
-
-def _used_blocks(config: ExperimentConfig) -> set[BlockKey]:
-    """The blocks of the run's representations."""
-    return {
-        key
-        for rep_id in config.representations
-        for key in config.representation(rep_id).block_keys()
-    }
 
 
 def compute_cue_bank(
@@ -146,16 +132,16 @@ def compute_cue_bank(
 def load_ingested_bank(
     records: list[ImageRecord],
     config: ExperimentConfig,
+    used: set[BlockKey],
 ) -> RawBank:
-    """Load the FEAT files of the ingested blocks the run's representations
-    use, as their float32 values in the layout of fewer bytes; rows must
-    align with the records. Other files are not opened."""
+    """Load the FEAT files of the ingested blocks among ``used``, as their
+    float32 values in the layout of fewer bytes; rows must align with the
+    records. Other files are not opened."""
     bank: RawBank = {}
     if not config.ingested_cues:
         return bank
     if config.features_dir is None:
         raise ConfigError("ingested cues require features_dir")
-    used = _used_blocks(config)
     for cue, scopes in config.ingested_cues.items():
         for scope in (s for token in scopes for s in role_scopes(token, config.n_regions)):
             if (cue, scope) not in used:
@@ -187,8 +173,9 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     if not config.ingested_cues and not config.computed_cues:
         raise ConfigError("no cues configured: set computed_cues and/or [cues]")
     records = _load_records(config)
-    used = _used_blocks(config)
-    raw_bank = load_ingested_bank(records, config)
+    reps = [config.representation(rep_id) for rep_id in config.representations]
+    used = {key for rep in reps for key in rep.block_keys()}
+    raw_bank = load_ingested_bank(records, config, used)
     raw_bank.update(compute_cue_bank(records, config, used))
     missing = sorted(used - raw_bank.keys())
     if missing:
@@ -225,21 +212,17 @@ class StageSides:
     labels_b: np.ndarray
 
 
-def _side_rows(
-    ids: list[int],
-    view: dict[int, str],
-    row_index: dict[str, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    rows = [row_index[view[i]] for i in ids]
-    return np.asarray(rows, dtype=np.int64), np.asarray(ids, dtype=np.int64)
-
-
-def _stage_sides(ids: frozenset[int], split, row_index) -> StageSides:
-    both = sorted(i for i in ids if i in split.view_a and i in split.view_b)
+def _stage_sides(ids: frozenset[int], split) -> StageSides:
+    """The split's rows of the identities ``ids``: a probe for each one seen
+    by both cameras, a gallery entry for each one seen by camera B."""
+    ids_a = sorted(i for i in ids if i in split.view_a and i in split.view_b)
     ids_b = sorted(i for i in ids if i in split.view_b)
-    rows_a, labels_a = _side_rows(both, split.view_a, row_index)
-    rows_b, labels_b = _side_rows(ids_b, split.view_b, row_index)
-    return StageSides(rows_a=rows_a, labels_a=labels_a, rows_b=rows_b, labels_b=labels_b)
+    return StageSides(
+        rows_a=np.array([split.view_a[i] for i in ids_a], dtype=np.int64),
+        labels_a=np.array(ids_a, dtype=np.int64),
+        rows_b=np.array([split.view_b[i] for i in ids_b], dtype=np.int64),
+        labels_b=np.array(ids_b, dtype=np.int64),
+    )
 
 
 def _stage_rows(sides: StageSides) -> np.ndarray:
@@ -314,9 +297,8 @@ def run_stage(
     training one; representation ``i`` trains on the random stream
     ``[seed, stage, i]``.
     """
-    row_index = dataset.row_index
-    fit = _stage_sides(fit_ids, split, row_index)
-    eval_side = _stage_sides(eval_ids, split, row_index)
+    fit = _stage_sides(fit_ids, split)
+    eval_side = _stage_sides(eval_ids, split)
     reps = [config.representation(rep_id) for rep_id in config.representations]
     reduced = reduce_bank(dataset.raw_bank, _stage_rows(fit), config.pca_dim)
     records = dataset.records
@@ -479,23 +461,13 @@ class ExperimentReport:
     orderings: dict[int, tuple[str, ...]]
 
 
-def _sub_split(train_ids: frozenset[int], seed: int) -> tuple[frozenset[int], frozenset[int]]:
-    ids = sorted(train_ids)
-    rng = np.random.default_rng([seed, _SUBSPLIT_STREAM])
-    perm = rng.permutation(len(ids))
-    half = len(ids) // 2
-    fit = frozenset(ids[i] for i in perm[:half])
-    val = frozenset(ids[i] for i in perm[half:])
-    return fit, val
-
-
 def run_seed(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedResult:
     """One split: with two or more representations, their final lists are
     aggregated, all of them or best-n's prefix of the validation order."""
     split = make_split(dataset.records, seed)
     ordering = tuple(config.representations) if len(config.representations) >= 2 else None
     if ordering and config.best_n_enabled:
-        fit_ids, val_ids = _sub_split(split.train_ids, seed)
+        fit_ids, val_ids = halve(split.train_ids, np.random.default_rng([seed, _SUBSPLIT_STREAM]))
         val_outcome = run_stage(
             dataset, split, fit_ids, val_ids, config, seed, _STAGE_VALIDATION
         )

@@ -4,8 +4,10 @@ The tests check the shipped code against these: a pair scored block by
 block, a SILTP histogram from one patch's own codes, a pair accuracy
 read off the shipped score matrix, a raw block's dense values, the
 per-probe loops that found true-match ranks for the CMC curve, counted
-post-ranking outcomes and counted best-n's top-1 hits, and the report built
-by one accumulator per field inside the seed loop.
+post-ranking outcomes and counted best-n's top-1 hits, the report built
+by one accumulator per field inside the seed loop, and the splits drawn
+with views held as image ids and best-n's sub-split drawn by its own
+routine.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from reidpipe import evaluation, kernels
 from reidpipe.datamodel import SparseBlock
 from reidpipe.errors import ConfigError, DataError, DimError
 from reidpipe.evaluation import CmcCurve
-from reidpipe.experiment import ExperimentReport
+from reidpipe.experiment import _SUBSPLIT_STREAM, ExperimentReport
 from reidpipe.features.texture import SILTP_BINS, SILTP_TAU
 from reidpipe.rankagg import N_MAX, BestNSelection, aggregate
 from reidpipe.simlearn import (
@@ -235,3 +237,35 @@ def experiment_report(results, config) -> ExperimentReport:
         stats_overall=evaluation.summarize_postrank_stats(all_runs),
         orderings=orderings,
     )
+
+
+def split_by_image_id(records, seed: int):
+    """``(train_ids, test_ids, view_a, view_b)`` of seed ``seed``'s split,
+    each view the image id sampled for an identity and camera."""
+    ids = sorted({rec.person_id for rec in records})
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(ids))
+    n_train = len(ids) // 2
+    train_ids = frozenset(ids[i] for i in perm[:n_train])
+    test_ids = frozenset(ids[i] for i in perm[n_train:])
+
+    by_id_cam = {}
+    for rec in records:
+        by_id_cam.setdefault((rec.person_id, rec.camera), []).append(rec.image_id)
+    view_a, view_b = {}, {}
+    for pid in ids:
+        for camera, view in (("A", view_a), ("B", view_b)):
+            images = sorted(by_id_cam.get((pid, camera), []))
+            if images:
+                view[pid] = images[int(rng.integers(len(images)))]
+    return train_ids, test_ids, view_a, view_b
+
+
+def sub_split(train_ids, seed: int):
+    """Best-n's fit and validation identities among seed ``seed``'s
+    training identities."""
+    ids = sorted(train_ids)
+    rng = np.random.default_rng([seed, _SUBSPLIT_STREAM])
+    perm = rng.permutation(len(ids))
+    half = len(ids) // 2
+    return frozenset(ids[i] for i in perm[:half]), frozenset(ids[i] for i in perm[half:])

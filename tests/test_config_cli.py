@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -255,11 +256,13 @@ def test_cli_out_of_range_tuning_value_is_exit_2(tmp_path, capsys, section, line
          "cue S1: a scope is listed twice in G, G, GL"),
         ("eval", [("S1 = G\n", "S1 = G, GL\n")],
          "cue S1: a scope is listed twice in G, GL"),
+        ("eval", [("[representations]\n", "[representations]\nR9 = S1:X\n")],
+         "R9: cue S1 has invalid scope 'X'"),
     ],
     ids=["repeated_rep", "repeated_rep_no_best_n", "computed_and_ingested",
          "masked_unknown", "computed_unknown", "extract_repeated_cue", "extract_computed_unknown",
          "rep_cue_twice", "rep_named_like_table1", "ingested_scope_unknown",
-         "ingested_scope_twice", "ingested_scope_within_another"],
+         "ingested_scope_twice", "ingested_scope_within_another", "unlisted_rep_scope_unknown"],
 )
 def test_cli_cue_or_representation_mistake_is_exit_2_at_load(
     tmp_path, capsys, monkeypatch, command, edits, message
@@ -303,8 +306,10 @@ def test_tuning_values_at_the_ends_of_their_ranges_are_accepted(tmp_path):
         ("[postrank]", "[postrank]\nwindw = 5", "[postrank] windw"),
         ("[eval]", "[simlern]\ngamma = 0.9\n[eval]", "[simlern]"),
         ("[data]", "[DEFAULT]\ngamma = 0.9\n[data]", "[DEFAULT]"),
+        # [DEFAULT] alone: its key is not also named under [eval]
+        ("[eval]", "[DEFAULT]\npca_dim = x\n[eval]", "[DEFAULT]\n"),
     ],
-    ids=["eval_key", "postrank_key", "section", "default_section"],
+    ids=["eval_key", "postrank_key", "section", "default_section", "default_beside_eval"],
 )
 def test_cli_unknown_config_key_or_section_is_exit_2(tmp_path, capsys, old, new, named):
     config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4)
@@ -342,7 +347,9 @@ def test_cli_block_no_cue_supplies_is_exit_2_before_any_fit(tmp_path, capsys, mo
     assert called == []
 
 
-def test_cli_unwritable_output_path_is_exit_3(tmp_path, capsys):
+def test_cli_unwritable_output_path_is_exit_3(tmp_path, capsys, monkeypatch):
+    from reidpipe import experiment
+
     config = str(build_synthetic_dataset(
         tmp_path / "d", seeds=(0,), n_ids=8, pca_dim=4, postrank=False, best_n=False
     ))
@@ -356,9 +363,13 @@ def test_cli_unwritable_output_path_is_exit_3(tmp_path, capsys):
         (["train", "-c", config, "--rep", "R1", "--out", str(tmp_path)],
          f"{tmp_path}: Is a directory"),
     ]
+    # eval rejects its report directory before any seed runs
+    seeds_run, run_seed = [], experiment.run_seed
+    monkeypatch.setattr(experiment, "run_seed", lambda *a: seeds_run.append(a) or run_seed(*a))
     for argv, message in cases:
         assert main(argv) == 3
         assert capsys.readouterr().err.endswith(f"data error: {message}\n")
+    assert seeds_run == []
 
 
 def test_cli_rank_missing_feat_file_is_exit_3(tmp_path, capsys):
@@ -722,6 +733,31 @@ def test_cli_postrank_fallback_is_reported(tmp_path, capsys):
     assert (single_dir / "R1_postranked.csv").read_bytes() == initial
 
 
+def test_cli_stage_commands_ignore_the_postrank_flag(tmp_path, capsys):
+    # postrank always post-ranks and train and rank never do, whatever
+    # [postrank] enabled says: each command's outputs match across the flag
+    outputs = {}
+    for enabled in (True, False):
+        root = tmp_path / str(enabled)
+        config = str(build_synthetic_dataset(
+            root / "d", seeds=(0,), n_ids=16, pca_dim=8, postrank=enabled
+        ))
+        for argv in (
+            ["train", "--out", str(root / "R1.simw")],
+            ["rank", "--out", str(root / "R1.csv")],
+            ["postrank", "--out", str(root / "post")],
+        ):
+            assert main([argv[0], "-c", config, "--rep", "R1", *argv[1:]]) == 0
+        assert "not trainable" not in capsys.readouterr().err
+        outputs[enabled] = {
+            path.relative_to(root): path.read_bytes()
+            for path in [root / "R1.simw", root / "R1.csv", *sorted((root / "post").iterdir())]
+        }
+    assert outputs[False] == outputs[True]
+    post = outputs[True]
+    assert post[Path("post/R1_postranked.csv")] != post[Path("post/R1_initial.csv")]
+
+
 def test_cli_train_reports_convergence_on_stderr(tmp_path, capsys):
     config_path = build_synthetic_dataset(tmp_path / "d", seeds=(0,), n_ids=10, pca_dim=4)
     model_path = tmp_path / "r1.simw"
@@ -734,8 +770,7 @@ def test_cli_train_reports_convergence_on_stderr(tmp_path, capsys):
     assert reason in ("converged", "max_iters", "line_search", "zero_gradient")
 
     # the line reads the model the command trained and saved
-    config = load_config(config_path)
-    config.postrank_enabled = False
+    config = replace(load_config(config_path), postrank_enabled=False)
     run = run_single_rep(config, "R1", 0).per_rep["R1"]
     assert line == f"R1: {run.model.iterations} iterations, stop_reason {run.model.stop_reason}"
     again = tmp_path / "again.simw"

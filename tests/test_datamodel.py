@@ -277,7 +277,7 @@ def test_split_multishot_view_sampling():
             records.append(ImageRecord(f"b{pid}_{k}", pid, "B"))
     split = make_split(records, seed=5)
     assert set(split.view_a) == set(range(6))
-    assert all(split.view_a[pid].startswith("a") for pid in range(6))
+    assert all(records[split.view_a[pid]].image_id.startswith(f"a{pid}_") for pid in range(6))
     assert make_split(records, seed=5).view_a == split.view_a
 
 

@@ -1,4 +1,5 @@
 import filecmp
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from conftest import build_synthetic_dataset, write_color_dataset
 import oracles
 from oracles import dense_block
-from reidpipe.config import load_config
-from reidpipe.datamodel import SparseBlock
+from reidpipe.config import ExperimentConfig, load_config
+from reidpipe.datamodel import ImageRecord, SparseBlock, make_split
 from reidpipe.errors import ConfigError, DataError
 from reidpipe.experiment import (
+    Dataset,
     load_dataset,
     run_experiment,
     run_seed,
@@ -157,9 +159,7 @@ def test_single_rep_matches_eval_final_stage(tmp_path):
 
 def test_load_dataset_requires_cues(tmp_path):
     config_path = build_synthetic_dataset(tmp_path / "d")
-    config = load_config(config_path)
-    config.ingested_cues = {}
-    config.computed_cues = ()
+    config = replace(load_config(config_path), ingested_cues={}, computed_cues=())
     with pytest.raises(ConfigError):
         load_dataset(config)
 
@@ -252,18 +252,58 @@ def test_dcia_computes_each_neighbor_window_once(synthetic_config, monkeypatch):
 
 
 def test_stage_rows_sort_the_distinct_rows_of_both_cameras(synthetic_config):
-    from reidpipe.datamodel import make_split
     from reidpipe.experiment import _stage_rows, _stage_sides
 
     dataset = load_dataset(load_config(synthetic_config))
     for seed in (0, 1, 5):
         split = make_split(dataset.records, seed)
         for ids in (split.train_ids, split.test_ids):
-            sides = _stage_sides(ids, split, dataset.row_index)
+            sides = _stage_sides(ids, split)
             rows = _stage_rows(sides)
             both = np.concatenate([sides.rows_a, sides.rows_b])
             np.testing.assert_array_equal(rows, np.unique(both))
             assert rows.size == both.size
+
+
+class _FirstStage(Exception):
+    pass
+
+
+def test_split_and_sub_split_pick_the_rows_of_the_image_id_splits(monkeypatch):
+    from reidpipe import experiment
+
+    two_view = [ImageRecord(f"{cam}{pid:03d}", pid, cam) for pid in range(21) for cam in "AB"]
+    # up to three shots per camera, rows in no id order, some identities seen by one camera
+    rng = np.random.default_rng(7)
+    multi_shot = [
+        ImageRecord(f"{cam}{pid:02d}_{k}", pid, cam)
+        for pid in range(23)
+        for cam in "AB"
+        if (pid, cam) not in ((4, "A"), (9, "B"), (17, "B"))
+        for k in range(1 + pid % 3)
+    ]
+    multi_shot = [multi_shot[i] for i in rng.permutation(len(multi_shot))]
+
+    asked = []
+
+    def first_stage(dataset, split, fit_ids, eval_ids, *rest, **kwargs):
+        asked.append((fit_ids, eval_ids))
+        raise _FirstStage
+
+    monkeypatch.setattr(experiment, "run_stage", first_stage)
+    config = ExperimentConfig(representations=("F0", "F1"))
+    for records in (two_view, multi_shot):
+        row_of = {rec.image_id: row for row, rec in enumerate(records)}
+        for seed in range(10):
+            split = make_split(records, seed)
+            train_ids, test_ids, view_a, view_b = oracles.split_by_image_id(records, seed)
+            assert (split.train_ids, split.test_ids) == (train_ids, test_ids)
+            assert split.view_a == {pid: row_of[image] for pid, image in view_a.items()}
+            assert split.view_b == {pid: row_of[image] for pid, image in view_b.items()}
+            # best-n's validation stage is run_seed's first
+            with pytest.raises(_FirstStage):
+                experiment.run_seed(Dataset(records, {}), config, seed)
+            assert asked.pop() == oracles.sub_split(train_ids, seed)
 
 
 def test_computed_cues_reduce_as_extracted_and_ingested_ones(tmp_path):
