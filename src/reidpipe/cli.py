@@ -91,14 +91,23 @@ def _cmd_postrank(args) -> int:
     return 0
 
 
+def _load_rankings(paths: list[str]):
+    """Each ranking CSV's lists, put in the first file's probe order, and
+    that file's probe and gallery ids. A file whose probe id set or gallery
+    ids differ from the first's raises DataError naming both."""
+    (first, probe_ids, gallery_ids), *rest = [load_rankings_csv(path) for path in paths]
+    lists = [first]
+    for path, (rankings, probes, galleries) in zip(paths[1:], rest):
+        if set(probes) != set(probe_ids) or galleries != gallery_ids:
+            raise DataError(f"{path}: probe/gallery ids differ from {paths[0]}")
+        by_id = dict(zip(probes, rankings))
+        lists.append([replace(by_id[probe], probe_index=p) for p, probe in enumerate(probe_ids)])
+    return lists, probe_ids, gallery_ids
+
+
 def _cmd_aggregate(args) -> int:
-    loaded = [load_rankings_csv(path) for path in args.rankings]
-    _, probe_ids, gallery_ids = loaded[0]
-    for path, (_, probes, galleries) in zip(args.rankings[1:], loaded[1:]):
-        if probes != probe_ids or galleries != gallery_ids:
-            raise DataError(f"{path}: probe/gallery ids differ from {args.rankings[0]}")
-    combined = aggregate([rankings for rankings, _, _ in loaded])
-    save_rankings_csv(combined, args.out, probe_ids, gallery_ids)
+    lists, probe_ids, gallery_ids = _load_rankings(args.rankings)
+    save_rankings_csv(aggregate(lists), args.out, probe_ids, gallery_ids)
     print(f"wrote {args.out}")
     return 0
 
@@ -124,10 +133,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    before, probe_ids, gallery_ids = load_rankings_csv(args.before)
-    after, probe_ids_after, gallery_ids_after = load_rankings_csv(args.after)
-    if probe_ids != probe_ids_after or gallery_ids != gallery_ids_after:
-        raise DataError("before/after rankings cover different probes or galleries")
+    (before, after), probe_ids, gallery_ids = _load_rankings([args.before, args.after])
     probe_index = {p: i for i, p in enumerate(probe_ids)}
     gallery_index = {g: i for i, g in enumerate(gallery_ids)}
     contents = load_content_csv(args.content, probe_index, gallery_index)

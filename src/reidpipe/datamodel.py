@@ -1,10 +1,10 @@
 """Dataset structures and on-disk formats.
 
 Owns the one read of input files, the bounds-checked binary reader, the
-UTF-8 CSV reader, the FEAT binary descriptor format, the layout of raw
-descriptor blocks (dense, or by their nonzero entries) with their one
-builder and one column-chunk reader, the identities CSV, binary PGM/PPM
-image reading, foreground masks and identity-disjoint train/test splits.
+UTF-8 CSV reader and writer, the FEAT binary descriptor format, the
+layout of raw descriptor blocks (dense, or by their nonzero entries) with
+their one builder and one column-chunk reader, the identities CSV, binary
+PGM/PPM images, foreground masks and identity-disjoint train/test splits.
 All structures but ``BlockRows``, which collects a block row by row, are
 immutable after construction and safe to share across concurrent readers.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import struct
 from array import array
 from dataclasses import dataclass
@@ -352,13 +353,15 @@ class BlockRows:
 
 
 # ---------------------------------------------------------------------------
-# UTF-8 CSV input; the identities CSV
+# UTF-8 CSV files: the one reader and the one writer; the identities CSV
 # ---------------------------------------------------------------------------
 
 class _CsvRows:
-    """A ``csv.reader`` whose tokenizer errors, such as a field longer than
-    ``csv.field_size_limit()``, raise FormatError naming the file and line.
-    Rows before the faulty one are still returned."""
+    """A ``csv.reader`` whose faults raise FormatError naming the file and
+    line: its tokenizer errors, such as a field longer than
+    ``csv.field_size_limit()``, a row of the wrong width (:meth:`row`) and
+    a field that does not convert (:meth:`field`). Rows before the faulty
+    one are still returned."""
 
     def __init__(self, path: str | Path, reader):
         self.path = path
@@ -369,14 +372,27 @@ class _CsvRows:
         """The physical lines read so far: a quoted field may span several."""
         return self._reader.line_num
 
-    def _error(self, exc: csv.Error) -> FormatError:
-        return FormatError(f"{self.path}: line {self.line_num}: {exc}")
+    def error(self, fault) -> FormatError:
+        """A FormatError for ``fault`` at the line last read."""
+        return FormatError(f"{self.path}: line {self.line_num}: {fault}")
+
+    def row(self, row: list[str], width: int) -> list[str]:
+        if len(row) != width:
+            raise self.error(f"malformed row {row!r}")
+        return row
+
+    def field(self, convert, text: str, what: str):
+        """``convert(text)``; a KeyError or ValueError is a bad ``what``."""
+        try:
+            return convert(text)
+        except (KeyError, ValueError):
+            raise self.error(f"bad {what} {text!r}") from None
 
     def __iter__(self):
         try:
             yield from self._reader
         except csv.Error as exc:
-            raise self._error(exc) from None
+            raise self.error(exc) from None
 
     def __next__(self) -> list[str]:
         return next(iter(self))
@@ -394,14 +410,15 @@ class _CsvRows:
             except csv.Error as exc:
                 if block:
                     yield block
-                raise self._error(exc) from None
+                raise self.error(exc) from None
             if not block:
                 return
             yield block
 
 
-def csv_reader(path: str | Path) -> _CsvRows:
+def csv_reader(path: str | Path, header: tuple[str, ...] | None = None) -> _CsvRows:
     """The CSV rows of ``path`` read as UTF-8; other bytes raise FormatError.
+    A ``header`` given must be the first row, or DataError is raised.
 
     The bytes are checked by one decode whose text is dropped, then decoded
     again as the rows are read: a ``StringIO`` of the text would hold 4 bytes
@@ -413,45 +430,59 @@ def csv_reader(path: str | Path) -> _CsvRows:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-    return _CsvRows(path, csv.reader(text))
+    rows = _CsvRows(path, csv.reader(text))
+    if header is not None and tuple(next(rows, ())) != header:
+        raise DataError(f"{path}: expected header {','.join(header)}")
+    return rows
+
+
+def escape_csv(ids: list[str]) -> list[str]:
+    """Each id as ``csv.writer`` writes it inside a row, quoted where needed."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = []
+    for value in ids:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value, ""))
+        out.append(buf.getvalue()[:-3])  # less the empty field's "," and the "\r\n"
+    return out
+
+
+def write_csv(path: str | Path, header: tuple[str, ...], chunks) -> None:
+    """Write ``header``, then each chunk of escaped, "\\r\\n"-terminated rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(chunks)
 
 
 IDENTITIES_HEADER = ("image_id", "person_id", "camera")
 
 
 def load_identities(path: str | Path) -> list[ImageRecord]:
-    """Read the ``image_id,person_id,camera`` CSV into records."""
+    """Read the ``image_id,person_id,camera`` CSV into records. The header
+    is optional and may only be the first row; blank lines are skipped."""
     records: list[ImageRecord] = []
     seen: set[str] = set()
     reader = csv_reader(path)
     for index, row in enumerate(reader):
-        if not row:
+        if not row or (index == 0 and tuple(v.strip() for v in row) == IDENTITIES_HEADER):
             continue
-        if index == 0 and tuple(v.strip() for v in row) == IDENTITIES_HEADER:
-            continue
-        lineno = reader.line_num  # the physical line: a quoted id may span several
-        if len(row) != 3:
-            raise FormatError(f"{path}: line {lineno}: expected 3 columns, got {len(row)}")
-        image_id, person_id, camera = (v.strip() for v in row)
-        try:
-            pid = int(person_id)
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: bad person_id {person_id!r}") from None
+        image_id, person_id, camera = (v.strip() for v in reader.row(row, 3))
+        pid = reader.field(int, person_id, "person_id")
         if camera not in CAMERAS:
-            raise FormatError(f"{path}: line {lineno}: unknown camera {camera!r}")
+            raise reader.error(f"unknown camera {camera!r}")
         if image_id in seen:
-            raise DataError(f"{path}: line {lineno}: duplicate image_id {image_id!r}")
+            raise DataError(f"{path}: line {reader.line_num}: duplicate image_id {image_id!r}")
         seen.add(image_id)
         records.append(ImageRecord(image_id=image_id, person_id=pid, camera=camera))
     return records
 
 
 def save_identities(records: list[ImageRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(IDENTITIES_HEADER)
-        for rec in records:
-            writer.writerow([rec.image_id, rec.person_id, rec.camera])
+    ids = escape_csv([rec.image_id for rec in records])
+    rows = (f"{image_id},{rec.person_id},{rec.camera}\r\n" for image_id, rec in zip(ids, records))
+    write_csv(path, IDENTITIES_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -495,29 +526,10 @@ def make_split(records: list[ImageRecord], seed: int) -> Split:
 # PGM / PPM image files
 # ---------------------------------------------------------------------------
 
-def _read_pnm_tokens(raw: bytes, count: int, path) -> tuple[list[int], int]:
-    """Parse ``count`` whitespace/comment-separated integers after the magic."""
-    tokens: list[int] = []
-    pos = 2
-    while len(tokens) < count:
-        if pos >= len(raw):
-            raise FormatError(f"{path}: truncated header")
-        ch = raw[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        elif ch.isdigit():
-            start = pos
-            while pos < len(raw) and raw[pos : pos + 1].isdigit():
-                pos += 1
-            tokens.append(int(raw[start:pos]))
-        else:
-            raise FormatError(f"{path}: unexpected byte {ch!r} in header")
-    if pos >= len(raw) or not raw[pos : pos + 1].isspace():
-        raise FormatError(f"{path}: missing whitespace after header")
-    return tokens, pos + 1
+# A binary PGM/PPM header: the magic, then width, height and maxval, each after
+# whitespace and comments, then one whitespace byte. A comment ends only at a
+# line end, so a run of "#" is one comment and a match takes linear time.
+_PNM_HEADER = re.compile(rb"P[56]" + rb"(?:\s|#[^\r\n]*(?![^\r\n]))+(\d+)" * 3 + rb"\s")
 
 
 def _load_pnm(path: str | Path, magic: bytes, channels: int) -> np.ndarray:
@@ -525,13 +537,16 @@ def _load_pnm(path: str | Path, magic: bytes, channels: int) -> np.ndarray:
     raw = read_bytes(path)
     if raw[:2] != magic:
         raise FormatError(f"{path}: not a {magic.decode()} file")
-    (width, height, maxval), offset = _read_pnm_tokens(raw, 3, path)
+    header = _PNM_HEADER.match(raw)
+    if header is None:
+        raise FormatError(f"{path}: bad header")
+    width, height, maxval = map(int, header.groups())
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
     if width == 0 or height == 0:
         raise FormatError(f"{path}: empty {width}x{height} image")
     expected = width * height * channels
-    payload = raw[offset : offset + expected]
+    payload = raw[header.end() : header.end() + expected]
     if len(payload) != expected:
         raise FormatError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
     data = np.frombuffer(payload, dtype=np.uint8)
@@ -562,17 +577,13 @@ def load_image(path: str | Path) -> np.ndarray:
     return pixels.astype(np.float64) / 255.0
 
 
-def save_pgm(pixels: np.ndarray, path: str | Path) -> None:
-    """Write a uint8 (H, W) array as binary PGM."""
+def save_pnm(pixels: np.ndarray, path: str | Path) -> None:
+    """Write a uint8 (H, W) array as binary PGM (P5), an (H, W, 3) one as
+    binary PPM (P6)."""
     arr = np.ascontiguousarray(pixels, dtype=np.uint8)
     with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
+        fh.write(b"P%d\n%d %d\n255\n" % (6 if arr.ndim == 3 else 5, arr.shape[1], arr.shape[0]))
         fh.write(arr.tobytes())
 
 
-def save_ppm(pixels: np.ndarray, path: str | Path) -> None:
-    """Write a uint8 (H, W, 3) array as binary PPM."""
-    arr = np.ascontiguousarray(pixels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
+save_pgm = save_ppm = save_pnm

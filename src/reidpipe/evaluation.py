@@ -7,8 +7,6 @@ post-ranking statistics compare the ranks before and after post-ranking.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -16,7 +14,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .datamodel import csv_reader
+from .datamodel import csv_reader, escape_csv, write_csv
 from .errors import DataError
 from .postrank import ContentSet
 from .simlearn import RankingList
@@ -125,40 +123,6 @@ RANKING_HEADER = ("probe_id", "rank", "gallery_id", "score")
 ROW_BLOCK = 512
 
 
-def _field(convert, text: str, what: str, path, reader):
-    """``convert(text)``; a bad value raises DataError naming file and line."""
-    try:
-        return convert(text)
-    except (KeyError, ValueError):
-        raise DataError(f"{path}: line {reader.line_num}: bad {what} {text!r}") from None
-
-
-def _row(row: list[str], width: int, path, reader) -> list[str]:
-    if len(row) != width:
-        raise DataError(f"{path}: line {reader.line_num}: malformed row {row!r}")
-    return row
-
-
-def _escaped(ids: list[str]) -> list[str]:
-    """Each id as ``csv.writer`` writes it inside a row, quoted where needed."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    out = []
-    for value in ids:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((value, ""))
-        out.append(buf.getvalue()[:-3])  # less the empty field's "," and the "\r\n"
-    return out
-
-
-def _write_csv(path: str | Path, header: tuple[str, ...], chunks) -> None:
-    """Write ``header``, then each chunk of escaped, "\\r\\n"-terminated rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(chunks)
-
-
 def save_rankings_csv(
     rankings: list[RankingList],
     path: str | Path,
@@ -166,7 +130,7 @@ def save_rankings_csv(
     gallery_ids: list[str],
 ) -> None:
     """Write rankings (best first) under their probe and gallery ids."""
-    probes, galleries = _escaped(probe_ids), _escaped(gallery_ids)
+    probes, galleries = escape_csv(probe_ids), escape_csv(gallery_ids)
 
     def chunks():
         for ranking in rankings:
@@ -176,7 +140,7 @@ def save_rankings_csv(
                 for rank, g in enumerate(ranking.order.tolist(), start=1)
             ])
 
-    _write_csv(path, RANKING_HEADER, chunks())
+    write_csv(path, RANKING_HEADER, chunks())
 
 
 CONTENT_HEADER = ("probe_id", "gallery_id", "threshold")
@@ -189,8 +153,8 @@ def save_content_csv(
     probe_ids: list[str],
     gallery_ids: list[str],
 ) -> None:
-    probes, galleries = _escaped(probe_ids), _escaped(gallery_ids)
-    _write_csv(path, CONTENT_HEADER, (
+    probes, galleries = escape_csv(probe_ids), escape_csv(gallery_ids)
+    write_csv(path, CONTENT_HEADER, (
         f"{probes[content.probe_index]},{galleries[g]},{content.threshold:.10g}\r\n"
         for content in contents
         for g in content.members
@@ -207,14 +171,11 @@ def load_content_csv(
     the file and line."""
     members: dict[str, dict[int, None]] = {}  # insertion-ordered sets
     thresholds: dict[str, float] = {}
-    reader = csv_reader(path)
-    header = next(reader, None)
-    if header is None or tuple(header) != CONTENT_HEADER:
-        raise DataError(f"{path}: expected header {','.join(CONTENT_HEADER)}")
+    reader = csv_reader(path, CONTENT_HEADER)
     for row in reader:
-        probe, gallery, threshold = _row(row, 3, path, reader)
-        g = _field(gallery_index.__getitem__, gallery, "gallery id", path, reader)
-        t = _field(float, threshold, "threshold", path, reader)
+        probe, gallery, threshold = reader.row(row, 3)
+        g = reader.field(gallery_index.__getitem__, gallery, "gallery id")
+        t = reader.field(float, threshold, "threshold")
         if g in members.setdefault(probe, {}):
             raise DataError(f"{path}: line {reader.line_num}: probe {probe} lists {gallery} twice")
         if not np.array_equal(thresholds.setdefault(probe, t), t, equal_nan=True):
@@ -238,9 +199,9 @@ def save_truth_csv(
     probe_ids: list[str],
     gallery_ids: list[str],
 ) -> None:
-    probes, galleries = _escaped(probe_ids), _escaped(gallery_ids)
+    probes, galleries = escape_csv(probe_ids), escape_csv(gallery_ids)
     rows = (f"{probes[p]},{galleries[truth[p]]}\r\n" for p in sorted(truth))
-    _write_csv(path, TRUTH_HEADER, rows)
+    write_csv(path, TRUTH_HEADER, rows)
 
 
 def load_truth_csv(
@@ -249,29 +210,25 @@ def load_truth_csv(
     gallery_index: dict[str, int],
 ) -> dict[int, int]:
     truth: dict[int, int] = {}
-    reader = csv_reader(path)
-    header = next(reader, None)
-    if header is None or tuple(header) != TRUTH_HEADER:
-        raise DataError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
+    reader = csv_reader(path, TRUTH_HEADER)
     for row in reader:
-        probe, gallery = _row(row, 2, path, reader)
+        probe, gallery = reader.row(row, 2)
         if probe in probe_index:
             if probe_index[probe] in truth:
                 raise DataError(f"{path}: line {reader.line_num}: probe {probe} listed twice")
-            truth[probe_index[probe]] = _field(
-                gallery_index.__getitem__, gallery, "gallery id", path, reader
-            )
+            g = reader.field(gallery_index.__getitem__, gallery, "gallery id")
+            truth[probe_index[probe]] = g
     return truth
 
 
 def _raise_first_fault(path, start: int) -> NoReturn:
     """Re-read the data rows from row ``start`` (0-based) one by one and raise
     at the first malformed row, bad rank or bad score, naming its line."""
-    reader = csv_reader(path)
-    for row in islice(reader, start + 1, None):  # + 1: the header
-        _, rank, _, score = _row(row, 4, path, reader)
-        _field(int, rank, "rank", path, reader)
-        _field(float, score, "score", path, reader)
+    reader = csv_reader(path, RANKING_HEADER)
+    for row in islice(reader, start, None):
+        _, rank, _, score = reader.row(row, 4)
+        reader.field(int, rank, "rank")
+        reader.field(float, score, "score")
     raise AssertionError(f"{path}: no faulty row from row {start}")
 
 
@@ -294,10 +251,7 @@ def load_rankings_csv(path: str | Path) -> tuple[list[RankingList], list[str], l
     by its line; then the first probe, in probe order, whose ranks are not
     1..G over G distinct gallery ids.
     """
-    reader = csv_reader(path)
-    header = next(reader, None)
-    if header is None or tuple(header) != RANKING_HEADER:
-        raise DataError(f"{path}: expected header {','.join(RANKING_HEADER)}")
+    reader = csv_reader(path, RANKING_HEADER)
     probe_codes: dict[str, int] = {}
     gallery_codes: dict[str, int] = {}
     columns: list[tuple[np.ndarray, ...]] = []

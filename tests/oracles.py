@@ -5,16 +5,19 @@ block, a SILTP histogram from one patch's own codes, a pair accuracy
 read off the shipped score matrix, a raw block's dense values, the
 per-probe loops that found true-match ranks for the CMC curve, counted
 post-ranking outcomes and counted best-n's top-1 hits, the report built
-by one accumulator per field inside the seed loop, and the splits drawn
-with views held as image ids and best-n's sub-split drawn by its own
-routine.
+by one accumulator per field inside the seed loop, the splits drawn
+with views held as image ids, best-n's sub-split drawn by its own
+routine, and a binary PGM/PPM file read by a byte-by-byte header
+tokenizer.
 """
+
+from pathlib import Path
 
 import numpy as np
 
 from reidpipe import evaluation, kernels
-from reidpipe.datamodel import SparseBlock
-from reidpipe.errors import ConfigError, DataError, DimError
+from reidpipe.datamodel import SparseBlock, read_bytes
+from reidpipe.errors import ConfigError, DataError, DimError, FormatError
 from reidpipe.evaluation import CmcCurve
 from reidpipe.experiment import _SUBSPLIT_STREAM, ExperimentReport
 from reidpipe.features.texture import SILTP_BINS, SILTP_TAU
@@ -269,3 +272,50 @@ def sub_split(train_ids, seed: int):
     perm = rng.permutation(len(ids))
     half = len(ids) // 2
     return frozenset(ids[i] for i in perm[:half]), frozenset(ids[i] for i in perm[half:])
+
+
+def _read_pnm_tokens(raw: bytes, count: int, path) -> tuple[list[int], int]:
+    """Parse ``count`` whitespace/comment-separated integers after the magic."""
+    tokens: list[int] = []
+    pos = 2
+    while len(tokens) < count:
+        if pos >= len(raw):
+            raise FormatError(f"{path}: truncated header")
+        ch = raw[pos : pos + 1]
+        if ch == b"#":
+            while pos < len(raw) and raw[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif ch.isspace():
+            pos += 1
+        elif ch.isdigit():
+            start = pos
+            while pos < len(raw) and raw[pos : pos + 1].isdigit():
+                pos += 1
+            tokens.append(int(raw[start:pos]))
+        else:
+            raise FormatError(f"{path}: unexpected byte {ch!r} in header")
+    if pos >= len(raw) or not raw[pos : pos + 1].isspace():
+        raise FormatError(f"{path}: missing whitespace after header")
+    return tokens, pos + 1
+
+
+def load_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """A binary PGM (``channels`` 1) or PPM (3) file's pixels, its header
+    read by :func:`_read_pnm_tokens`."""
+    path = Path(path)
+    raw = read_bytes(path)
+    if raw[:2] != magic:
+        raise FormatError(f"{path}: not a {magic.decode()} file")
+    (width, height, maxval), offset = _read_pnm_tokens(raw, 3, path)
+    if maxval != 255:
+        raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
+    if width == 0 or height == 0:
+        raise FormatError(f"{path}: empty {width}x{height} image")
+    expected = width * height * channels
+    payload = raw[offset : offset + expected]
+    if len(payload) != expected:
+        raise FormatError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
+    data = np.frombuffer(payload, dtype=np.uint8)
+    if channels == 1:
+        return data.reshape(height, width)
+    return data.reshape(height, width, channels)

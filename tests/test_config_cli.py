@@ -472,6 +472,43 @@ def test_cli_aggregate_faulty_ranking_row_is_exit_3(tmp_path, capsys, row, messa
     assert f"b.csv: {message}" in capsys.readouterr().err
 
 
+def test_cli_aggregate_and_stats_match_ranking_files_by_probe_id(tmp_path, capsys):
+    # p0's true match g0 falls from rank 1 to 2 after post-ranking; p1's rises from 2 to 1
+    before = [("p0", "1", "g0", "0.9"), ("p0", "2", "g1", "0.1"),
+              ("p1", "1", "g1", "0.8"), ("p1", "2", "g0", "0.2")]
+    after = [("p0", "1", "g1", "0.6"), ("p0", "2", "g0", "0.4"),
+             ("p1", "1", "g0", "0.7"), ("p1", "2", "g1", "0.3")]
+    files = {
+        "before": _write_csv(tmp_path / "before.csv", RANKING, before),
+        "after": _write_csv(tmp_path / "after.csv", RANKING, after),
+        "swapped": _write_csv(tmp_path / "swapped.csv", RANKING, after[2:] + after[:2]),
+        "other": _write_csv(tmp_path / "other.csv", RANKING, after[:2] + [
+            ("p2", "1", "g0", "0.5"), ("p2", "2", "g1", "0.5")]),
+    }
+    content = _write_csv(tmp_path / "c.csv", CONTENT, [
+        (p, g, "0.5") for p in ("p0", "p1") for g in ("g0", "g1")])
+    truth = _write_csv(tmp_path / "t.csv", TRUTH, [("p0", "g0"), ("p1", "g0")])
+    aggregated, printed = {}, {}
+    for name in ("after", "swapped"):
+        out = tmp_path / f"agg_{name}.csv"
+        assert main(["aggregate", files["before"], files[name], "--out", str(out)]) == 0
+        aggregated[name] = out.read_bytes()
+        capsys.readouterr()
+        assert main(["stats", "--before", files["before"], "--after", files[name],
+                     "--content", content, "--truth", truth]) == 0
+        printed[name] = capsys.readouterr().out
+    assert aggregated["swapped"] == aggregated["after"]
+    assert printed["swapped"] == printed["after"]
+    assert "improved         50.00%" in printed["after"]
+    assert "worsened         50.00%" in printed["after"]
+    fault = f"{files['other']}: probe/gallery ids differ from {files['before']}"
+    assert main(["aggregate", files["before"], files["other"], "--out", str(tmp_path / "x")]) == 3
+    assert fault in capsys.readouterr().err
+    assert main(["stats", "--before", files["before"], "--after", files["other"],
+                 "--content", content, "--truth", truth]) == 3
+    assert fault in capsys.readouterr().err
+
+
 def test_cli_stats_unknown_gallery_id_is_exit_3(tmp_path, capsys):
     rows = [("p0", "1", "g0", "1"), ("p0", "2", "g1", "0")]
     ranking = _write_csv(tmp_path / "r.csv", RANKING, rows)

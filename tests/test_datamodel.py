@@ -1,13 +1,16 @@
+import csv
+import signal
 import struct
 import sys
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import dense_block
+from oracles import dense_block, load_pnm
 from reidpipe import datamodel
 from reidpipe.datamodel import (
     BlockRows,
@@ -217,6 +220,17 @@ def test_identities_round_trip(tmp_path):
     assert load_identities(path) == records
 
 
+def test_identities_writer_bytes_equal_csv_writer(tmp_path):
+    ids = [",", '"', 'a"b', "\r", "\n", "a\r\nb", " lead", "trail ", "x y", "\u00e9\u4e2d", ""]
+    records = [ImageRecord(image_id, i, "AB"[i % 2]) for i, image_id in enumerate(ids)]
+    save_identities(records, tmp_path / "ids.csv")
+    with open(tmp_path / "oracle.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("image_id", "person_id", "camera"))
+        writer.writerows((rec.image_id, rec.person_id, rec.camera) for rec in records)
+    assert (tmp_path / "ids.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
 def test_image_record_bad_camera():
     with pytest.raises(FormatError):
         ImageRecord("x", 1, "Q")
@@ -352,6 +366,76 @@ def test_ppm_zero_size_is_format_error(tmp_path):
     path.write_bytes(b"P6\n0 128\n255\n")
     with pytest.raises(FormatError):
         load_image(path)
+
+
+PNM_GAPS = [b" ", b"\t", b"\r", b"\n", b"\r\n", b"\x0b", b"\x0c"]
+
+
+@st.composite
+def pnm_files(draw):
+    """``(magic, channels, raw)``: a binary PGM or PPM file whose header
+    mixes whitespace, ``#`` comments and digit runs, in one case of four
+    with up to two of its parts replaced by junk bytes or dropped, and
+    whose payload is often long enough."""
+    magic, channels = draw(st.sampled_from([(b"P5", 1), (b"P6", 3)]))
+    whitespace = st.sampled_from(PNM_GAPS)
+    line_end = st.sampled_from([b"\n", b"\r", b"\r\n", b""])
+    comment = st.builds(b"#%s%s".__mod__, st.tuples(st.binary(max_size=4), line_end))
+    gap = st.lists(whitespace | comment, min_size=1, max_size=3).map(b"".join)
+    number = st.sampled_from([b"1", b"2", b"3", b"4", b"02", b"0", b"256"])
+    maxval = st.sampled_from([b"255", b"255", b"0255", b"254", b"2"])
+    parts = [magic, *(draw(s) for s in (gap, number, gap, number, gap, maxval, whitespace))]
+    if draw(st.sampled_from([False, False, False, True])):
+        for at in draw(st.lists(st.integers(1, len(parts) - 1), min_size=1, max_size=2)):
+            parts[at] = draw(st.binary(max_size=2))
+    size = draw(st.sampled_from([64, 64, 64, 0]) | st.integers(0, 64))
+    return magic, channels, b"".join(parts) + bytes(range(size))
+
+
+def _pnm_outcome(load, path, magic, channels):
+    try:
+        pixels = load(path, magic, channels)
+    except FormatError:
+        return FormatError
+    return pixels.shape, pixels.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=pnm_files())
+@example(case=(b"P6", 3, b"P62 1 255\n" + bytes(6)))
+@example(case=(b"P5", 1, b"P5#c\r2#\n1\t255 ab"))
+def test_pnm_header_reads_like_the_old_tokenizer(tmp_path_factory, case):
+    magic, channels, raw = case
+    path = tmp_path_factory.mktemp("pnm") / "f.pnm"
+    path.write_bytes(raw)
+    got = _pnm_outcome(datamodel._load_pnm, path, magic, channels)
+    if raw[2:3].isdigit():  # no whitespace after the magic: the old reader took it
+        assert got is FormatError
+    else:
+        assert got == _pnm_outcome(load_pnm, path, magic, channels)
+
+
+@pytest.mark.parametrize("filler", [b"#", b" "])
+def test_pnm_long_header_is_rejected_in_linear_time(tmp_path, filler):
+    # a pattern that could split a run of "#" into comments in many ways
+    # would take exponential time: the alarm ends such a match
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5" + filler * 100_000)
+
+    def timeout(signum, frame):
+        raise TimeoutError("header still being parsed after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match="m.pgm: bad header"):
+            load_mask(path)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.0
 
 
 def test_feat_trailing_bytes(tmp_path):

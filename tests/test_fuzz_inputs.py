@@ -8,6 +8,7 @@ the loader rejects it; fuzzed CSVs given to ``reidpipe aggregate`` and
 ``reidpipe stats`` end with exit code 0 or 3.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from reidpipe.datamodel import (
     save_pgm,
     save_ppm,
 )
-from reidpipe.errors import ReidError
+from reidpipe.errors import DataError, FormatError, ReidError
 from reidpipe.evaluation import (
     load_content_csv,
     load_rankings_csv,
@@ -175,6 +176,41 @@ def test_fuzzed_csv_raises_only_reid_errors(tmp_path_factory, valid_csvs, name, 
     path = tmp_path_factory.mktemp("fuzz_csv") / f"{name}.csv"
     path.write_bytes(data.draw(fuzzed(raw)))
     _loads(load, path)
+
+
+RANKING_HEAD = "probe_id,rank,gallery_id,score\n"
+CONTENT_HEAD = "probe_id,gallery_id,threshold\n"
+TRUTH_HEAD = "probe_id,gallery_id\n"
+
+
+@pytest.mark.parametrize("name, text, error, message", [
+    ("identities", "image_id,person_id,camera\na0,0\n", FormatError,
+     "line 2: malformed row ['a0', '0']"),
+    ("identities", "a0,0,A\na1,one,B\n", FormatError, "line 2: bad person_id 'one'"),
+    ("rankings", RANKING_HEAD + "a0,1,b0\n", FormatError,
+     "line 2: malformed row ['a0', '1', 'b0']"),
+    ("rankings", RANKING_HEAD + "a0,1,b0,0.5\na0,2,b1,high\n", FormatError,
+     "line 3: bad score 'high'"),
+    ("rankings", CONTENT_HEAD, DataError, "expected header probe_id,rank,gallery_id,score"),
+    ("content", CONTENT_HEAD + "a0,b0\n", FormatError, "line 2: malformed row ['a0', 'b0']"),
+    ("content", CONTENT_HEAD + "a0,b0,0.5\na0,b9,0.5\n", FormatError,
+     "line 3: bad gallery id 'b9'"),
+    ("content", CONTENT_HEAD + "a0,b0,half\n", FormatError, "line 2: bad threshold 'half'"),
+    ("content", "", DataError, "expected header probe_id,gallery_id,threshold"),
+    ("truth", TRUTH_HEAD + "a0\n", FormatError, "line 2: malformed row ['a0']"),
+    ("truth", TRUTH_HEAD + "a0,b0\na1,b9\n", FormatError, "line 3: bad gallery id 'b9'"),
+    ("truth", RANKING_HEAD, DataError, "expected header probe_id,gallery_id"),
+], ids=[
+    "identities-short_row", "identities-bad_person_id", "rankings-short_row", "rankings-bad_score",
+    "rankings-wrong_header", "content-short_row", "content-bad_gallery_id", "content-bad_threshold",
+    "content-no_header", "truth-short_row", "truth-bad_gallery_id", "truth-wrong_header",
+])
+def test_csv_fault_names_the_file_and_line(tmp_path, valid_csvs, name, text, error, message):
+    # the identities header is optional, so a wrong one is a faulty row
+    path = tmp_path / f"{name}.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=re.escape(f"{name}.csv: {message}")):
+        valid_csvs[name][1](path)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -39,12 +39,12 @@ def _field_loop(convert, text, what, path, reader):
     try:
         return convert(text)
     except (KeyError, ValueError):
-        raise DataError(f"{path}: line {reader.line_num}: bad {what} {text!r}") from None
+        raise FormatError(f"{path}: line {reader.line_num}: bad {what} {text!r}") from None
 
 
 def _row_loop(row, width, path, reader):
     if len(row) != width:
-        raise DataError(f"{path}: line {reader.line_num}: malformed row {row!r}")
+        raise FormatError(f"{path}: line {reader.line_num}: malformed row {row!r}")
     return row
 
 
