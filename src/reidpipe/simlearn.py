@@ -13,14 +13,14 @@ every other per-block step is one batched product over the group, so
 neither a scoring call nor a training iteration loops over blocks in
 Python.
 
-Training minimizes a logistic pair loss with Frobenius regularization by
-full-batch gradient descent with backtracking line search. The score is
-linear in the weights, so the problem is convex and a trial step ``W - tG``
-scores as ``s(W) - t*s(G)``: each iteration scores the gradient direction
+Training minimizes a logistic pair loss with Frobenius regularization, a
+convex problem, by limited-memory BFGS (Liu & Nocedal 1989) with Armijo
+backtracking. The score is linear in the weights, so a trial step
+``W + tD`` scores as ``s(W) + t*s(D)``: each iteration scores its direction
 once, prices every line-search trial in O(n_pairs) and computes gradients
 only at the accepted point.
 
-From W = 0, every gradient step leaves the weights a combination of the
+From W = 0, every L-BFGS step leaves the weights a combination of the
 training pairs' feature maps, W = S Psi^T alpha, so the trainer runs one
 loop over the n pair coefficients alpha and forms the weights once, at the
 end. The one product an iteration needs, K v with K = Psi S^2 Psi^T, is
@@ -33,6 +33,7 @@ scored by the core.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -306,9 +307,14 @@ def rank_gallery(
 # ---------------------------------------------------------------------------
 
 # Training stops once the loss changes by at most REL_TOL relative to the
-# previous one; a line-search trial must lower it by ARMIJO * t * |grad|^2.
-REL_TOL = 1e-6
+# previous one; a line-search trial must lower it by ARMIJO * t * -<G, D>
+# along the direction D. REL_TOL is the largest power of ten at which the
+# ingested316 reports of input seeds 1 and 2 are the same at one and two
+# BLAS threads (ROADMAP item 3); on a flatter loss a converged model still
+# moves with rounding. L-BFGS keeps the last MEMORY steps and gradient changes.
+REL_TOL = 1e-9
 ARMIJO = 1e-4
+MEMORY = 10
 NEG_RATIO = 10  # negative pairs sampled per positive
 
 
@@ -505,6 +511,32 @@ def _pair_gram(data: _PairData, gamma: float) -> np.ndarray:
     return gram
 
 
+def _inner(u: np.ndarray, v: np.ndarray) -> float:
+    """<u, v> of two (W, bias) points, each held as two rows: its pair
+    coefficients and bias, and its image, K on the coefficients and the bias
+    as it is. So <W_u, W_v> + bias_u bias_v is one dot product."""
+    return float(u[0] @ v[1])
+
+
+def _lbfgs_direction(g: np.ndarray, memory: deque) -> np.ndarray:
+    """The L-BFGS direction -H g by the two-loop recursion, held like g as
+    in :func:`_inner`. Each memory slot holds a step s and a gradient change
+    y, held so too, and 1/<s, y>; the direction is a combination of g and
+    the slots, so its image needs no K product. With an empty memory the
+    direction is -g."""
+    q = g.copy()
+    coefs = []
+    for s, y, rho in reversed(memory):
+        coefs.append(rho * _inner(s, q))
+        q -= coefs[-1] * y
+    if memory:
+        _, y, rho = memory[-1]
+        q *= 1.0 / (rho * _inner(y, y))  # <s, y> / <y, y>
+    for (s, y, rho), a in zip(memory, reversed(coefs)):
+        q += (a - rho * _inner(y, q)) * s
+    return -q
+
+
 def train_model(
     bank_a: FeatureBank,
     bank_b: FeatureBank,
@@ -513,20 +545,24 @@ def train_model(
     gamma: float = GAMMA_DEFAULT,
     config: TrainConfig = TrainConfig(),
 ) -> SimilarityModel:
-    """Fit weight blocks by full-batch gradient descent with line search.
+    """Fit weight blocks by L-BFGS with Armijo backtracking.
 
     ``pairs`` rows are (index_a, index_b, +1/-1), with indices in range;
     both classes must be present. Weights start at zero (the loss is convex
-    in them), so every gradient step leaves them a combination of the
-    pairs' feature maps, W = S Psi^T alpha (the representer theorem; Psi and
-    S as in :func:`_coef_weights`). The loop holds the pair coefficients
-    alpha and their pair scores z_w = K alpha, with K = Psi S^2 Psi^T: each
-    iteration forms beta = c + 2 lam alpha from the pair loss slopes c (the
-    gradient is G = S Psi^T beta) and computes K beta once. ||W||^2, <W, G>
-    and ||G||^2 are then alpha.z_w, beta.z_w and beta.K beta, so every
-    line-search trial is priced in O(n_pairs). :func:`_kernel` chooses by
-    size how K v is computed. The weights are formed once, at the end, and
-    are symmetric by construction.
+    in them), and every L-BFGS step combines past steps and gradients, so
+    the weights stay W = S Psi^T alpha over the pairs' feature maps (the
+    representer theorem; Psi and S as in :func:`_coef_weights`). The loop
+    holds alpha and the bias beside their image (see :func:`_inner`): K alpha,
+    with K = Psi S^2 Psi^T, is the pair scores less the bias. Each iteration
+    forms beta = c + 2 lam alpha from the pair loss slopes c (the gradient is
+    G = S Psi^T beta) and computes K beta once; :func:`_lbfgs_direction`
+    builds the direction D and its image from the memory alone. ||W + tD||^2
+    is quadratic and the scores linear in t, so every line-search trial,
+    from t = 1 down by at most 60 halvings, is priced in O(n_pairs). A step
+    whose <s, y> is not positive is not kept, and a direction that does not
+    descend clears the memory and falls back to -G, so the first step is a
+    gradient step. :func:`_kernel` chooses by size how K v is computed. The
+    weights are formed once, at the end, and are symmetric by construction.
 
     The model records the accepted steps in ``iterations`` and why training
     stopped in ``stop_reason``: ``converged``, ``max_iters``, ``line_search``
@@ -537,45 +573,58 @@ def train_model(
         raise DataError("training pairs must contain both classes")
     lam = config.lam
     kernel = _kernel(data, gamma)
-    alpha = np.zeros(len(data.y))
-    z_w = np.zeros(len(data.y))
-    bias = 0.0
-    z = z_w - bias
+    n = len(data.y)
+    x = np.zeros((2, n + 1))  # (alpha, bias) and (K alpha, bias); see _inner
+    z = np.zeros(n)  # pair scores less the bias
     margins = -data.y * z
     loss = _loss(margins, 0.0, lam)
     if not np.isfinite(loss):
         raise NumericError("initial loss is not finite")
-    step = 1.0
+    memory: deque = deque(maxlen=MEMORY)
+    last = None  # the last step and the gradient it started from
     iterations = 0
     stop = "max_iters"
     while iterations < config.max_iters:
         coef = -data.y * _sigmoid(margins)
-        grad_bias = float(-coef.sum())
-        beta = coef + 2.0 * lam * alpha
-        dz_w = kernel(beta)
-        w_sq, w_dot_g, g_sq = float(alpha @ z_w), float(beta @ z_w), float(beta @ dz_w)
-        grad_sq = grad_bias**2 + g_sq
+        g = np.empty((2, n + 1))
+        g[0, :n] = coef + 2.0 * lam * x[0, :n]
+        g[1, :n] = kernel(g[0, :n])
+        g[:, n] = -coef.sum()
+        if last is not None:
+            s, y = last[0], g - last[1]
+            s_dot_y = _inner(s, y)
+            if s_dot_y > 0.0:
+                memory.append((s, y, 1.0 / s_dot_y))
+        grad_sq = _inner(g, g)
         if grad_sq == 0.0:
             stop = "zero_gradient"
             break
-        # z(W - tG, bias - t*grad_bias) = z - t*dz
-        dz = dz_w - grad_bias
-        t = step
+        d = _lbfgs_direction(g, memory)
+        slope = _inner(g, d)
+        if not slope < 0.0:
+            memory.clear()
+            d, slope = -g, -grad_sq
+        # z(x + t d) = z + t dz
+        dz = d[1, :n] - d[1, n]
+        w_sq = float(x[0, :n] @ x[1, :n])
+        w_dot_d = float(d[0, :n] @ x[1, :n])
+        d_sq = float(d[0, :n] @ d[1, :n])
+        t = 1.0
         for _ in range(60):
-            trial_margins = -data.y * (z - t * dz)
-            trial_loss = _loss(trial_margins, w_sq - 2.0 * t * w_dot_g + t * t * g_sq, lam)
-            if np.isfinite(trial_loss) and trial_loss <= loss - ARMIJO * t * grad_sq:
+            trial_margins = -data.y * (z + t * dz)
+            trial_loss = _loss(trial_margins, w_sq + 2.0 * t * w_dot_d + t * t * d_sq, lam)
+            if np.isfinite(trial_loss) and trial_loss <= loss + ARMIJO * t * slope:
                 break
             t *= 0.5
         else:
             stop = "line_search"
             break
-        alpha, z_w = alpha - t * beta, z_w - t * dz_w
-        bias -= t * grad_bias
-        z, margins = z - t * dz, trial_margins
+        d *= t
+        x += d
+        last = (d, g)
+        z, margins = z + t * dz, trial_margins
         prev_loss, loss = loss, trial_loss
         iterations += 1
-        step = t * 2.0
         if abs(prev_loss - loss) <= REL_TOL * max(1.0, abs(prev_loss)):
             stop = "converged"
             break
@@ -583,8 +632,8 @@ def train_model(
     # coefficient matrix is as large in pair space.
     del kernel
     return SimilarityModel(
-        rep_id=rep.rep_id, gamma=gamma, bias=bias,
-        blocks=data.unstack(_coef_weights(data, alpha, gamma)),
+        rep_id=rep.rep_id, gamma=gamma, bias=float(x[0, n]),
+        blocks=data.unstack(_coef_weights(data, x[0, :n], gamma)),
         iterations=iterations, stop_reason=stop,
     )
 

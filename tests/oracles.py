@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reidpipe import evaluation, kernels
+from reidpipe import evaluation, kernels, simlearn
 from reidpipe.datamodel import SparseBlock, read_bytes
 from reidpipe.errors import ConfigError, DataError, DimError, FormatError
 from reidpipe.evaluation import CmcCurve
@@ -28,6 +28,7 @@ from reidpipe.simlearn import (
     FeatureBank,
     RankingList,
     SimilarityModel,
+    TrainConfig,
     _PairData,
     score_gallery,
 )
@@ -98,6 +99,68 @@ def pair_accuracy(
     data = _PairData(bank_a, bank_b, pairs, model.block_keys())
     z = score_gallery(model, bank_a, bank_b)[data.p, data.q] - model.bias
     return float(np.mean(np.where(z > 0, 1.0, -1.0) == data.y))
+
+
+def per_pair_loss_and_gradient(bank_a, bank_b, pairs, blocks, bias, gamma, lam):
+    """Oracle for loss_and_gradient: every pair's a, b and a - b rows stacked
+    per block, pair scores and gradients summed pair by pair."""
+    pairs = np.asarray(pairs)
+    y = pairs[:, 2].astype(np.float64)
+    stacks = {key: (bank_a[key][pairs[:, 0]], bank_b[key][pairs[:, 1]]) for key in blocks}
+    scale = {key: gamma if key[1] == "G" else 1.0 for key in blocks}
+    scores = np.zeros(len(y))
+    for key, (w_m, w_b) in blocks.items():
+        a, b = stacks[key]
+        diff = a - b
+        term = np.einsum("ij,ij->i", diff @ w_m, diff)
+        term += np.einsum("ij,ij->i", a @ (w_b + w_b.T), b)
+        scores += scale[key] * term
+    margins = -y * (scores - bias)
+    coef = -y * np.exp(-np.logaddexp(0.0, -margins))
+    sq_norm = sum(np.sum(w_m * w_m) + np.sum(w_b * w_b) for w_m, w_b in blocks.values())
+    loss = float(np.logaddexp(0.0, margins).sum()) + lam * sq_norm
+    grads = {}
+    for key, (w_m, w_b) in blocks.items():
+        a, b = stacks[key]
+        c = scale[key] * coef[:, None]
+        diff = a - b
+        m = (diff * c).T @ diff
+        x = (a * c).T @ b
+        grads[key] = (0.5 * (m + m.T) + 2.0 * lam * w_m, x + x.T + 2.0 * lam * w_b)
+    return loss, grads, float(-coef.sum())
+
+
+def gradient_descent_train(bank_a, bank_b, pairs, rep, gamma, config=TrainConfig()):
+    """Gradient descent on the per-pair oracle with a full loss-and-gradient
+    pass per line-search trial and every accepted step symmetrized: the
+    trainer's algorithm before L-BFGS, whose objective it must not exceed."""
+    def loss_and_grad(blocks_, bias_):
+        return per_pair_loss_and_gradient(bank_a, bank_b, pairs, blocks_, bias_, gamma, config.lam)
+
+    blocks = {k: (np.zeros((bank_a[k].shape[1],) * 2),) * 2 for k in rep.block_keys()}
+    bias, step, iterations = 0.0, 1.0, 0
+    loss, grads, grad_bias = loss_and_grad(blocks, bias)
+    for _ in range(config.max_iters):
+        grad_sq = grad_bias**2 + sum(np.sum(m * m) + np.sum(b * b) for m, b in grads.values())
+        if grad_sq == 0.0:
+            break
+        t = step
+        for _ in range(60):
+            trial = {k: (m - t * grads[k][0], b - t * grads[k][1]) for k, (m, b) in blocks.items()}
+            trial_loss, trial_grads, trial_gb = loss_and_grad(trial, bias - t * grad_bias)
+            if np.isfinite(trial_loss) and trial_loss <= loss - simlearn.ARMIJO * t * grad_sq:
+                break
+            t *= 0.5
+        else:
+            break
+        blocks = {k: (0.5 * (m + m.T), 0.5 * (b + b.T)) for k, (m, b) in trial.items()}
+        bias -= t * grad_bias
+        prev_loss, loss, grads, grad_bias = loss, trial_loss, trial_grads, trial_gb
+        iterations += 1
+        step = 2.0 * t
+        if abs(prev_loss - loss) <= simlearn.REL_TOL * max(1.0, abs(prev_loss)):
+            break
+    return blocks, bias, iterations
 
 
 def dense_block(block) -> np.ndarray:

@@ -545,6 +545,7 @@ def test_collected_and_converted_blocks_hold_the_same_arrays():
 def test_block_rows_hold_the_kept_entries_once(seed):
     # 300 float64 rows with all-zero rows, fully dense rows, -0.0 entries and
     # random sparsity: the buffers grow many times
+    import gc
     import tracemalloc
 
     gen = np.random.default_rng(seed)
@@ -561,6 +562,14 @@ def test_block_rows_hold_the_kept_entries_once(seed):
     np.cumsum(np.bincount(kept_rows, minlength=n), out=starts[1:])
     nnz = len(kept_rows)
 
+    # A collection empties the interpreter's free lists, and one untraced
+    # pass refills them as the loop leaves them, so the peak counts what
+    # BlockRows holds and not what earlier tests left behind.
+    gc.collect()
+    warm = BlockRows(width)
+    for row in rows:
+        warm.add(row)
+    del warm
     collector = BlockRows(width)
     tracemalloc.start()
     try:

@@ -1,4 +1,5 @@
 import filecmp
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from conftest import build_synthetic_dataset, write_color_dataset
 import oracles
 from oracles import dense_block
+from reidpipe import experiment, postrank
 from reidpipe.config import ExperimentConfig, load_config
 from reidpipe.datamodel import ImageRecord, SparseBlock, make_split
 from reidpipe.errors import ConfigError, DataError
@@ -85,6 +87,24 @@ def test_run_experiment_easy_dataset_high_top1(synthetic_config):
     for rep in report.rep_ids:
         assert report.cmc_initial[rep].top_k(1) >= 0.95
     assert report.cmc_aggregate.top_k(1) >= 0.95
+
+
+def test_every_trained_model_converges(synthetic_config, monkeypatch):
+    # 2 seeds x 3 representations x 2 stages (best-n's validation stage and
+    # the final one): one representation model and one post-rank model each
+    stops = []
+    for module in (experiment, postrank):
+        def spy(*args, train=module.train_model, name=module.__name__, **kwargs):
+            model = train(*args, **kwargs)
+            stops.append((name, model.stop_reason))
+            return model
+
+        monkeypatch.setattr(module, "train_model", spy)
+    run_experiment(load_config(synthetic_config))
+    assert Counter(stops) == {
+        ("reidpipe.experiment", "converged"): 12,
+        ("reidpipe.postrank", "converged"): 12,
+    }
 
 
 def test_postrank_toggle_off_identical_cmc(tmp_path):

@@ -20,7 +20,14 @@ from reidpipe.simlearn import (
     train_model,
 )
 
-from oracles import pair_accuracy, score_bilinear, score_mahalanobis, score_pair
+from oracles import (
+    gradient_descent_train,
+    pair_accuracy,
+    per_pair_loss_and_gradient,
+    score_bilinear,
+    score_mahalanobis,
+    score_pair,
+)
 
 rng = np.random.default_rng(101)
 
@@ -424,7 +431,7 @@ def test_training_stop_reasons():
     reason, iterations = stop()
     assert reason == "converged" and 1 < iterations < 500
     assert stop(max_iters=3) == ("max_iters", 3)
-    assert stop(lam=1e12) == ("converged", 1)
+    assert stop(lam=1e12) == ("converged", 3)
     # The penalty outgrows every step the 60 halvings can reach.
     assert stop(lam=1e30) == ("line_search", 0)
     # Zero features and balanced classes: the gradient at the start is exactly 0.
@@ -433,82 +440,81 @@ def test_training_stop_reasons():
     assert stop(bank_a=zeros, bank_b=zeros, pairs=balanced) == ("zero_gradient", 0)
 
 
-def per_pair_loss_and_gradient(bank_a, bank_b, pairs, blocks, bias, gamma, lam):
-    """Oracle for loss_and_gradient: every pair's a, b and a - b rows stacked
-    per block, pair scores and gradients summed pair by pair."""
-    pairs = np.asarray(pairs)
-    y = pairs[:, 2].astype(np.float64)
-    stacks = {key: (bank_a[key][pairs[:, 0]], bank_b[key][pairs[:, 1]]) for key in blocks}
-    scale = {key: gamma if key[1] == "G" else 1.0 for key in blocks}
-    scores = np.zeros(len(y))
-    for key, (w_m, w_b) in blocks.items():
-        a, b = stacks[key]
-        diff = a - b
-        term = np.einsum("ij,ij->i", diff @ w_m, diff)
-        term += np.einsum("ij,ij->i", a @ (w_b + w_b.T), b)
-        scores += scale[key] * term
-    margins = -y * (scores - bias)
-    coef = -y * np.exp(-np.logaddexp(0.0, -margins))
-    sq_norm = sum(np.sum(w_m * w_m) + np.sum(w_b * w_b) for w_m, w_b in blocks.values())
-    loss = float(np.logaddexp(0.0, margins).sum()) + lam * sq_norm
-    grads = {}
-    for key, (w_m, w_b) in blocks.items():
-        a, b = stacks[key]
-        c = scale[key] * coef[:, None]
-        diff = a - b
-        m = (diff * c).T @ diff
-        x = (a * c).T @ b
-        grads[key] = (0.5 * (m + m.T) + 2.0 * lam * w_m, x + x.T + 2.0 * lam * w_b)
-    return loss, grads, float(-coef.sum())
-
-
 def reference_train(bank_a, bank_b, pairs, rep, gamma, config=TrainConfig()):
-    """Gradient descent on the per-pair oracle with a full loss-and-gradient
-    pass per line-search trial and every accepted step symmetrized: the
-    algorithm train_model must reproduce."""
-    def loss_and_grad(blocks_, bias_):
-        return per_pair_loss_and_gradient(bank_a, bank_b, pairs, blocks_, bias_, gamma, config.lam)
+    """L-BFGS on the per-pair oracle in weight space: a point is the dense
+    weight blocks and the bias, inner products are Frobenius products plus
+    the bias product, and every line-search trial is a full
+    loss-and-gradient pass. The algorithm train_model must reproduce."""
+    def combine(*terms):
+        """The sum of coefficient * point over ``terms``."""
+        blocks = {
+            k: tuple(sum(c * p[0][k][i] for c, p in terms) for i in (0, 1)) for k in terms[0][1][0]
+        }
+        return blocks, sum(c * p[1] for c, p in terms)
 
-    blocks = {k: (np.zeros((bank_a[k].shape[1],) * 2),) * 2 for k in rep.block_keys()}
-    bias, step, iterations = 0.0, 1.0, 0
-    loss, grads, grad_bias = loss_and_grad(blocks, bias)
+    def dot(u, v):
+        return sum(float(np.sum(u[0][k][i] * v[0][k][i])) for k in u[0] for i in (0, 1)) + u[1] * v[1]
+
+    def loss_and_grad(point):
+        loss, grads, grad_bias = per_pair_loss_and_gradient(
+            bank_a, bank_b, pairs, point[0], point[1], gamma, config.lam
+        )
+        return loss, (grads, grad_bias)
+
+    point = ({k: (np.zeros((bank_a[k].shape[1],) * 2),) * 2 for k in rep.block_keys()}, 0.0)
+    loss, grad = loss_and_grad(point)
+    memory, iterations = [], 0
     for _ in range(config.max_iters):
-        grad_sq = grad_bias**2 + sum(np.sum(m * m) + np.sum(b * b) for m, b in grads.values())
-        if grad_sq == 0.0:
+        if dot(grad, grad) == 0.0:
             break
-        t = step
+        q, coefs = grad, []
+        for s, y in reversed(memory):
+            coefs.append(dot(s, q) / dot(s, y))
+            q = combine((1.0, q), (-coefs[-1], y))
+        if memory:
+            s, y = memory[-1]
+            q = combine((dot(s, y) / dot(y, y), q))
+        for (s, y), a in zip(memory, reversed(coefs)):
+            q = combine((1.0, q), (a - dot(y, q) / dot(s, y), s))
+        direction = combine((-1.0, q))
+        slope = dot(grad, direction)
+        if not slope < 0.0:
+            memory = []
+            direction, slope = combine((-1.0, grad)), -dot(grad, grad)
+        t = 1.0
         for _ in range(60):
-            trial = {k: (m - t * grads[k][0], b - t * grads[k][1]) for k, (m, b) in blocks.items()}
-            trial_loss, trial_grads, trial_gb = loss_and_grad(trial, bias - t * grad_bias)
-            if np.isfinite(trial_loss) and trial_loss <= loss - simlearn.ARMIJO * t * grad_sq:
+            trial = combine((1.0, point), (t, direction))
+            trial_loss, trial_grad = loss_and_grad(trial)
+            if np.isfinite(trial_loss) and trial_loss <= loss + simlearn.ARMIJO * t * slope:
                 break
             t *= 0.5
         else:
             break
-        blocks = {k: (0.5 * (m + m.T), 0.5 * (b + b.T)) for k, (m, b) in trial.items()}
-        bias -= t * grad_bias
-        prev_loss, loss, grads, grad_bias = loss, trial_loss, trial_grads, trial_gb
+        step, change = combine((t, direction)), combine((1.0, trial_grad), (-1.0, grad))
+        if dot(step, change) > 0.0:
+            memory = (memory + [(step, change)])[-simlearn.MEMORY:]
+        point, grad = trial, trial_grad
+        prev_loss, loss = loss, trial_loss
         iterations += 1
-        step = 2.0 * t
         if abs(prev_loss - loss) <= simlearn.REL_TOL * max(1.0, abs(prev_loss)):
             break
-    return blocks, bias, iterations
+    return point[0], point[1], iterations
 
 
-def camera_banks(rep, n_ids, d, r):
+def camera_banks(rep, n_ids, d, r, noise=1.5):
     """Two noisy views of ``n_ids`` identity centres per block."""
     bank_a, bank_b = {}, {}
     for key in rep.block_keys():
         centers = r.standard_normal((n_ids, d))
-        bank_a[key] = centers + 1.5 * r.standard_normal((n_ids, d))
-        bank_b[key] = centers + 1.5 * r.standard_normal((n_ids, d))
+        bank_a[key] = centers + noise * r.standard_normal((n_ids, d))
+        bank_b[key] = centers + noise * r.standard_normal((n_ids, d))
     return bank_a, bank_b
 
 
-def sampled(scopes, n_ids, d, r):
+def sampled(scopes, n_ids, d, r, noise=1.5):
     """Camera banks with sample_pairs' pairs: trained at image level."""
     rep = Representation("toy", scopes, n_regions=2)
-    bank_a, bank_b = camera_banks(rep, n_ids, d, r)
+    bank_a, bank_b = camera_banks(rep, n_ids, d, r, noise)
     labels = np.arange(n_ids)
     return rep, bank_a, bank_b, sample_pairs(labels, labels, r, neg_ratio=10)
 
@@ -537,9 +543,9 @@ def count_pair_grams(monkeypatch):
     return sizes
 
 
-def assert_matches_reference(bank_a, bank_b, pairs, rep, gamma):
-    ref_blocks, ref_bias, ref_iterations = reference_train(bank_a, bank_b, pairs, rep, gamma)
-    model = train_model(bank_a, bank_b, pairs, rep, gamma=gamma)
+def assert_matches_reference(bank_a, bank_b, pairs, rep, gamma, config=TrainConfig()):
+    ref_blocks, ref_bias, ref_iterations = reference_train(bank_a, bank_b, pairs, rep, gamma, config)
+    model = train_model(bank_a, bank_b, pairs, rep, gamma=gamma, config=config)
     assert model.iterations == ref_iterations
     assert abs(model.bias - ref_bias) <= 1e-9 * max(1.0, abs(ref_bias))
     for key, ref in ref_blocks.items():
@@ -547,26 +553,82 @@ def assert_matches_reference(bank_a, bank_b, pairs, rep, gamma):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize(
-    "scopes, n_ids, d, gamma",
+# Three oracle worlds run to convergence. In the other four, the six-block
+# loop world, both pair-listed-twice worlds and the image-level two-width
+# world, the loss is so flat near its minimum that train_model on the same
+# pairs in another order converges elsewhere: its weights move by 9%, 2%,
+# 7e-8 and 1% of their size, far beyond 1e-9, so no oracle can match a full
+# run there. Those four are held to the oracle over their first 12
+# iterations, a full memory and two more, where the reordering moves the
+# weights by at most 2e-11. test_training_converges_below_gradient_descent
+# runs the loop worlds to convergence, and
+# test_converged_ranking_does_not_depend_on_pair_order shows where a
+# converged model does not yet repeat.
+FIRST_STEPS = TrainConfig(max_iters=12)
+
+LOOP_WORLDS = pytest.mark.parametrize(
+    "scopes, n_ids, d, gamma, oracle",
     [
-        # 6 blocks, 330 pairs > sum d^2 = 96; runs all 500 iterations
-        ({"C1": "GL", "C2": "GL"}, 30, 4, 1.1),
-        # one wide block, d^2 = 1600 > 132 pairs; converges
-        ({"X": "G"}, 12, 40, 1.0),
+        # 6 blocks, 330 pairs > sum d^2 = 96; gradient descent runs all 500 iterations
+        pytest.param({"C1": "GL", "C2": "GL"}, 30, 4, 1.1, FIRST_STEPS, id="six_blocks"),
+        # one wide block, d^2 = 1600 > 132 pairs
+        pytest.param({"X": "G"}, 12, 40, 1.0, TrainConfig(), id="wide_block"),
         # post-rank shaped (no scopes): 40 wide, 60 pairs (i, i), pair space
-        pytest.param(None, 60, 40, 1.0, id="pair_space"),
+        pytest.param(None, 60, 40, 1.0, TrainConfig(), id="pair_space"),
     ],
 )
-def test_training_matches_reference_loop(scopes, n_ids, d, gamma, monkeypatch):
+
+
+def loop_world(scopes, n_ids, d):
     r = np.random.default_rng(17)
     if scopes is None:
-        rep, bank_a, bank_b, pairs = postrank_shaped(n_ids, d, r)
-    else:
-        rep, bank_a, bank_b, pairs = sampled(scopes, n_ids, d, r)
+        return postrank_shaped(n_ids, d, r)
+    return sampled(scopes, n_ids, d, r)
+
+
+@LOOP_WORLDS
+def test_training_matches_reference_loop(scopes, n_ids, d, gamma, oracle, monkeypatch):
+    rep, bank_a, bank_b, pairs = loop_world(scopes, n_ids, d)
     grams = count_pair_grams(monkeypatch)
-    assert_matches_reference(bank_a, bank_b, pairs, rep, gamma)
+    assert_matches_reference(bank_a, bank_b, pairs, rep, gamma, oracle)
     assert grams == ([] if scopes else [len(pairs)])
+
+
+@LOOP_WORLDS
+def test_training_converges_below_gradient_descent(scopes, n_ids, d, gamma, oracle):
+    rep, bank_a, bank_b, pairs = loop_world(scopes, n_ids, d)
+    model = train_model(bank_a, bank_b, pairs, rep, gamma=gamma)
+    assert model.stop_reason == "converged"
+    gd_blocks, gd_bias, _ = gradient_descent_train(bank_a, bank_b, pairs, rep, gamma)
+    data = _PairData(bank_a, bank_b, pairs, rep.block_keys())
+    lam = TrainConfig().lam
+    loss, _, _ = loss_and_gradient(data, model.blocks, model.bias, gamma, lam)
+    gd_loss, _, _ = loss_and_gradient(data, gd_blocks, gd_bias, gamma, lam)
+    assert loss <= gd_loss
+
+
+@pytest.mark.parametrize(
+    "scopes, d",
+    [
+        pytest.param({"X": "G"}, 3, id="one_block"),
+        pytest.param({"C1": "GL"}, 3, id="three_blocks"),
+        pytest.param(
+            {"C1": "GL", "C2": "G"}, 4, id="five_blocks",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="REL_TOL stops a flat five-block loss at a point rounding moves (ROADMAP item 3)",
+            ),
+        ),
+    ],
+)
+def test_converged_ranking_does_not_depend_on_pair_order(scopes, d):
+    # Noisy views whose classes overlap: no model separates the pairs.
+    rep, bank_a, bank_b, pairs = sampled(scopes, 30, d, np.random.default_rng(41), noise=3.0)
+    first = train_model(bank_a, bank_b, pairs, rep, gamma=1.1)
+    again = train_model(bank_a, bank_b, pairs[::-1], rep, gamma=1.1)
+    assert first.stop_reason == again.stop_reason == "converged"
+    for one, other in zip(rank_gallery(first, bank_a, bank_b), rank_gallery(again, bank_a, bank_b)):
+        np.testing.assert_array_equal(one.order, other.order)
 
 
 @pytest.mark.parametrize("pair_space", [False, True], ids=["image", "pair_space"])
@@ -581,7 +643,7 @@ def test_training_pair_listed_twice_matches_reference(pair_space, monkeypatch):
         rep, bank_a, bank_b, pairs = sampled({"C1": "GL"}, 10, 5, r)
     pairs = np.vstack([pairs, pairs[:1]])
     grams = count_pair_grams(monkeypatch)
-    assert_matches_reference(bank_a, bank_b, pairs, rep, gamma=1.1)
+    assert_matches_reference(bank_a, bank_b, pairs, rep, 1.1, FIRST_STEPS)
     assert grams == ([len(pairs)] if pair_space else [])
 
 
@@ -715,7 +777,9 @@ def test_training_over_two_block_widths_matches_reference(pair_space, monkeypatc
         bank_a, bank_b = mixed_banks(12, 12, r)
         pairs = sample_pairs(np.arange(12), np.arange(12), r, neg_ratio=10)
     grams = count_pair_grams(monkeypatch)
-    assert_matches_reference(bank_a, bank_b, pairs, MIXED_REP, gamma=1.1)
+    assert_matches_reference(
+        bank_a, bank_b, pairs, MIXED_REP, 1.1, TrainConfig() if pair_space else FIRST_STEPS
+    )
     assert grams == ([len(pairs)] if pair_space else [])
 
 

@@ -5,8 +5,10 @@
 
 For each workload of ``perfbench/gen.py`` and input seeds 1 and 2, the inputs
 are generated under a temporary directory and run through the ``reidpipe``
-CLI at one BLAS thread: ``eval`` for ``ingested316`` and ``images`` (the
-report files), and for ``gallery`` the four ``rank`` commands and the
+CLI at one BLAS thread. For ``ingested316`` and ``images`` that is ``eval``
+(the report files) and ``train --rep <first representation> --seed 0`` (the
+model, as ``<rep>.simw``), so a trainer change that moves no report byte
+still shows. For ``gallery`` it is the four ``rank`` commands and the
 ``aggregate`` command that ``perfbench/workload.py`` runs (the ranking CSVs),
 then ``postrank --model R1.simw`` (its four CSVs) and ``stats`` on those CSVs
 (what it prints, as the file ``stats``). Keys are ``<workload>/<seed>/<file>``.
@@ -37,6 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
 from reidpipe import cli  # noqa: E402
+from reidpipe.config import load_config  # noqa: E402
 from workload import GALLERY_REPS, REPORT_FILES, run_gallery  # noqa: E402
 
 SEEDS = (1, 2)
@@ -71,7 +74,12 @@ def digests(workload: str, seed: int) -> dict[str, str]:
                 names += ["aggregate.csv", *POSTRANK_CSVS, "stats"]
             else:
                 failed = cli.main(["eval", "-c", str(config), "--report-dir", str(out)])
-                names = list(REPORT_FILES)
+                rep = load_config(config).representations[0]
+                failed = cli.main([
+                    "train", "-c", str(config), "--rep", rep, "--seed", "0",
+                    "--out", str(out / f"{rep}.simw"),
+                ]) or failed
+                names = [*REPORT_FILES, f"{rep}.simw"]
         if failed:
             raise SystemExit(f"{workload} seed {seed}: a command failed")
         return {
