@@ -6,12 +6,16 @@ blocks. The pair score is the sum of local block scores plus gamma times the
 global block sum. Galleries and training pairs are scored by one core,
 :func:`_score_terms`.
 
-The core holds a representation's blocks per width group as stacked
-arrays: each camera bank concatenated over the group's blocks, and W_M and
-W_B as (k, d, d) stacks. A group's cross terms are one matrix product, and
-every other per-block step is one batched product over the group, so
-neither a scoring call nor a training iteration loops over blocks in
-Python.
+The core holds a representation's k blocks as one stack: each camera bank
+as one (N, k D) array, D the widest block's width, with each narrower block
+padded by zero columns to D, and W_M and W_B as (k, D, D) stacks. The cross
+terms are one matrix product and every other per-block step is one batched
+product, so neither a scoring call nor a training iteration loops over
+blocks in Python. A padded column is zero in every row, so it adds exact
+zeros to every score, gradient and weight. No workload pads: PCA gives
+every block one width, and only a raw block narrower than
+``min(pca_dim, fit rows)`` (PCA's clamp warning), or a hand-built model,
+mixes widths.
 
 Training minimizes a logistic pair loss with Frobenius regularization, a
 convex problem, by limited-memory BFGS (Liu & Nocedal 1989) with Armijo
@@ -143,9 +147,10 @@ class RankingList:
 # Scoring
 # ---------------------------------------------------------------------------
 
-# Weights of one width group: (W_M, W_B), each a (k, d, d) stack in the
-# group's key order. A model's weights are one such pair per group.
-Stacks = list[tuple[np.ndarray, np.ndarray]]
+# A model's weights: (W_M, W_B), each a (k, D, D) stack in the banks' key
+# order, block i's (d_i, d_i) weights at the top left of slot i and zeros in
+# the rest of it.
+Stack = tuple[np.ndarray, np.ndarray]
 
 
 def _transposed(stack: np.ndarray) -> np.ndarray:
@@ -153,47 +158,42 @@ def _transposed(stack: np.ndarray) -> np.ndarray:
 
 
 def _stacked(cat: np.ndarray, k: int) -> np.ndarray:
-    """The (k, N, d) stack view of k blocks concatenated as (N, k d)."""
+    """The (k, N, D) stack view of k blocks held as (N, k D)."""
     return cat.reshape(cat.shape[0], k, cat.shape[1] // k).transpose(1, 0, 2)
 
 
-def _concatenated(mats: list[np.ndarray]) -> np.ndarray:
-    """The (N, k d) concatenation of k (N, d) blocks; a single block is used
-    as it is, so a one-block bank (post-ranking's) is not copied."""
-    return np.ascontiguousarray(mats[0]) if len(mats) == 1 else np.concatenate(mats, axis=1)
-
-
-class _Group:
-    """The blocks of one width, in sorted key order, and which are global.
-
-    Each camera bank is held concatenated, as ``a_cat`` (N_a, k d) and
-    ``b_cat`` (N_b, k d), and seen as the stacks ``a`` (k, N_a, d) and ``b``
-    (k, N_b, d) through views.
-    """
-
-    def __init__(self, keys: list[BlockKey], bank_a: FeatureBank, bank_b: FeatureBank):
-        self.keys = keys
-        self.is_global = np.array([key[1] == GLOBAL_SCOPE for key in keys])[:, None, None]
-        self.a_cat = _concatenated([bank_a[key] for key in keys])
-        self.b_cat = _concatenated([bank_b[key] for key in keys])
-        self.a, self.b = _stacked(self.a_cat, len(keys)), _stacked(self.b_cat, len(keys))
-
-    def scale(self, gamma: float) -> np.ndarray:
-        """Each block's weight in the pair score, shaped to scale a stack."""
-        return np.where(self.is_global, gamma, 1.0)
+def _padded(mats: list[np.ndarray]) -> np.ndarray:
+    """The (N, k D) array of k (N, d_i) blocks, D the widest d_i, block i in
+    columns [i D, i D + d_i) and zeros in the rest of its slot; a single
+    block is used as it is, so a one-block bank (post-ranking's) is not
+    copied."""
+    if len(mats) == 1:
+        return np.ascontiguousarray(mats[0])
+    d = max(mat.shape[1] for mat in mats)
+    out = np.zeros((mats[0].shape[0], len(mats) * d), dtype=np.result_type(*mats))
+    for i, mat in enumerate(mats):
+        out[:, i * d : i * d + mat.shape[1]] = mat
+    return out
 
 
 class _BlockBanks:
-    """Two camera banks of the blocks ``keys``, grouped by block width.
+    """Two camera banks of the blocks ``keys``, in sorted key order, and
+    which blocks are global.
+
+    Each camera bank is held zero-padded (:func:`_padded`), as ``a_cat``
+    (N_a, k D) and ``b_cat`` (N_b, k D), and seen as the stacks ``a``
+    (k, N_a, D) and ``b`` (k, N_b, D) through views; ``widths`` holds each
+    block's own width d_i.
 
     A missing block is a ConfigError; blocks whose banks disagree on their
     width, or on the row count within one bank, are a DimError, and so are
-    weights whose shape is not their block's (d, d), in :meth:`stack`.
+    weights whose shape is not their block's (d_i, d_i), in :meth:`stack`.
     """
 
     def __init__(self, keys: list[BlockKey], bank_a: FeatureBank, bank_b: FeatureBank):
-        by_width: dict[int, list[BlockKey]] = {}
-        for key in sorted(keys):
+        self.keys = sorted(keys)
+        self.widths = []
+        for key in self.keys:
             try:
                 mat_a, mat_b = bank_a[key], bank_b[key]
             except KeyError:
@@ -201,66 +201,65 @@ class _BlockBanks:
             d = mat_a.shape[1]
             if mat_b.shape[1] != d:
                 raise DimError(f"block {key}: probes d={d}, gallery d={mat_b.shape[1]}")
-            by_width.setdefault(d, []).append(key)
+            self.widths.append(d)
         rows_a = {bank_a[key].shape[0] for key in keys}
         rows_b = {bank_b[key].shape[0] for key in keys}
         if len(rows_a) > 1 or len(rows_b) > 1:
             raise DimError("blocks of one camera bank disagree on their row count")
         self.shape = (rows_a.pop(), rows_b.pop())
-        self.groups = [_Group(group_keys, bank_a, bank_b) for group_keys in by_width.values()]
+        self.is_global = np.array([key[1] == GLOBAL_SCOPE for key in self.keys])[:, None, None]
+        self.a_cat = _padded([bank_a[key] for key in self.keys])
+        self.b_cat = _padded([bank_b[key] for key in self.keys])
+        self.a, self.b = _stacked(self.a_cat, len(self.keys)), _stacked(self.b_cat, len(self.keys))
 
-    def stack(self, blocks: Blocks) -> Stacks:
-        """``blocks`` as one (W_M, W_B) stack pair per group."""
-        stacks = []
-        for group in self.groups:
-            d = group.a.shape[2]
-            for key in group.keys:
-                for w in blocks[key]:
-                    if w.shape != (d, d):
-                        raise DimError(f"block {key}: features d={d}, W {w.shape}")
-            stacks.append(tuple(np.stack([blocks[key][i] for key in group.keys]) for i in (0, 1)))
-        return stacks
+    def scale(self, gamma: float) -> np.ndarray:
+        """Each block's weight in the pair score, shaped to scale a stack."""
+        return np.where(self.is_global, gamma, 1.0)
 
-    def unstack(self, stacks: Stacks) -> Blocks:
-        """The weight blocks of ``stacks``, keyed again."""
+    def stack(self, blocks: Blocks) -> Stack:
+        """``blocks`` as one (W_M, W_B) stack pair (see :data:`Stack`)."""
+        k, _, d = self.a.shape
+        pairs = [blocks[key] for key in self.keys]
+        stack = np.zeros((2, k, d, d), dtype=np.result_type(*(w for pair in pairs for w in pair)))
+        for i, (key, d_i, pair) in enumerate(zip(self.keys, self.widths, pairs)):
+            for j, w in enumerate(pair):
+                if w.shape != (d_i, d_i):
+                    raise DimError(f"block {key}: features d={d_i}, W {w.shape}")
+                stack[j, i, :d_i, :d_i] = w
+        return stack[0], stack[1]
+
+    def unstack(self, stack: Stack) -> Blocks:
+        """The weight blocks of ``stack``, keyed again, each at its width."""
+        w_m, w_b = stack
         return {
-            key: (w_m[i], w_b[i])
-            for group, (w_m, w_b) in zip(self.groups, stacks)
-            for i, key in enumerate(group.keys)
+            key: (w_m[i, :d, :d], w_b[i, :d, :d])
+            for i, (key, d) in enumerate(zip(self.keys, self.widths))
         }
 
 
 def _score_terms(
-    banks: _BlockBanks, weights: Stacks, gamma: float
+    banks: _BlockBanks, weights: Stack, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one scoring core of galleries and training pairs: the score of
     bank A row i against bank B row j is ``cross[i, j] + row[i] + col[j]``.
 
     Per block, ``(a-b)^T M (a-b) + a^T W_B b + b^T W_B a = a^T M a + b^T M b
     + a^T K b`` with ``K = (W_B - M) + (W_B - M)^T``, and each block is
-    scaled by s (gamma on global blocks). So a width group's cross terms are
-    one product of the concatenated A against the stacked ``(s K) B^T``, and
-    the ``a^T M a`` and ``b^T M b`` terms of all its blocks are two vectors.
+    scaled by s (gamma on global blocks). So the cross terms are one product
+    of the padded A against the stacked ``(s K) B^T``, and the ``a^T M a``
+    and ``b^T M b`` terms of all blocks are two vectors.
     """
-    cross = row = col = None
-    for group, (w_m, w_b) in zip(banks.groups, weights):
-        s = group.scale(gamma)
-        k = w_b - w_m
-        k = k + _transposed(k)
-        k *= s
-        s_m = s * w_m
-        terms = (
-            group.a_cat @ (k @ _transposed(group.b)).reshape(group.a_cat.shape[1], -1),
-            np.einsum("kij,kij->i", group.a @ s_m, group.a),
-            np.einsum("kij,kij->i", group.b @ s_m, group.b),
-        )
-        if cross is None:
-            cross, row, col = terms
-        else:
-            cross += terms[0]
-            row += terms[1]
-            col += terms[2]
-    return cross, row, col
+    w_m, w_b = weights
+    s = banks.scale(gamma)
+    k = w_b - w_m
+    k = k + _transposed(k)
+    k *= s
+    s_m = s * w_m
+    return (
+        banks.a_cat @ (k @ _transposed(banks.b)).reshape(banks.a_cat.shape[1], -1),
+        np.einsum("kij,kij->i", banks.a @ s_m, banks.a),
+        np.einsum("kij,kij->i", banks.b @ s_m, banks.b),
+    )
 
 
 def score_gallery(
@@ -310,7 +309,7 @@ def rank_gallery(
 # previous one; a line-search trial must lower it by ARMIJO * t * -<G, D>
 # along the direction D. REL_TOL is the largest power of ten at which the
 # ingested316 reports of input seeds 1 and 2 are the same at one and two
-# BLAS threads (ROADMAP item 3); on a flatter loss a converged model still
+# BLAS threads (ROADMAP item 2); on a flatter loss a converged model still
 # moves with rounding. L-BFGS keeps the last MEMORY steps and gradient changes.
 REL_TOL = 1e-9
 ARMIJO = 1e-4
@@ -364,8 +363,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class _PairData(_BlockBanks):
-    """Training pairs over shared image banks: the blocks' camera banks
-    grouped by width, the pair indices and the labels."""
+    """Training pairs over shared image banks: the blocks' camera banks as
+    one zero-padded stack (exact, and unpadded in every workload; see
+    :class:`_BlockBanks`), the pair indices and the labels."""
 
     def __init__(self, bank_a: FeatureBank, bank_b: FeatureBank,
                  pairs: np.ndarray, keys: list[BlockKey]):
@@ -396,7 +396,7 @@ class _PairData(_BlockBanks):
         self.y = pairs[:, 2].astype(np.float64)
 
 
-def _pair_scores(data: _PairData, weights: Stacks, gamma: float) -> np.ndarray:
+def _pair_scores(data: _PairData, weights: Stack, gamma: float) -> np.ndarray:
     """Score of every pair: its entry of the image-level score matrix, with
     the row and column terms added to the pairs' entries only. Linear in
     ``weights``, so it also scores a step direction."""
@@ -404,7 +404,7 @@ def _pair_scores(data: _PairData, weights: Stacks, gamma: float) -> np.ndarray:
     return cross.ravel()[data.flat] + row[data.p] + col[data.q]
 
 
-def _coef_weights(data: _PairData, coef: np.ndarray, gamma: float) -> Stacks:
+def _coef_weights(data: _PairData, coef: np.ndarray, gamma: float) -> Stack:
     """The weights ``S Psi^T coef`` of the pair coefficients ``coef``, where
     row i of Psi is pair i's feature map and S scales global blocks by
     gamma: the loss gradient less its penalty when ``coef`` holds the
@@ -413,28 +413,26 @@ def _coef_weights(data: _PairData, coef: np.ndarray, gamma: float) -> Stacks:
     The coefficients go into the (N_a, N_b) matrix C, a pair listed twice
     counting twice. With X = A^T C B, the bilinear weights are X + X^T and
     the Mahalanobis ones A^T diag(C 1) A + B^T diag(C^T 1) B - X - X^T. Both
-    are symmetric by construction. Per width group, A^T C for all blocks is
-    one product with the concatenated A, and the rest are batched over the
-    blocks.
+    are symmetric by construction. A^T C for all blocks is one product with
+    the padded A, and the rest are batched over the blocks; a padded column
+    of A or B gives a zero row and column of each weight, so every block's
+    slot outside its width stays zero.
     """
     n_a, n_b = data.shape
     c = np.bincount(data.flat, weights=coef, minlength=n_a * n_b).reshape(n_a, n_b)
     row = np.bincount(data.p, weights=coef, minlength=n_a)
     col = np.bincount(data.q, weights=coef, minlength=n_b)
-    weights: Stacks = []
-    for group in data.groups:
-        a, b = group.a, group.b
-        x = (group.a_cat.T @ c).reshape(a.shape[0], a.shape[2], n_b) @ b
-        w_b = x + _transposed(x)
-        m = (_transposed(a) * row) @ a + (_transposed(b) * col) @ b
-        w_m = m + _transposed(m)
-        w_m *= 0.5
-        w_m -= w_b
-        s = group.scale(gamma)
-        w_m *= s
-        w_b *= s
-        weights.append((w_m, w_b))
-    return weights
+    a, b = data.a, data.b
+    x = (data.a_cat.T @ c).reshape(a.shape[0], a.shape[2], n_b) @ b
+    w_b = x + _transposed(x)
+    m = (_transposed(a) * row) @ a + (_transposed(b) * col) @ b
+    w_m = m + _transposed(m)
+    w_m *= 0.5
+    w_m -= w_b
+    s = data.scale(gamma)
+    w_m *= s
+    w_b *= s
+    return w_m, w_b
 
 
 def _loss(margins: np.ndarray, sq_norm: float, lam: float) -> float:
@@ -450,15 +448,14 @@ def loss_and_gradient(
 ) -> tuple[float, Blocks, float]:
     """Logistic pair loss with Frobenius penalty, plus analytic gradients,
     from the image-level products that :func:`_kernel` uses."""
-    weights = data.stack(blocks)
+    w_m, w_b = weights = data.stack(blocks)
     margins = -data.y * (_pair_scores(data, weights, gamma) - bias)
     coef = -data.y * _sigmoid(margins)
-    loss = _loss(margins, sum(float(np.vdot(w, w)) for stack in weights for w in stack), lam)
-    grads = _coef_weights(data, coef, gamma)
-    for (w_m, w_b), (g_m, g_b) in zip(weights, grads):
-        g_m += 2.0 * lam * w_m
-        g_b += 2.0 * lam * w_b
-    return loss, data.unstack(grads), float(-coef.sum())
+    loss = _loss(margins, sum(float(np.vdot(w, w)) for w in weights), lam)
+    g_m, g_b = _coef_weights(data, coef, gamma)
+    g_m += 2.0 * lam * w_m
+    g_b += 2.0 * lam * w_b
+    return loss, data.unstack((g_m, g_b)), float(-coef.sum())
 
 
 def _kernel(data: _PairData, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -484,30 +481,30 @@ def _pair_gram(data: _PairData, gamma: float) -> np.ndarray:
     """K[i, j] = sum over blocks of s^2 [(d_i.d_j)^2 + 2 (a_i.a_j)(b_i.b_j)
     + 2 (a_i.b_j)(b_i.a_j)] with d = a - b and s = gamma on global blocks.
 
-    K is filled in place, ``_GRAM_ROWS`` rows at a time, so no (n, n)
-    temporary is made.
+    Each block is read at its own width, so padding adds no work here. K is
+    filled in place, ``_GRAM_ROWS`` rows at a time, so no (n, n) temporary
+    is made.
     """
     n = len(data.y)
     gram = np.zeros((n, n))
-    for group in data.groups:
-        for bank_a, bank_b, s in zip(group.a, group.b, group.scale(gamma).ravel()):
-            a, b = bank_a[data.p], bank_b[data.q]
-            diff = a - b
-            s2 = s**2
-            for lo in range(0, n, _GRAM_ROWS):
-                rows, out = slice(lo, lo + _GRAM_ROWS), gram[lo : lo + _GRAM_ROWS]
-                tmp = a[rows] @ b.T
-                tmp *= b[rows] @ a.T
-                tmp *= 2.0 * s2
-                out += tmp
-                np.matmul(a[rows], a.T, out=tmp)
-                tmp *= b[rows] @ b.T
-                tmp *= 2.0 * s2
-                out += tmp
-                np.matmul(diff[rows], diff.T, out=tmp)
-                tmp *= tmp
-                tmp *= s2
-                out += tmp
+    for bank_a, bank_b, d, s in zip(data.a, data.b, data.widths, data.scale(gamma).ravel()):
+        a, b = bank_a[data.p, :d], bank_b[data.q, :d]
+        diff = a - b
+        s2 = s**2
+        for lo in range(0, n, _GRAM_ROWS):
+            rows, out = slice(lo, lo + _GRAM_ROWS), gram[lo : lo + _GRAM_ROWS]
+            tmp = a[rows] @ b.T
+            tmp *= b[rows] @ a.T
+            tmp *= 2.0 * s2
+            out += tmp
+            np.matmul(a[rows], a.T, out=tmp)
+            tmp *= b[rows] @ b.T
+            tmp *= 2.0 * s2
+            out += tmp
+            np.matmul(diff[rows], diff.T, out=tmp)
+            tmp *= tmp
+            tmp *= s2
+            out += tmp
     return gram
 
 

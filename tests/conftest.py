@@ -17,7 +17,7 @@ from reidpipe.datamodel import (
 def build_synthetic_dataset(
     root: Path,
     n_ids: int = 40,
-    dim: int = 25,
+    dim: int | tuple[int, ...] = 25,
     n_cues: int = 3,
     noise: float = 0.25,
     seed: int = 12345,
@@ -30,8 +30,8 @@ def build_synthetic_dataset(
     """Write a two-view Gaussian-cluster dataset with ingested global cues.
 
     Identities are well-separated cluster centers; each camera view is a
-    noisy sample of the center, independently per cue. Returns the config
-    file path.
+    noisy sample of the center, independently per cue. ``dim`` is every
+    cue's width, or one width per cue. Returns the config file path.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -43,12 +43,13 @@ def build_synthetic_dataset(
     save_identities(records, root / "identities.csv")
 
     cue_names = [f"S{k + 1}" for k in range(n_cues)]
-    for cue in cue_names:
-        centers = rng.standard_normal((n_ids, dim))
-        rows = np.empty((2 * n_ids, dim), dtype=np.float64)
+    dims = [dim] * n_cues if isinstance(dim, int) else list(dim)
+    for cue, width in zip(cue_names, dims):
+        centers = rng.standard_normal((n_ids, width))
+        rows = np.empty((2 * n_ids, width), dtype=np.float64)
         for pid in range(n_ids):
-            rows[2 * pid] = centers[pid] + noise * rng.standard_normal(dim)
-            rows[2 * pid + 1] = centers[pid] + noise * rng.standard_normal(dim)
+            rows[2 * pid] = centers[pid] + noise * rng.standard_normal(width)
+            rows[2 * pid + 1] = centers[pid] + noise * rng.standard_normal(width)
         save_feature_matrix(rows.astype(np.float32), root / f"{cue}_global.feat")
 
     rep_lines = "\n".join(f"R{k + 1} = {cue}:G" for k, cue in enumerate(cue_names))

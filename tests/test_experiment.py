@@ -10,6 +10,7 @@ from conftest import build_synthetic_dataset, write_color_dataset
 import oracles
 from oracles import dense_block
 from reidpipe import experiment, postrank
+from reidpipe.cli import main
 from reidpipe.config import ExperimentConfig, load_config
 from reidpipe.datamodel import ImageRecord, SparseBlock, make_split
 from reidpipe.errors import ConfigError, DataError
@@ -21,6 +22,7 @@ from reidpipe.experiment import (
     run_single_rep,
     write_report,
 )
+from reidpipe.simlearn import load_model
 
 
 def test_run_experiment_report_shape(synthetic_config):
@@ -129,6 +131,30 @@ def test_full_determinism_byte_identical_reports(tmp_path):
     paths2 = write_report(report2, out2)
     for p1, p2 in zip(paths1, paths2):
         assert filecmp.cmp(p1, p2, shallow=False), f"{p1.name} differs"
+
+
+def test_blocks_of_two_widths_end_to_end(tmp_path):
+    # The one route by which the pipeline gives a representation blocks of
+    # two widths: PCA reduces S1 to pca_dim and clamps S2, narrower than
+    # pca_dim, to its own width, so R1's two blocks are 8 and 5 wide.
+    config_path = build_synthetic_dataset(tmp_path / "d", dim=(25, 5), n_cues=2, pca_dim=8)
+    text = config_path.read_text()
+    config_path.write_text(text.replace("R1 = S1:G", "R1 = S1:G,S2:G"))
+    config = load_config(config_path)
+    reports = []
+    for out in ("r1", "r2"):
+        with pytest.warns(UserWarning, match="PCA dimension clamped from 8 to 5"):
+            reports.append(write_report(run_experiment(config), tmp_path / out))
+    for p1, p2 in zip(*reports):
+        assert filecmp.cmp(p1, p2, shallow=False), f"{p1.name} differs"
+    model_path = tmp_path / "R1.simw"
+    with pytest.warns(UserWarning, match="PCA dimension clamped from 8 to 5"):
+        assert main(["train", "-c", str(config_path), "--rep", "R1", "--out", str(model_path)]) == 0
+    model = load_model(model_path)
+    assert {key: w_m.shape for key, (w_m, _) in model.blocks.items()} == {
+        ("S1", "G"): (8, 8), ("S2", "G"): (5, 5)
+    }
+    assert all(w_b.shape == w_m.shape for w_m, w_b in model.blocks.values())
 
 
 def test_cmc_identical_beyond_content_window(tmp_path):

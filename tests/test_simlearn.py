@@ -616,7 +616,7 @@ def test_training_converges_below_gradient_descent(scopes, n_ids, d, gamma, orac
             {"C1": "GL", "C2": "G"}, 4, id="five_blocks",
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="REL_TOL stops a flat five-block loss at a point rounding moves (ROADMAP item 3)",
+                reason="REL_TOL stops a flat five-block loss at a point rounding moves (ROADMAP item 2)",
             ),
         ),
     ],
@@ -684,12 +684,13 @@ def test_loss_and_gradient_matches_per_pair_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Blocks of two widths: the scoring core and the trainer group blocks by width
+# Blocks of two widths: the scoring core and the trainer pad narrower blocks
+# with zeros to the widest block's width
 # ---------------------------------------------------------------------------
 
 # Global blocks 6 wide and local blocks 4 wide, as a PCA block clamped to its
 # row count would give; in sorted key order the widths interleave (C1 G, C1 r0,
-# C1 r1, C2 G), so each width group gathers blocks that are not adjacent.
+# C1 r1, C2 G), so padded and unpadded slots alternate in the one stack.
 MIXED_REP = Representation("mixed", {"C1": "GL", "C2": "G"}, n_regions=2)
 
 
@@ -726,6 +727,21 @@ def test_score_gallery_over_two_block_widths():
                 assert abs(scores[p, g] - want) <= 1e-9
 
 
+def test_weights_of_the_wrong_width_on_a_mixed_width_model():
+    # a 4-wide block's 6x6 weights would fit its slot in the 6-wide stack;
+    # they are still a DimError that names the block, in scoring and training
+    r = np.random.default_rng(79)
+    bank_a, bank_b = mixed_banks(4, 4, r)
+    model = mixed_model(r)
+    model.blocks[("C1", "r1")] = (sym(6, r), sym(6, r))
+    with pytest.raises(DimError, match=r"\('C1', 'r1'\)"):
+        score_gallery(model, bank_a, bank_b)
+    pairs = np.array([[p, q, 1 if p == q else -1] for p in range(4) for q in range(4)])
+    data = _PairData(bank_a, bank_b, pairs, MIXED_REP.block_keys())
+    with pytest.raises(DimError, match=r"\('C1', 'r1'\)"):
+        loss_and_gradient(data, model.blocks, 0.0, 1.1, 1e-2)
+
+
 def test_score_gallery_of_empty_banks():
     r = np.random.default_rng(57)
     model = mixed_model(r)
@@ -740,7 +756,6 @@ def test_pair_scores_over_two_block_widths():
     pairs = np.array([[p, q, 1 if p == q else -1] for p in range(6) for q in range(5)])
     model = mixed_model(r)
     data = _PairData(bank_a, bank_b, pairs, MIXED_REP.block_keys())
-    assert sorted(len(group.keys) for group in data.groups) == [2, 2]
     scores = simlearn._pair_scores(data, data.stack(model.blocks), model.gamma)
     for (p, q, _), got in zip(pairs, scores):
         want = score_pair(model, bank_row(bank_a, p), bank_row(bank_b, q))
